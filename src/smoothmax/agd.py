@@ -18,11 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
+from .core import (  # smooth_gradient and smooth_value stay importable from here
     component_values,
     condition_number,
     hessian_eig_bounds,
     smooth_gradient,
+    smooth_pass,
     smooth_value,
 )
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
@@ -30,10 +31,10 @@ from .families import ComponentFamily, DomainConstants, SmoothingParams
 
 MAX_PLANNED_ITERATIONS = 2 ** 31
 
-# Observers: ``progress(t, smooth_value_at_y or None, grad_norm_at_y)`` is the
-# cheap public trace hook; ``iterate_observer(state, grad_at_y)`` additionally
-# sees the full iterate pair and is used by verification harnesses.
-ProgressCallback = Callable[[int, float | None, float], None]
+# Observers, called after each step t-1 -> t, progress first: the cheap trace
+# hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
+# ``iterate_observer(state, grad f_s(y_{t-1}))``, which sees the iterate pair.
+ProgressCallback = Callable[[int, float, float], None]
 IterateObserver = Callable[["OptimizerState", np.ndarray], None]
 
 
@@ -56,17 +57,16 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Iterate pair (x_t, y_t) plus the previous x and the counter t."""
+    """Iterate pair (x_t, y_t) and the counter t."""
 
     x_current: np.ndarray
-    x_previous: np.ndarray
     y_current: np.ndarray
     t: int
 
 
 def initial_state(x1: np.ndarray) -> OptimizerState:
     x1 = np.asarray(x1, dtype=float)
-    return OptimizerState(x_current=x1, x_previous=x1, y_current=x1, t=1)
+    return OptimizerState(x_current=x1, y_current=x1, t=1)
 
 
 @dataclass(frozen=True)
@@ -91,25 +91,18 @@ def smoother_for_gap(epsilon: float, n: int) -> float:
 
 
 def agd_step(
-    state: OptimizerState,
-    gradient_of_smooth: Callable[[np.ndarray], np.ndarray],
-    U_s: float,
-    kappa_s: float,
+    state: OptimizerState, grad: np.ndarray, U_s: float, kappa_s: float
 ) -> OptimizerState:
-    """One accelerated step; raises DivergenceError on a non-finite gradient."""
-    if not U_s > 0 or not kappa_s >= 1:
-        raise ContractViolationError(f"need U_s > 0 and kappa_s >= 1, got {U_s}, {kappa_s}")
-    grad = np.asarray(gradient_of_smooth(state.y_current), dtype=float)
-    if not np.all(np.isfinite(grad)):
+    """One accelerated step from grad f_s(y_t), which must be finite (else
+    DivergenceError).  run_to_gap checks U_s > 0 and kappa_s >= 1 once."""
+    if not np.isfinite(grad).all():
         raise DivergenceError(
             f"non-finite gradient at iteration {state.t}", iterate=state.y_current
         )
     x_next = state.y_current - grad / U_s
     momentum = 1.0 - 2.0 / (math.sqrt(kappa_s) + 1.0)
     y_next = x_next + momentum * (x_next - state.x_current)
-    return OptimizerState(
-        x_current=x_next, x_previous=state.x_current, y_current=y_next, t=state.t + 1
-    )
+    return OptimizerState(x_current=x_next, y_current=y_next, t=state.t + 1)
 
 
 def gap_bound(t: int, L_s: float, kappa_s: float, distance: float, initial_gap: float) -> float:
@@ -157,6 +150,8 @@ def run_to_gap(
 
     The epsilon budget is split evenly between smoothing regret and
     optimization gap; both halves are baked into the iteration formula.
+    Each step makes one pass at the new y for the next gradient and the
+    ``progress`` value; after the last step only ``progress`` needs it.
     """
     n = family.n
     x1 = family.check_point(config.x1)
@@ -169,15 +164,13 @@ def run_to_gap(
         L_s = constants.min_strong_convexity
         U_s = constants.max_smoothness
         regret = 0.0
-        grad_fn = lambda y: family.gradient_at(0, y)
-        value_fn = lambda y: family.value_at(0, y)
+        evaluate = lambda y: (family.value_at(0, y), family.gradient_at(0, y))
     else:
         s = smoother_for_gap(config.epsilon, n)
         params = SmoothingParams(s)
         L_s, U_s = hessian_eig_bounds(constants, params)
         regret = math.log(n) / s  # == epsilon / 2 by choice of s
-        grad_fn = lambda y: smooth_gradient(family, params, y)
-        value_fn = lambda y: smooth_value(family, params, y)
+        evaluate = lambda y: smooth_pass(family, params, y)
     kappa_s = condition_number(L_s, U_s)
 
     planned = required_iterations_general(
@@ -193,21 +186,19 @@ def run_to_gap(
         iterations = min(iterations, config.max_iterations_override)
 
     state = initial_state(x1)
-    for _ in range(iterations):
-        grad_at_y = np.asarray(grad_fn(state.y_current), dtype=float)
-        if not np.all(np.isfinite(grad_at_y)):
-            raise DivergenceError(
-                f"non-finite gradient at iteration {state.t}", iterate=state.y_current
-            )
-        state = agd_step(state, lambda _y: grad_at_y, U_s, kappa_s)
+    grad = evaluate(x1)[1]
+    for step in range(1, iterations + 1):
+        grad_at_y = grad
+        state = agd_step(state, grad_at_y, U_s, kappa_s)
+        if step < iterations or progress is not None:
+            value, grad = evaluate(state.y_current)[:2]
         if progress is not None:
-            progress(state.t, value_fn(state.y_current), float(np.linalg.norm(grad_at_y)))
+            progress(state.t, value, float(np.linalg.norm(grad_at_y)))
         if iterate_observer is not None:
             iterate_observer(state, grad_at_y)
 
+    # Finite: component_values raises on nan or +inf.
     f_final = float(np.max(component_values(family, state.x_current)))
-    if not math.isfinite(f_final):
-        raise DivergenceError("non-finite objective at final iterate", iterate=state.x_current)
     certificate = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
     return SolveReport(
         x_final=state.x_current,

@@ -48,7 +48,7 @@ def parse_points_csv(path: str) -> PointCloud:
     """One point per line, comma-separated coordinates.
 
     A single leading header line is skipped when its first token is not
-    numeric.  All rows must share the same column count.
+    numeric.  All rows must share the same column count of finite values.
     """
     with open(path, "r", newline="") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -72,13 +72,16 @@ def parse_points_csv(path: str) -> PointCloud:
         row = []
         for col, token in enumerate(tokens, start=1):
             try:
-                row.append(float(token))
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise InputFormatError(
-                    f"{path}: non-numeric value {token!r} at line {lineno}, column {col}",
+                    f"{path}: non-finite value {token!r} at line {lineno}, column {col}",
                     line=lineno,
                     column=col,
-                ) from None
+                )
+            row.append(value)
         rows.append(row)
     if not rows:
         raise EmptyInputError(f"{path}: no points found")
@@ -199,6 +202,9 @@ def cmd_bench(args) -> int:
     if bad or any(not 0 < e <= 1 for e in epsilons):
         print(f"error: bad algorithm/epsilon values: {bad or epsilons}", file=sys.stderr)
         return EXIT_USAGE
+    if args.n < 1 or args.dim < 1:
+        print("error: need --n >= 1 and --dim >= 1", file=sys.stderr)
+        return EXIT_USAGE
 
     cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
     exact_radius = None
@@ -212,9 +218,9 @@ def cmd_bench(args) -> int:
                 radius_trace: list | None = (
                     [] if (algorithm == "smooth" and exact_radius is not None) else None
                 )
-                _solve_once(cloud, algorithm, eps, args.seed)  # warm-up, untimed
-                result = _solve_once(cloud, algorithm, eps, args.seed,
-                                     radius_trace=radius_trace)
+                # The observed solve is the untimed warm-up; the plain one is timed.
+                _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
+                result = _solve_once(cloud, algorithm, eps, args.seed)
                 observed = None
                 if radius_trace:
                     target = (1.0 + eps) * exact_radius

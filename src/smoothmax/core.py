@@ -9,8 +9,6 @@ and any s > 0.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,34 +17,18 @@ from .errors import EvaluationError, ContractViolationError
 from .families import ComponentFamily, DomainConstants, SmoothingParams
 
 
-def reduction_threads() -> int:
-    """Thread count for the opt-in parallel reduction mode.
-
-    Default 1 keeps a fixed sequential reduction order (bit-reproducible).
-    With more threads, results are reproducible only up to ~1e-12 relative.
-    """
-    raw = os.environ.get("SMOOTHMAX_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(count, 1)
+# Shifted exponents are floored here: exp(-700) ~ 1e-304 is a normal double
+# that cannot move a sum whose largest term is 1, while underflowing and
+# subnormal weights slow both exp and the gradient GEMV many times over.
+EXP_FLOOR = -700.0
 
 
 def component_values(family: ComponentFamily, x: np.ndarray) -> np.ndarray:
-    """All f_i(x) with precondition checks; raises on non-finite values."""
+    """All f_i(x), in an array the caller owns.  Raises on nan or +inf, which
+    the max propagates; only a failure scans for the index."""
     x = family.check_point(x)
-    threads = reduction_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.fromiter(
-                pool.map(lambda i: family.value_at(i, x), range(family.n)),
-                dtype=float,
-                count=family.n,
-            )
-    else:
-        values = np.asarray(family.values_at(x), dtype=float)
-    if not np.all(np.isfinite(values)):
+    values = np.asarray(family.values_at(x), dtype=float)
+    if not math.isfinite(values[values.argmax()]):
         bad = int(np.argmax(~np.isfinite(values)))
         raise EvaluationError(
             f"component {bad} evaluated to a non-finite value at x={x!r}", index=bad
@@ -65,45 +47,55 @@ class SmoothEval:
     max_value: float
 
 
-def _lse_from_values(values: np.ndarray, s: float) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(s * (values - m))))) / s
+def smooth_pass(
+    family: ComponentFamily, params: SmoothingParams, x: np.ndarray, gradient: bool = True
+) -> tuple[float, np.ndarray | None, np.ndarray, float, int, float]:
+    """The one evaluation pass every smoothed quantity at x is read from.
 
+    values -> max m -> e_i = exp(max(s (f_i(x) - m), EXP_FLOOR)), in place
+    -> S = sum_i e_i -> grad f_s(x) = combined_gradient(x, e) / S (skipped
+    when ``gradient`` is false) -> f_s(x) = m + log(S) / s.
 
-def _weights_from_values(values: np.ndarray, s: float) -> np.ndarray:
-    shifted = np.exp(s * (values - np.max(values)))
-    return shifted / np.sum(shifted)
+    Returns ``(value, gradient, e, S, max_index, max_value)``; the softmax
+    weights are e / S.  np.argmax breaks ties by lowest index.
+    """
+    x = family.check_point(x)
+    shifted = component_values(family, x)
+    max_index = int(shifted.argmax())
+    max_value = float(shifted[max_index])
+    shifted -= max_value
+    shifted *= params.s
+    np.maximum(shifted, EXP_FLOOR, out=shifted)
+    np.exp(shifted, out=shifted)
+    total = float(shifted.sum())
+    grad = family.combined_gradient(x, shifted) / total if gradient else None
+    value = max_value + math.log(total) / params.s
+    return value, grad, shifted, total, max_index, max_value
 
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:
     """f_s(x) = m + (1/s) log sum_i exp(s (f_i(x) - m)), m = max_i f_i(x)."""
-    return _lse_from_values(component_values(family, x), params.s)
+    return smooth_pass(family, params, x, gradient=False)[0]
 
 
 def softmax_weights(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
-    """Probability vector p_s(x); entries in (0, 1], sum 1 (underflow to 0 allowed)."""
-    return _weights_from_values(component_values(family, x), params.s)
+    """Probability vector p_s(x); entries in (0, 1], sum 1 (tiny entries sit
+    at the exp(EXP_FLOOR) / S floor)."""
+    _, _, shifted, total, _, _ = smooth_pass(family, params, x, gradient=False)
+    shifted /= total
+    return shifted
 
 
 def smooth_gradient(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """sum_i p_{s,i}(x) grad f_i(x), computed in one pass over the weights."""
-    x = family.check_point(x)
-    weights = softmax_weights(family, params, x)
-    return family.combined_gradient(x, weights)
+    return smooth_pass(family, params, x)[1]
 
 
 def smooth_eval(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> SmoothEval:
-    """Bundled value / weights / gradient evaluation sharing one values pass."""
-    x = family.check_point(x)
-    values = component_values(family, x)
-    weights = _weights_from_values(values, params.s)
-    return SmoothEval(
-        value=_lse_from_values(values, params.s),
-        weights=weights,
-        gradient=family.combined_gradient(x, weights),
-        max_index=int(np.argmax(values)),  # np.argmax breaks ties by lowest index
-        max_value=float(np.max(values)),
-    )
+    """Value, weights, gradient and exact max of one pass."""
+    value, grad, shifted, total, max_index, max_value = smooth_pass(family, params, x)
+    shifted /= total
+    return SmoothEval(value, shifted, grad, max_index, max_value)
 
 
 def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
@@ -113,8 +105,7 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
     E_p[g g^T] - E_p[g] E_p[g]^T over the softmax weights.
     """
     x = family.check_point(x)
-    values = component_values(family, x)
-    weights = _weights_from_values(values, params.s)
+    weights = softmax_weights(family, params, x)
     grads = family.gradients_at(x)
     mean_grad = weights @ grads
     second_moment = (grads * weights[:, None]).T @ grads

@@ -48,7 +48,8 @@ class ComponentFamily(ABC):
     # --- batch hooks -----------------------------------------------------
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
-        """All component values at x, shape (n,). Sequential order by index."""
+        """All component values at x, shape (n,), in a new array the caller
+        may overwrite. Sequential order by index."""
         return np.array([self.value_at(i, x) for i in range(self.n)], dtype=float)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
@@ -56,7 +57,8 @@ class ComponentFamily(ABC):
         return np.stack([self.gradient_at(i, x) for i in range(self.n)])
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Weighted sum of component gradients, fixed index order."""
+        """Weighted sum of component gradients (any weights, not only a
+        probability vector), fixed index order."""
         out = np.zeros(self.dim)
         for i in range(self.n):
             out += weights[i] * self.gradient_at(i, x)

@@ -75,12 +75,19 @@ class MebResult:
 
 
 class BoundingSphereFamily(ComponentFamily):
-    """Component family f_i(x) = ||x - c_i||^2 with vectorized batch paths."""
+    """f_i(x) = ||x - c_i||^2; the batch paths are one GEMV each on the cloud
+    centred once on its centroid m (P = C - m, which keeps far-offset clouds
+    accurate): ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2."""
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
         self.n = cloud.n
         self.dim = cloud.dim
+        self.centroid = centroid_init(cloud)
+        # [P | 1]: one GEMV gives both w^T P and sum(w) for combined_gradient.
+        self._centred_ones = np.hstack([cloud.points - self.centroid, np.ones((cloud.n, 1))])
+        self.centred = self._centred_ones[:, :-1]
+        self.centred_sq = np.einsum("ij,ij->i", self.centred, self.centred)
 
     def value_at(self, i: int, x: np.ndarray) -> float:
         diff = np.asarray(x, dtype=float) - self.cloud.points[i]
@@ -97,14 +104,18 @@ class BoundingSphereFamily(ComponentFamily):
         return 2.0 * np.eye(self.dim)
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
-        diffs = self.cloud.points - x
-        return np.einsum("ij,ij->i", diffs, diffs)
+        x_c = x - self.centroid
+        values = self.centred @ (-2.0 * x_c)  # a new array, updated in place
+        values += self.centred_sq
+        values += x_c @ x_c
+        return values
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - self.cloud.points)
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return 2.0 * (x - weights @ self.cloud.points)
+        weighted = weights @ self._centred_ones
+        return 2.0 * (weighted[-1] * (x - self.centroid) - weighted[:-1])
 
 
 def centroid_init(cloud: PointCloud) -> np.ndarray:

@@ -165,8 +165,7 @@ class RandomQuadraticFamily(ComponentFamily):
         return 2.0 * self.curvatures[:, None] * (x - self.centers)
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        wc = weights * self.curvatures
-        return 2.0 * (np.sum(wc) * x - wc @ self.centers)
+        return 2.0 * ((weights * self.curvatures) @ (x - self.centers))
 
     def true_constants(self, domain_radius: float) -> DomainConstants:
         """Exact constants on the ball ||x|| <= domain_radius.

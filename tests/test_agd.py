@@ -13,10 +13,12 @@ from smoothmax import (
     required_iterations_general,
     run_online,
     run_to_gap,
+    smooth_gradient,
     smooth_value,
     smoother_for_gap,
 )
 from smoothmax.errors import ConfigurationError, ContractViolationError, DivergenceError
+from smoothmax.families import ComponentFamily
 from smoothmax.testkit import RandomQuadraticFamily, grid_oracle_minimize
 
 
@@ -28,6 +30,27 @@ def symmetric_pair():
 def oracle_minimum(family, lows, highs, resolution=241):
     fn = lambda x: float(np.max(family.values_at(np.atleast_1d(x))))
     return grid_oracle_minimize(fn, lows, highs, resolution)
+
+
+class CountingFamily(ComponentFamily):
+    """Delegates to ``inner`` and counts its batch values passes."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.dim = inner, inner.n, inner.dim
+        self.passes = 0
+
+    def value_at(self, i, x):
+        return self.inner.value_at(i, x)
+
+    def gradient_at(self, i, x):
+        return self.inner.gradient_at(i, x)
+
+    def values_at(self, x):
+        self.passes += 1
+        return self.inner.values_at(x)
+
+    def combined_gradient(self, x, weights):
+        return self.inner.combined_gradient(x, weights)
 
 
 class TestSmootherForGap:
@@ -44,12 +67,12 @@ class TestSmootherForGap:
 class TestAgdStep:
     def test_kappa_one_is_plain_gradient_descent(self):
         state = initial_state(np.array([1.0]))
-        new = agd_step(state, lambda y: 2.0 * y, U_s=2.0, kappa_s=1.0)
+        new = agd_step(state, 2.0 * state.y_current, U_s=2.0, kappa_s=1.0)
         np.testing.assert_allclose(new.y_current, new.x_current)
 
     def test_single_quadratic_one_step_exact(self):
         state = initial_state(np.array([5.0]))
-        new = agd_step(state, lambda y: 2.0 * y, U_s=2.0, kappa_s=4.0)
+        new = agd_step(state, 2.0 * state.y_current, U_s=2.0, kappa_s=4.0)
         np.testing.assert_allclose(new.x_current, [0.0])
         assert new.t == 2
 
@@ -57,8 +80,8 @@ class TestAgdStep:
         state = initial_state(np.array([2.0, -1.0]))
         kappa = 9.0
         momentum = 1.0 - 2.0 / (math.sqrt(kappa) + 1.0)
-        moved = agd_step(state, lambda y: np.ones(2), U_s=1.0, kappa_s=kappa)
-        fixed = agd_step(moved, lambda y: np.zeros(2), U_s=1.0, kappa_s=kappa)
+        moved = agd_step(state, np.ones(2), U_s=1.0, kappa_s=kappa)
+        fixed = agd_step(moved, np.zeros(2), U_s=1.0, kappa_s=kappa)
         np.testing.assert_allclose(fixed.x_current, moved.y_current)
         np.testing.assert_allclose(
             fixed.y_current,
@@ -68,7 +91,7 @@ class TestAgdStep:
     def test_non_finite_gradient_raises(self):
         state = initial_state(np.array([1.0]))
         with pytest.raises(DivergenceError) as err:
-            agd_step(state, lambda y: np.array([math.nan]), U_s=1.0, kappa_s=2.0)
+            agd_step(state, np.array([math.nan]), U_s=1.0, kappa_s=2.0)
         assert err.value.iterate is not None
 
 
@@ -244,3 +267,47 @@ class TestRunOnline:
         config = OptimizerConfig(epsilon=0.1, x1=np.array([0.5]), initial_distance_bound=1.0)
         with pytest.raises(ContractViolationError):
             run_online(fam, lambda eps: constants, 0.1, 0, config)
+
+
+class TestOnePassPerIteration:
+    def setup_method(self):
+        self.fam = CountingFamily(RandomQuadraticFamily.from_seed(5, n=6, dim=3))
+        self.constants = self.fam.inner.true_constants(domain_radius=5.0)
+        self.config = OptimizerConfig(epsilon=0.1, x1=np.zeros(3), initial_distance_bound=3.0)
+
+    def test_values_passes_per_solve(self):
+        report = run_to_gap(self.fam, self.constants, self.config)
+        assert self.fam.passes == report.iterations_run + 1
+        self.fam.passes = 0
+        report = run_to_gap(self.fam, self.constants, self.config,
+                            progress=lambda t, value, grad_norm: None)
+        assert self.fam.passes == report.iterations_run + 2
+
+    def test_observers_see_the_public_values(self):
+        rows, ys, grads = [], [self.config.x1], []
+
+        def observer(state, grad_at_y):
+            ys.append(state.y_current)
+            grads.append(grad_at_y)
+
+        report = run_to_gap(self.fam, self.constants, self.config,
+                            progress=lambda *row: rows.append(row),
+                            iterate_observer=observer)
+        assert len(rows) == report.iterations_run == len(grads)
+        params = SmoothingParams(report.s)
+        for k, (t, value, grad_norm) in enumerate(rows):
+            expected_grad = smooth_gradient(self.fam.inner, params, ys[k])
+            assert t == k + 2
+            assert value == smooth_value(self.fam.inner, params, ys[k + 1])
+            assert grad_norm == float(np.linalg.norm(expected_grad))
+            assert np.array_equal(grads[k], expected_grad)
+
+    def test_progress_precedes_observer(self):
+        events = []
+        report = run_to_gap(
+            self.fam, self.constants, self.config,
+            progress=lambda t, value, grad_norm: events.append(("progress", t)),
+            iterate_observer=lambda state, grad: events.append(("observer", state.t)),
+        )
+        assert events == [(kind, t) for t in range(2, report.iterations_run + 2)
+                          for kind in ("progress", "observer")]

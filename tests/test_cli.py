@@ -54,6 +54,14 @@ class TestParsePointsCsv:
             parse_points_csv(str(path))
         assert (err.value.line, err.value.column) == (2, 2)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, token):
+        path = tmp_path / "f.csv"
+        path.write_text(f"1,2\n3,4\n5,{token}\n")
+        with pytest.raises(InputFormatError) as err:
+            parse_points_csv(str(path))
+        assert (err.value.line, err.value.column) == (3, 2)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
@@ -116,6 +124,16 @@ class TestSolveCommand:
         assert proc.returncode == 3
         assert "line 2" in proc.stderr
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_value_exit_3(self, tmp_path, token):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,2\n{token},3\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", "smooth",
+                       "--epsilon", "0.1")
+        assert proc.returncode == 3
+        assert "line 2, column 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit_3(self):
         proc = run_cli("solve", "--input", "/nonexistent.csv", "--algorithm", "exact")
         assert proc.returncode == 3
@@ -157,6 +175,14 @@ class TestBenchCommand:
         report = json.loads(proc.stdout)
         iters = {row["epsilon"]: row["iterations"] for row in report["rows"]}
         assert iters[0.05] / iters[0.2] == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("flag", ["--n", "--dim"])
+    def test_empty_instance_exit_2(self, flag):
+        args = {"--n": "10", "--dim": "2", flag: "0"}
+        proc = run_cli("bench", *[tok for item in args.items() for tok in item],
+                       "--epsilons", "0.1", "--algorithms", "smooth")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_bad_algorithm_exit_2(self):
         proc = run_cli("bench", "--n", "10", "--dim", "2",

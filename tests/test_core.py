@@ -278,16 +278,6 @@ def test_stability_under_extreme_scales(magnitude, s):
     assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_parallel_reduction_mode_agrees(monkeypatch):
-    fam = RandomQuadraticFamily.from_seed(13, n=9, dim=4)
-    params = SmoothingParams(3.0)
-    x = np.random.default_rng(2).standard_normal(4)
-    sequential = smooth_value(fam, params, x)
-    monkeypatch.setenv("SMOOTHMAX_THREADS", "4")
-    parallel = smooth_value(fam, params, x)
-    assert parallel == pytest.approx(sequential, rel=1e-12)
-
-
 def test_hessian_eigenvalues_within_lemma_bounds():
     for seed in range(20):
         rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothmax import (
     MebConfig,
@@ -15,7 +16,7 @@ from smoothmax import (
     welzl_exact,
 )
 from smoothmax.errors import ContractViolationError
-from smoothmax.testkit import random_point_cloud
+from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
 
 def cloud_of(*rows):
@@ -193,3 +194,23 @@ class TestSolveMeb:
             gy = np.linalg.norm(smooth_gradient(family, params, state.y_current))
             assert gx <= 2.0 * bound_core + 1e-6
             assert gy <= 6.0 * bound_core + 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([1e6, 1e8]),
+    eps=st.sampled_from([0.1, 0.03]),
+)
+def test_far_offset_clouds_keep_the_guarantee(seed, offset, eps):
+    # Rounding each shifted coordinate moves a point by at most sqrt(d) ulp,
+    # which moves the optimal radius by no more than that.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    cloud = random_point_cloud(seed, int(rng.integers(10, 121)), dim, DISTRIBUTIONS[seed % 3])
+    exact = welzl_exact(cloud).radius
+    moved = PointCloud(cloud.points + offset)
+    result = solve_meb(moved, MebConfig(eps))
+    dists = np.linalg.norm(moved.points - result.center, axis=1)
+    assert np.max(dists) <= result.radius * (1.0 + 1e-9)
+    assert result.radius <= (1.0 + eps) * (exact + math.sqrt(dim) * np.spacing(2.0 * offset))

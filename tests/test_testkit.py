@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from smoothmax import welzl_exact
+from smoothmax import BoundingSphereFamily, PointCloud, welzl_exact
 from smoothmax.errors import ContractViolationError
+from smoothmax.families import ComponentFamily
 from smoothmax.testkit import (
     RandomQuadraticFamily,
     finite_diff_gradient,
@@ -118,3 +119,24 @@ class TestRandomQuadraticFamily:
         weights = np.random.default_rng(1).dirichlet(np.ones(5))
         direct = sum(weights[i] * fam.gradient_at(i, x) for i in range(5))
         np.testing.assert_allclose(fam.combined_gradient(x, weights), direct, atol=1e-13)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("kind", ["bounding_sphere", "quadratic"])
+    def test_batch_paths_match_scalar_loop_far_from_origin(self, kind, offset):
+        rng = np.random.default_rng(7)
+        centers = rng.standard_normal((5, 3)) + offset
+        if kind == "bounding_sphere":
+            fam = BoundingSphereFamily(PointCloud(centers))
+        else:
+            fam = RandomQuadraticFamily(centers, rng.uniform(0.5, 2.0, size=5))
+        x = offset + rng.standard_normal(3)
+        values = fam.values_at(x)
+        scalar = np.array([fam.value_at(i, x) for i in range(fam.n)])
+        np.testing.assert_allclose(values, scalar, rtol=0, atol=1e-12 * np.max(scalar))
+        grad_scale = max(np.linalg.norm(fam.gradient_at(i, x)) for i in range(fam.n))
+        for weights in (rng.dirichlet(np.ones(5)), rng.uniform(0.1, 3.0, size=5)):
+            loop = ComponentFamily.combined_gradient(fam, x, weights)
+            np.testing.assert_allclose(
+                fam.combined_gradient(x, weights), loop,
+                rtol=0, atol=1e-12 * np.sum(weights) * grad_scale,
+            )
