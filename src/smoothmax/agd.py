@@ -159,18 +159,15 @@ def run_to_gap(
     G_s = constants.gradient_norm_bound
 
     if n == 1:
-        # Already smooth: bypass the LogSumExp layer entirely, zero regret.
-        s = 0.0
-        L_s = constants.min_strong_convexity
-        U_s = constants.max_smoothness
-        regret = 0.0
-        evaluate = lambda y: (family.value_at(0, y), family.gradient_at(0, y))
+        # Already smooth: s = 0, zero regret.  A pass over one component is
+        # exact at any smoother (e = [1], S = 1), so params only drives it.
+        s, regret, params = 0.0, 0.0, SmoothingParams(1.0)
+        L_s, U_s = constants.min_strong_convexity, constants.max_smoothness
     else:
         s = smoother_for_gap(config.epsilon, n)
         params = SmoothingParams(s)
         L_s, U_s = hessian_eig_bounds(constants, params)
         regret = math.log(n) / s  # == epsilon / 2 by choice of s
-        evaluate = lambda y: smooth_pass(family, params, y)
     kappa_s = condition_number(L_s, U_s)
 
     planned = required_iterations_general(
@@ -186,19 +183,20 @@ def run_to_gap(
         iterations = min(iterations, config.max_iterations_override)
 
     state = initial_state(x1)
-    grad = evaluate(x1)[1]
+    grad = smooth_pass(family, params, x1)[1]
     for step in range(1, iterations + 1):
         grad_at_y = grad
         state = agd_step(state, grad_at_y, U_s, kappa_s)
         if step < iterations or progress is not None:
-            value, grad = evaluate(state.y_current)[:2]
+            value, grad = smooth_pass(family, params, state.y_current)[:2]
         if progress is not None:
             progress(state.t, value, float(np.linalg.norm(grad_at_y)))
         if iterate_observer is not None:
             iterate_observer(state, grad_at_y)
 
     # Finite: component_values raises on nan or +inf.
-    f_final = float(np.max(component_values(family, state.x_current)))
+    values, top = component_values(family, state.x_current)
+    f_final = float(values[top])
     certificate = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
     return SolveReport(
         x_final=state.x_current,

@@ -50,8 +50,12 @@ def parse_points_csv(path: str) -> PointCloud:
     A single leading header line is skipped when its first token is not
     numeric.  All rows must share the same column count of finite values.
     """
-    with open(path, "r", newline="") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyInputError(f"{path}: no points found")
     start = 0
@@ -179,12 +183,16 @@ def cmd_solve(args) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-    if args.trace and trace_rows is not None:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
-            writer.writerows(trace_rows)
-    _emit(json.dumps(result, indent=2), args.output)
+    try:
+        if trace_rows is not None:
+            with open(args.trace, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
+                writer.writerows(trace_rows)
+        _emit(json.dumps(result, indent=2), args.output)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -254,7 +262,7 @@ def cmd_bench(args) -> int:
         "rows": rows,
     }
     if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.output)
+        payload = json.dumps(report, indent=2)
     else:
         header = ["algorithm", "epsilon", "iterations", "planned_iterations",
                   "observed_to_target", "wall_time_ms", "radius", "radius_over_exact"]
@@ -263,13 +271,18 @@ def cmd_bench(args) -> int:
             lines.append(",".join(
                 "" if row[key] is None else str(row[key]) for key in header
             ))
-        _emit("\n".join(lines) + "\n", args.output)
+        payload = "\n".join(lines) + "\n"
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1 or args.n < 1 or args.dim < 1 or not args.smoother > 0:
-        print("error: need --trials >= 1, --n >= 1, --dim >= 1, --smoother > 0",
+    if args.trials < 1 or args.n < 1 or args.dim < 1 or not 0 < args.smoother < math.inf:
+        print("error: need --trials >= 1, --n >= 1, --dim >= 1, finite --smoother > 0",
               file=sys.stderr)
         return EXIT_USAGE
     params = SmoothingParams(args.smoother)
@@ -288,13 +301,14 @@ def cmd_gradcheck(args) -> int:
             lambda p: core.smooth_gradient(family, params, p), x
         )
         hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
-        if grad_err > worst_grad or hess_err > worst_hess:
+        if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
             worst_case = (trial, x)
-        worst_grad = max(worst_grad, grad_err)
-        worst_hess = max(worst_hess, hess_err)
+        # np.maximum keeps a nan, which the builtin max may drop.
+        worst_grad = float(np.maximum(worst_grad, grad_err))
+        worst_hess = float(np.maximum(worst_hess, hess_err))
     print(f"max relative gradient error: {worst_grad:.3e}")
     print(f"max relative hessian error:  {worst_hess:.3e}")
-    if worst_grad > 1e-5 or worst_hess > 1e-4:
+    if not (worst_grad <= 1e-5 and worst_hess <= 1e-4):  # a nan error fails
         trial, x = worst_case
         print(f"tolerance failure at trial {trial}, x={x.tolist()}", file=sys.stderr)
         return EXIT_TOLERANCE

@@ -23,17 +23,18 @@ from .families import ComponentFamily, DomainConstants, SmoothingParams
 EXP_FLOOR = -700.0
 
 
-def component_values(family: ComponentFamily, x: np.ndarray) -> np.ndarray:
-    """All f_i(x), in an array the caller owns.  Raises on nan or +inf, which
-    the max propagates; only a failure scans for the index."""
-    x = family.check_point(x)
+def component_values(family: ComponentFamily, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """All f_i(x) at a checked point (float, shape (dim,)) in an array the
+    caller owns, and the index of the largest (lowest on ties).  Raises on
+    nan or +inf, which the max propagates; only a failure scans for the index."""
     values = np.asarray(family.values_at(x), dtype=float)
-    if not math.isfinite(values[values.argmax()]):
+    max_index = int(values.argmax())
+    if not math.isfinite(values[max_index]):
         bad = int(np.argmax(~np.isfinite(values)))
         raise EvaluationError(
             f"component {bad} evaluated to a non-finite value at x={x!r}", index=bad
         )
-    return values
+    return values, max_index
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ def smooth_pass(
     weights are e / S.  np.argmax breaks ties by lowest index.
     """
     x = family.check_point(x)
-    shifted = component_values(family, x)
-    max_index = int(shifted.argmax())
+    shifted, max_index = component_values(family, x)
     max_value = float(shifted[max_index])
     shifted -= max_value
     shifted *= params.s
@@ -101,7 +101,8 @@ def smooth_eval(family: ComponentFamily, params: SmoothingParams, x: np.ndarray)
 def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """s * Cov_p(grad f_i) + E_p[hess f_i]; verification-grade path.
 
-    Requires the family's Hessian capability.  The covariance is
+    Requires the family's verification capability (``gradients_at`` and
+    ``hessian_at``).  The covariance is
     E_p[g g^T] - E_p[g] E_p[g]^T over the softmax weights.
     """
     x = family.check_point(x)

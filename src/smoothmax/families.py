@@ -1,15 +1,14 @@
 """Component families: the finite collections {f_i} whose max we smooth.
 
-A family exposes per-component values and gradients (Hessians optionally).
-Batch hooks (``values_at``, ``gradients_at``, ``combined_gradient``) have
-loop-based defaults; concrete families override them with vectorized
-versions when the structure allows (see ``meb.BoundingSphereFamily``).
+The solver reads a family only through two batch hooks, ``values_at`` and
+``combined_gradient``; see ``ComponentFamily``.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,50 +18,37 @@ from .errors import DimensionMismatchError, UnsupportedCapabilityError
 class ComponentFamily(ABC):
     """Finite family of twice-differentiable components f_1 .. f_n over R^dim.
 
-    ``value_at`` and ``gradient_at`` must be pure: identical inputs yield
-    identical outputs.  ``hessian_at`` is an optional capability needed only
-    by verification paths; families without it raise
-    ``UnsupportedCapabilityError``.
+    The abstract contract is the two batch hooks, one per side of the
+    LogSumExp smoothing: every f_i(x) for the max, and the weighted gradient
+    sum.  Both must be pure.  ``gradients_at`` and ``hessian_at`` are an
+    optional verification capability, needed only by ``core.smooth_hessian``;
+    unless overridden they raise ``UnsupportedCapabilityError``.
     """
 
     n: int
     dim: int
 
     @abstractmethod
-    def value_at(self, i: int, x: np.ndarray) -> float:
-        ...
+    def values_at(self, x: np.ndarray) -> np.ndarray:
+        """All component values at x, shape (n,), entry i = f_i(x), in a new
+        array the caller may overwrite."""
 
     @abstractmethod
-    def gradient_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        ...
-
-    @property
-    def has_hessian(self) -> bool:
-        return False
-
-    def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedCapabilityError(
-            f"{type(self).__name__} does not expose component Hessians"
-        )
-
-    # --- batch hooks -----------------------------------------------------
-
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        """All component values at x, shape (n,), in a new array the caller
-        may overwrite. Sequential order by index."""
-        return np.array([self.value_at(i, x) for i in range(self.n)], dtype=float)
+    def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights[i] grad f_i(x), shape (dim,), for any weights (not
+        only a probability vector); linear in the weights."""
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         """All component gradients at x, stacked as rows, shape (n, dim)."""
-        return np.stack([self.gradient_at(i, x) for i in range(self.n)])
+        raise UnsupportedCapabilityError(
+            f"{type(self).__name__} does not expose component gradients"
+        )
 
-    def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Weighted sum of component gradients (any weights, not only a
-        probability vector), fixed index order."""
-        out = np.zeros(self.dim)
-        for i in range(self.n):
-            out += weights[i] * self.gradient_at(i, x)
-        return out
+    def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Hessian of f_i at x, shape (dim, dim)."""
+        raise UnsupportedCapabilityError(
+            f"{type(self).__name__} does not expose component Hessians"
+        )
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -125,5 +111,5 @@ class SmoothingParams:
     s: float
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"smoother must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"smoother must be positive and finite, got {self.s}")

@@ -90,15 +90,14 @@ class BoundingSphereFamily(ComponentFamily):
         self.centred_sq = np.einsum("ij,ij->i", self.centred, self.centred)
 
     def value_at(self, i: int, x: np.ndarray) -> float:
+        """Scalar f_i(x): the reference the batch-path tests compare against;
+        the solver reads only the batch hooks."""
         diff = np.asarray(x, dtype=float) - self.cloud.points[i]
         return float(diff @ diff)
 
     def gradient_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Scalar grad f_i(x), the test reference for ``combined_gradient``."""
         return 2.0 * (np.asarray(x, dtype=float) - self.cloud.points[i])
-
-    @property
-    def has_hessian(self) -> bool:
-        return True
 
     def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
         return 2.0 * np.eye(self.dim)

@@ -144,15 +144,14 @@ class RandomQuadraticFamily(ComponentFamily):
         return RandomQuadraticFamily(centers, curvatures)
 
     def value_at(self, i: int, x: np.ndarray) -> float:
+        """Scalar f_i(x): the reference the batch-path tests compare against;
+        the solver reads only the batch hooks."""
         diff = np.asarray(x, dtype=float) - self.centers[i]
         return float(self.curvatures[i] * (diff @ diff))
 
     def gradient_at(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Scalar grad f_i(x), the test reference for ``combined_gradient``."""
         return 2.0 * self.curvatures[i] * (np.asarray(x, dtype=float) - self.centers[i])
-
-    @property
-    def has_hessian(self) -> bool:
-        return True
 
     def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.curvatures[i] * np.eye(self.dim)

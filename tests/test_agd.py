@@ -14,10 +14,16 @@ from smoothmax import (
     run_online,
     run_to_gap,
     smooth_gradient,
+    smooth_hessian,
     smooth_value,
     smoother_for_gap,
 )
-from smoothmax.errors import ConfigurationError, ContractViolationError, DivergenceError
+from smoothmax.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    DivergenceError,
+    UnsupportedCapabilityError,
+)
 from smoothmax.families import ComponentFamily
 from smoothmax.testkit import RandomQuadraticFamily, grid_oracle_minimize
 
@@ -32,25 +38,33 @@ def oracle_minimum(family, lows, highs, resolution=241):
     return grid_oracle_minimize(fn, lows, highs, resolution)
 
 
-class CountingFamily(ComponentFamily):
-    """Delegates to ``inner`` and counts its batch values passes."""
+class BatchOnlyFamily(ComponentFamily):
+    """Defines only the two abstract hooks, delegated to ``inner``."""
 
     def __init__(self, inner):
         self.inner, self.n, self.dim = inner, inner.n, inner.dim
-        self.passes = 0
-
-    def value_at(self, i, x):
-        return self.inner.value_at(i, x)
-
-    def gradient_at(self, i, x):
-        return self.inner.gradient_at(i, x)
 
     def values_at(self, x):
-        self.passes += 1
         return self.inner.values_at(x)
 
     def combined_gradient(self, x, weights):
         return self.inner.combined_gradient(x, weights)
+
+
+class CountingFamily(BatchOnlyFamily):
+    """Counts the values passes and the point checks."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.passes = self.checks = 0
+
+    def check_point(self, x):
+        self.checks += 1
+        return super().check_point(x)
+
+    def values_at(self, x):
+        self.passes += 1
+        return super().values_at(x)
 
 
 class TestSmootherForGap:
@@ -283,6 +297,16 @@ class TestOnePassPerIteration:
                             progress=lambda t, value, grad_norm: None)
         assert self.fam.passes == report.iterations_run + 2
 
+    def test_one_point_check_per_values_pass(self):
+        params = SmoothingParams(2.0)
+        smooth_value(self.fam, params, np.ones(3))
+        smooth_gradient(self.fam, params, np.ones(3))
+        assert self.fam.checks == self.fam.passes == 2
+        # run_to_gap checks x1 once and reads f_final from the checked x_T.
+        run_to_gap(self.fam, self.constants, self.config,
+                   progress=lambda t, value, grad_norm: None)
+        assert self.fam.checks == self.fam.passes
+
     def test_observers_see_the_public_values(self):
         rows, ys, grads = [], [self.config.x1], []
 
@@ -311,3 +335,57 @@ class TestOnePassPerIteration:
         )
         assert events == [(kind, t) for t in range(2, report.iterations_run + 2)
                           for kind in ("progress", "observer")]
+
+
+class TestBatchHookContract:
+    """A family needs only ``values_at`` and ``combined_gradient``."""
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_run_to_gap_solves_batch_only_family(self, n):
+        inner = RandomQuadraticFamily.from_seed(n, n=n, dim=2)
+        constants = inner.true_constants(domain_radius=6.0)
+        config = OptimizerConfig(epsilon=0.05, x1=np.zeros(2), initial_distance_bound=4.0)
+        report = run_to_gap(BatchOnlyFamily(inner), constants, config)
+        _, oracle_value = oracle_minimum(inner, [-3.0, -3.0], [3.0, 3.0], resolution=101)
+        assert report.f_final - oracle_value <= 0.05 + 1e-9
+        np.testing.assert_array_equal(
+            report.x_final, run_to_gap(inner, constants, config).x_final
+        )
+
+    def test_verification_capability_is_optional(self):
+        fam = BatchOnlyFamily(RandomQuadraticFamily.from_seed(0, n=3, dim=2))
+        with pytest.raises(UnsupportedCapabilityError):
+            smooth_hessian(fam, SmoothingParams(1.0), np.zeros(2))
+        with pytest.raises(UnsupportedCapabilityError):
+            fam.gradients_at(np.zeros(2))
+        with pytest.raises(UnsupportedCapabilityError):
+            fam.hessian_at(0, np.zeros(2))
+
+    @pytest.mark.parametrize("missing", ["values_at", "combined_gradient"])
+    def test_missing_hook_fails_on_construction(self, missing):
+        hooks = {name: getattr(BatchOnlyFamily, name)
+                 for name in ("__init__", "values_at", "combined_gradient")}
+        del hooks[missing]
+        partial = type("PartialFamily", (ComponentFamily,), hooks)
+        with pytest.raises(TypeError, match=missing):
+            partial(RandomQuadraticFamily.from_seed(0, n=3, dim=2))
+
+    def test_single_component_progress_is_exact(self):
+        fam = RandomQuadraticFamily(np.array([[2.0, -1.0, 0.5]]), np.array([0.7]))
+        constants = fam.true_constants(domain_radius=10.0)
+        config = OptimizerConfig(epsilon=0.1, x1=np.array([5.0, 5.0, -3.0]),
+                                 initial_distance_bound=10.0)
+        rows, ys = [], [config.x1]
+        report = run_to_gap(fam, constants, config,
+                            progress=lambda *row: rows.append(row),
+                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+        assert (report.s, report.U_s) == (0.0, constants.max_smoothness)
+        assert report.gap_certificate == gap_bound(
+            report.iterations_run, report.L_s, report.kappa_s,
+            config.initial_distance_bound, constants.gradient_norm_bound * 10.0,
+        )
+        assert rows == [
+            (k + 2, fam.values_at(ys[k + 1])[0],
+             float(np.linalg.norm(fam.combined_gradient(ys[k], np.ones(1)))))
+            for k in range(report.iterations_run)
+        ]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from smoothmax import cli
 from smoothmax.cli import parse_points_csv
 from smoothmax.errors import EmptyInputError, InputFormatError
 
@@ -66,6 +67,12 @@ class TestParsePointsCsv:
         path = tmp_path / "e.csv"
         path.write_text("")
         with pytest.raises(EmptyInputError):
+            parse_points_csv(str(path))
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(InputFormatError):
             parse_points_csv(str(path))
 
 
@@ -138,6 +145,23 @@ class TestSolveCommand:
         proc = run_cli("solve", "--input", "/nonexistent.csv", "--algorithm", "exact")
         assert proc.returncode == 3
 
+    def test_non_utf8_file_exit_3(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", "exact")
+        assert proc.returncode == 3
+        assert "not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--output", "--trace"])
+    def test_unwritable_output_exit_2(self, two_point_file, tmp_path, flag):
+        bad = str(tmp_path / "missing-dir" / "out")
+        proc = run_cli("solve", "--input", two_point_file, "--algorithm", "smooth",
+                       "--epsilon", "0.1", flag, bad)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and bad in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_determinism_modulo_wall_time(self, two_point_file):
         args = ("solve", "--input", two_point_file, "--algorithm", "smooth",
                 "--epsilon", "0.05", "--seed", "3")
@@ -189,6 +213,14 @@ class TestBenchCommand:
                        "--epsilons", "0.1", "--algorithms", "magic")
         assert proc.returncode == 2
 
+    def test_unwritable_output_exit_2(self, tmp_path):
+        bad = str(tmp_path / "missing-dir" / "bench.json")
+        proc = run_cli("bench", "--n", "10", "--dim", "2", "--epsilons", "0.1",
+                       "--algorithms", "coreset", "--output", bad)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and bad in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestGradcheckCommand:
     def test_default_flags_pass(self):
@@ -202,3 +234,15 @@ class TestGradcheckCommand:
 
     def test_zero_trials_exit_2(self):
         assert run_cli("gradcheck", "--trials", "0").returncode == 2
+
+    @pytest.mark.parametrize("smoother", ["inf", "nan"])
+    def test_non_finite_smoother_exit_2(self, smoother):
+        proc = run_cli("gradcheck", "--smoother", smoother)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.core, "smooth_gradient",
+                            lambda family, params, x: np.full(family.dim, np.nan))
+        assert cli.main(["gradcheck", "--trials", "2"]) == 1
+        assert "max relative gradient error: nan" in capsys.readouterr().out

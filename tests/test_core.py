@@ -38,10 +38,10 @@ class ConstantFamily(ComponentFamily):
         self.n = self.levels.size
         self.dim = dim
 
-    def value_at(self, i, x):
-        return float(self.levels[i])
+    def values_at(self, x):
+        return self.levels.copy()
 
-    def gradient_at(self, i, x):
+    def combined_gradient(self, x, weights):
         return np.zeros(self.dim)
 
 
@@ -179,6 +179,11 @@ class TestBoundsAndConditioning:
     @pytest.mark.parametrize("L,U,expected", [(2.0, 2.0, 1.0), (2.0, 102.0, 51.0), (1.0, 17.0, 17.0)])
     def test_condition_number(self, L, U, expected):
         assert condition_number(L, U) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+    def test_smoother_must_be_positive_and_finite(self, s):
+        with pytest.raises(ValueError):
+            SmoothingParams(s)
 
     def test_condition_number_contract(self):
         with pytest.raises(ContractViolationError):
