@@ -3,7 +3,8 @@
 The max of finitely many strongly-convex smooth components is replaced by
 its LogSumExp smooth substitute and minimized with accelerated gradient
 descent; closed-form iteration counts certify the requested optimality
-gap.  The bounding-sphere front end specializes every constant analytically
+gap, and each solve stops early once a lower bound on the optimum proves it.
+The bounding-sphere front end specializes every constant analytically
 and is checked against an exact Welzl oracle and a core-set baseline.
 """
 

@@ -6,8 +6,9 @@ Implements the update pair
     y_{t+1} = x_{t+1} + (1 - 2/(sqrt(kappa_s) + 1)) (x_{t+1} - x_t)
 
 together with the smoother selection s = 2 log(n) / epsilon, the
-closed-form sufficient iteration count, the optimality-gap certificate and
-the online epsilon-halving scheduler.
+closed-form sufficient iteration count (the cap of each solve), the lower
+bound on the optimum that stops a solve once it certifies the gap, and the
+online epsilon-halving scheduler.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .families import ComponentFamily, DomainConstants, SmoothingParams
 
 MAX_PLANNED_ITERATIONS = 2 ** 31
+# A solve is certified once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|;
+# the margin keeps roundoff in the bound from certifying a gap just above eps.
+CERTIFY_MARGIN = 1e-12
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
@@ -71,6 +75,16 @@ def initial_state(x1: np.ndarray) -> OptimizerState:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one solve.
+
+    ``x_final`` is the evaluated point with the lowest true max ``f_final``;
+    ``lower_bound`` is the best certified lower bound on f*, and
+    ``gap_certificate`` bounds ``f_final - f*``.  ``stop_reason`` is
+    ``"certified"`` (the bound proved the gap), ``"planned"`` (the a-priori
+    count ran out) or ``"override"`` (``max_iterations_override`` ran out
+    below the a-priori count).
+    """
+
     x_final: np.ndarray
     iterations_run: int
     planned_iterations: int
@@ -81,6 +95,8 @@ class SolveReport:
     g_s: float
     f_final: float
     gap_certificate: float
+    lower_bound: float
+    stop_reason: str
 
 
 def smoother_for_gap(epsilon: float, n: int) -> float:
@@ -103,6 +119,13 @@ def agd_step(
     momentum = 1.0 - 2.0 / (math.sqrt(kappa_s) + 1.0)
     y_next = x_next + momentum * (x_next - state.x_current)
     return OptimizerState(x_current=x_next, y_current=y_next, t=state.t + 1)
+
+
+def lower_bound(mean_value: float, grad: np.ndarray, L_s: float) -> float:
+    """f* >= sum_i p_i f_i(y) - ||grad f_s(y)||^2 / (2 L_s) for any p in the
+    simplex: the p-weighted sum is L_s-strongly convex, its gradient at y is
+    grad f_s(y), and it never exceeds the max."""
+    return mean_value - float(grad.dot(grad)) / (2.0 * L_s)
 
 
 def gap_bound(t: int, L_s: float, kappa_s: float, distance: float, initial_gap: float) -> float:
@@ -146,15 +169,21 @@ def run_to_gap(
     progress: ProgressCallback | None = None,
     iterate_observer: IterateObserver | None = None,
 ) -> SolveReport:
-    """Full smoothed solve: pick s, derive constants, run the planned steps.
+    """Full smoothed solve: pick s, derive constants, step until the gap
+    is certified.
 
     The epsilon budget is split evenly between smoothing regret and
-    optimization gap; both halves are baked into the iteration formula.
-    Each step makes one pass at the new y for the next gradient and the
-    ``progress`` value; after the last step only ``progress`` needs it.
+    optimization gap; both halves are baked into the a-priori iteration
+    count, which caps the run (as does a smaller ``max_iterations_override``).
+    Each step makes one pass at the new y.  It gives the next gradient, the
+    ``progress`` value, the true max at y and the lower bound on f* of
+    ``lower_bound``.  After each step, the solve stops once the lowest max
+    minus the highest bound, over x1 and every y so far, is at most epsilon
+    (less CERTIFY_MARGIN).  At the cap, one values pass at x_T adds it as a
+    candidate, and the certificate is the smaller of the proven gap and the
+    a-priori bound.
     """
     n = family.n
-    x1 = family.check_point(config.x1)
     distance = config.initial_distance_bound
     G_s = constants.gradient_norm_bound
 
@@ -182,33 +211,50 @@ def run_to_gap(
     if config.max_iterations_override is not None:
         iterations = min(iterations, config.max_iterations_override)
 
-    state = initial_state(x1)
-    grad = smooth_pass(family, params, x1)[1]
-    for step in range(1, iterations + 1):
+    state = initial_state(config.x1)
+    weights = np.empty(n)  # the exp buffer of every pass
+    _, grad, _, _, _, f_best, mean_value = smooth_pass(
+        family, params, state.y_current, out=weights
+    )
+    x_best, lb_best = state.y_current, lower_bound(mean_value, grad, L_s)
+    for _ in range(iterations):
         grad_at_y = grad
         state = agd_step(state, grad_at_y, U_s, kappa_s)
-        if step < iterations or progress is not None:
-            value, grad = smooth_pass(family, params, state.y_current)[:2]
+        value, grad, _, _, _, max_value, mean_value = smooth_pass(
+            family, params, state.y_current, out=weights
+        )
         if progress is not None:
             progress(state.t, value, float(np.linalg.norm(grad_at_y)))
         if iterate_observer is not None:
             iterate_observer(state, grad_at_y)
-
-    # Finite: component_values raises on nan or +inf.
-    values, top = component_values(family, state.x_current)
-    f_final = float(values[top])
-    certificate = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
+        lb_best = max(lb_best, lower_bound(mean_value, grad, L_s))
+        if max_value < f_best:
+            x_best, f_best = state.y_current, max_value
+        if f_best - lb_best <= config.epsilon - CERTIFY_MARGIN * abs(f_best):
+            stop_reason, a_priori = "certified", math.inf
+            break
+    else:
+        stop_reason = "planned" if iterations == planned else "override"
+        # x_T is a candidate, so the a-priori bound covers x_final too.
+        # Finite: component_values raises on nan or +inf.
+        values, top = component_values(family, state.x_current)
+        if values[top] < f_best:
+            x_best, f_best = state.x_current, float(values[top])
+        a_priori = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
+    certificate = min(max(0.0, f_best - lb_best), a_priori)
     return SolveReport(
-        x_final=state.x_current,
-        iterations_run=iterations,
+        x_final=x_best,
+        iterations_run=state.t - 1,
         planned_iterations=planned,
         s=s,
         L_s=L_s,
         U_s=U_s,
         kappa_s=kappa_s,
         g_s=G_s,
-        f_final=f_final,
+        f_final=f_best,
         gap_certificate=certificate,
+        lower_bound=lb_best,
+        stop_reason=stop_reason,
     )
 
 

@@ -49,6 +49,9 @@ def parse_points_csv(path: str) -> PointCloud:
 
     A single leading header line is skipped when its first token is not
     numeric.  All rows must share the same column count of finite values.
+    The rows are converted in one NumPy call, which reads each token as
+    ``float`` does; only a failed conversion is scanned for its line and
+    column.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -58,22 +61,30 @@ def parse_points_csv(path: str) -> PointCloud:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise EmptyInputError(f"{path}: no points found")
-    start = 0
-    first_tokens = [t.strip() for t in lines[0].split(",")]
-    if first_tokens and not _is_number(first_tokens[0]):
-        start = 1
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        tokens = [t.strip() for t in line.split(",")]
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
+    start = 0 if _is_number(lines[0].split(",")[0]) else 1
+    rows = [line.split(",") for line in lines[start:]]
+    if not rows:
+        raise EmptyInputError(f"{path}: no points found")
+    try:
+        points = np.array(rows, dtype=float)  # ragged rows raise here too
+    except ValueError:
+        points = None
+    if points is None or not np.isfinite(points).all():
+        _raise_first_bad_row(path, rows, start + 1)
+    return PointCloud(points)
+
+
+def _raise_first_bad_row(path: str, rows: list[list[str]], first_lineno: int) -> None:
+    """Raise InputFormatError for the first row, in file order, with a
+    column count unlike the first row's or a token that is not a finite
+    number."""
+    width = len(rows[0])
+    for lineno, tokens in enumerate(rows, start=first_lineno):
+        if len(tokens) != width:
             raise InputFormatError(
                 f"{path}: line {lineno} has {len(tokens)} columns, expected {width}",
                 line=lineno,
             )
-        row = []
         for col, token in enumerate(tokens, start=1):
             try:
                 value = float(token)
@@ -81,15 +92,11 @@ def parse_points_csv(path: str) -> PointCloud:
                 value = math.nan
             if not math.isfinite(value):
                 raise InputFormatError(
-                    f"{path}: non-finite value {token!r} at line {lineno}, column {col}",
+                    f"{path}: non-finite value {token.strip()!r} at line {lineno}, "
+                    f"column {col}",
                     line=lineno,
                     column=col,
                 )
-            row.append(value)
-        rows.append(row)
-    if not rows:
-        raise EmptyInputError(f"{path}: no points found")
-    return PointCloud(np.array(rows))
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -107,6 +114,7 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
     """Run one algorithm; returns (result_dict, center, radius)."""
     t0 = time.perf_counter()
     constants = None
+    certified = None
     if algorithm == "exact":
         exact = welzl_exact(cloud, seed=seed)
         center, radius = exact.center, exact.radius
@@ -128,8 +136,13 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
                         iterate_observer=observer)
         center, radius = res.center, res.radius
         iterations, planned = res.iterations, res.planned_iterations
-        if res.solve_report is not None:
-            rep = res.solve_report
+        rep = res.solve_report
+        certified = {
+            # A cloud solved without steps (one point, or all coincident) is exact.
+            "stop_reason": "certified" if rep is None else rep.stop_reason,
+            "certified_radius_lower": res.certified_radius_lower,
+        }
+        if rep is not None:
             constants = {
                 "s": rep.s,
                 "L_s": rep.L_s,
@@ -151,9 +164,17 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
         "planned_iterations": int(planned),
         "wall_time_ms": wall_ms,
     }
+    if certified is not None:
+        result.update(certified)
     if constants is not None:
         result["constants"] = constants
     return result
+
+
+def _write_trace(rows: list, fh) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
+    writer.writerows(rows)
 
 
 def cmd_solve(args) -> int:
@@ -162,6 +183,10 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     if args.epsilon is not None and not 0 < args.epsilon <= 1:
         print("error: --epsilon must be in (0, 1]", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trace == "-" and args.output in (None, "-"):
+        print("error: --trace - and the JSON result cannot both go to standard output; "
+              "give --output a file", file=sys.stderr)
         return EXIT_USAGE
     try:
         cloud = parse_points_csv(args.input)
@@ -184,11 +209,11 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
 
     try:
-        if trace_rows is not None:
+        if args.trace == "-":
+            _write_trace(trace_rows, sys.stdout)
+        elif trace_rows is not None:
             with open(args.trace, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
-                writer.writerows(trace_rows)
+                _write_trace(trace_rows, fh)
         _emit(json.dumps(result, indent=2), args.output)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -246,6 +271,8 @@ def cmd_bench(args) -> int:
                     "wall_time_ms": result["wall_time_ms"],
                     "radius": result["radius"],
                     "radius_over_exact": over,
+                    "stop_reason": result.get("stop_reason"),
+                    "certified_radius_lower": result.get("certified_radius_lower"),
                 })
     except Exception as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
@@ -265,7 +292,8 @@ def cmd_bench(args) -> int:
         payload = json.dumps(report, indent=2)
     else:
         header = ["algorithm", "epsilon", "iterations", "planned_iterations",
-                  "observed_to_target", "wall_time_ms", "radius", "radius_over_exact"]
+                  "observed_to_target", "wall_time_ms", "radius", "radius_over_exact",
+                  "stop_reason", "certified_radius_lower"]
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(
@@ -331,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--output", default=None, help="output path (default stdout)")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--trace", default=None,
-                       help="optional per-iteration CSV trace (smooth only)")
+                       help="optional per-iteration CSV trace (smooth only); '-' for "
+                            "standard output, which then needs --output FILE")
     solve.add_argument("--verify", action="store_true",
                        help="cross-check against the exact solver when d <= 12")
     solve.set_defaults(func=cmd_solve)

@@ -49,28 +49,38 @@ class SmoothEval:
 
 
 def smooth_pass(
-    family: ComponentFamily, params: SmoothingParams, x: np.ndarray, gradient: bool = True
-) -> tuple[float, np.ndarray | None, np.ndarray, float, int, float]:
+    family: ComponentFamily,
+    params: SmoothingParams,
+    x: np.ndarray,
+    gradient: bool = True,
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None, np.ndarray, float, int, float, float]:
     """The one evaluation pass every smoothed quantity at x is read from.
 
-    values -> max m -> e_i = exp(max(s (f_i(x) - m), EXP_FLOOR)), in place
-    -> S = sum_i e_i -> grad f_s(x) = combined_gradient(x, e) / S (skipped
-    when ``gradient`` is false) -> f_s(x) = m + log(S) / s.
+    values -> max m -> e_i = exp(max(s (f_i(x) - m), EXP_FLOOR)), written to
+    ``out`` (shape (n,); a new array when None) -> S = sum_i e_i ->
+    grad f_s(x) = combined_gradient(x, e) / S (skipped when ``gradient`` is
+    false) -> f_s(x) = m + log(S) / s, and the softmax-weighted mean
+    sum_i p_i f_i(x) = m + e . (s (f - m)) / (s S), taken from the unfloored
+    exponents.
 
-    Returns ``(value, gradient, e, S, max_index, max_value)``; the softmax
-    weights are e / S.  np.argmax breaks ties by lowest index.
+    Returns ``(value, gradient, e, S, max_index, max_value, mean_value)``;
+    the softmax weights are e / S.  np.argmax breaks ties by lowest index.
     """
     x = family.check_point(x)
     shifted, max_index = component_values(family, x)
     max_value = float(shifted[max_index])
     shifted -= max_value
     shifted *= params.s
-    np.maximum(shifted, EXP_FLOOR, out=shifted)
-    np.exp(shifted, out=shifted)
-    total = float(shifted.sum())
-    grad = family.combined_gradient(x, shifted) / total if gradient else None
+    weights = np.maximum(shifted, EXP_FLOOR, out=out)
+    np.exp(weights, out=weights)
+    total = float(weights.sum())
+    grad = family.combined_gradient(x, weights) / total if gradient else None
     value = max_value + math.log(total) / params.s
-    return value, grad, shifted, total, max_index, max_value
+    # The products e_i s (f_i - m) stay normal doubles, as a floored e_i
+    # meets |s (f_i - m)| >= 700; e_i (f_i - m) can be subnormal at large s.
+    mean_value = max_value + float(weights.dot(shifted)) / (params.s * total)
+    return value, grad, weights, total, max_index, max_value, mean_value
 
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:
@@ -81,9 +91,9 @@ def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray
 def softmax_weights(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """Probability vector p_s(x); entries in (0, 1], sum 1 (tiny entries sit
     at the exp(EXP_FLOOR) / S floor)."""
-    _, _, shifted, total, _, _ = smooth_pass(family, params, x, gradient=False)
-    shifted /= total
-    return shifted
+    weights, total = smooth_pass(family, params, x, gradient=False)[2:4]
+    weights /= total
+    return weights
 
 
 def smooth_gradient(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
@@ -93,9 +103,9 @@ def smooth_gradient(family: ComponentFamily, params: SmoothingParams, x: np.ndar
 
 def smooth_eval(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> SmoothEval:
     """Value, weights, gradient and exact max of one pass."""
-    value, grad, shifted, total, max_index, max_value = smooth_pass(family, params, x)
-    shifted /= total
-    return SmoothEval(value, shifted, grad, max_index, max_value)
+    value, grad, weights, total, max_index, max_value, _ = smooth_pass(family, params, x)
+    weights /= total
+    return SmoothEval(value, weights, grad, max_index, max_value)
 
 
 def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:

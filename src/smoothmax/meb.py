@@ -72,6 +72,8 @@ class MebResult:
     radius_lower: float
     radius_upper: float
     solve_report: SolveReport | None = None
+    # sqrt of the solve's certified lower bound on R^2 (None from baselines).
+    certified_radius_lower: float | None = None
 
 
 class BoundingSphereFamily(ComponentFamily):
@@ -192,6 +194,7 @@ def solve_meb(
             epsilon_gap_used=0.0,
             radius_lower=0.0,
             radius_upper=0.0,
+            certified_radius_lower=0.0,
         )
 
     lower, upper = radius_bounds(f1)
@@ -223,4 +226,5 @@ def solve_meb(
         radius_lower=lower,
         radius_upper=upper,
         solve_report=report,
+        certified_radius_lower=math.sqrt(max(report.lower_bound, 0.0)),
     )

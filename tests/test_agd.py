@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothmax import (
     DomainConstants,
@@ -208,6 +210,7 @@ class TestRunToGap:
         report = run_to_gap(fam, constants, config)
         assert report.iterations_run == 7
         assert report.planned_iterations > 7
+        assert report.stop_reason == "override"
 
     def test_overflow_guard(self):
         fam = RandomQuadraticFamily.from_seed(1, n=4, dim=2)
@@ -239,6 +242,36 @@ class TestRunToGap:
             envelope = gap_bound(t, report.L_s, report.kappa_s,
                                  config.initial_distance_bound, initial_gap)
             assert smooth_x <= smooth_at_star + envelope + 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    eps=st.sampled_from([0.1, 0.01]),
+    override=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+)
+def test_lower_bound_and_certificate_are_sound(seed, eps, override):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 3))
+    inner = RandomQuadraticFamily.from_seed(seed, n=int(rng.integers(2, 9)), dim=dim)
+    fam = CountingFamily(inner)
+    config = OptimizerConfig(epsilon=eps, x1=rng.uniform(-1.0, 1.0, dim),
+                             initial_distance_bound=4.0, max_iterations_override=override)
+    report = run_to_gap(fam, inner.true_constants(domain_radius=6.0), config)
+    _, f_star = oracle_minimum(inner, [-3.0] * dim, [3.0] * dim,
+                               resolution={1: 241, 2: 41}[dim])
+    assert report.lower_bound <= f_star + 1e-9
+    assert report.f_final - f_star <= report.gap_certificate + 1e-9
+    assert report.f_final == float(np.max(inner.values_at(report.x_final)))
+    # The pass at x1, one per step, and the values pass at x_T at the cap.
+    certified = report.stop_reason == "certified"
+    assert fam.passes == report.iterations_run + 1 + (not certified)
+    if certified:
+        assert report.gap_certificate <= eps
+    else:
+        assert report.iterations_run == min(report.planned_iterations, override or math.inf)
+        cut = report.iterations_run < report.planned_iterations
+        assert report.stop_reason == ("override" if cut else "planned")
 
 
 class TestRunOnline:
@@ -290,22 +323,40 @@ class TestOnePassPerIteration:
         self.config = OptimizerConfig(epsilon=0.1, x1=np.zeros(3), initial_distance_bound=3.0)
 
     def test_values_passes_per_solve(self):
+        # A solve certified after step k makes the pass at x1 and one per
+        # step; progress reads the same passes.
         report = run_to_gap(self.fam, self.constants, self.config)
+        assert report.stop_reason == "certified"
         assert self.fam.passes == report.iterations_run + 1
         self.fam.passes = 0
-        report = run_to_gap(self.fam, self.constants, self.config,
-                            progress=lambda t, value, grad_norm: None)
-        assert self.fam.passes == report.iterations_run + 2
+        observed = run_to_gap(self.fam, self.constants, self.config,
+                              progress=lambda t, value, grad_norm: None)
+        assert observed.iterations_run == report.iterations_run
+        assert self.fam.passes == report.iterations_run + 1
+        # One step short of that, the cap adds the values pass at x_T.
+        self.fam.passes = 0
+        capped = run_to_gap(self.fam, self.constants, replace(
+            self.config, max_iterations_override=report.iterations_run - 1))
+        assert (capped.stop_reason, capped.iterations_run) == (
+            "override", report.iterations_run - 1)
+        assert self.fam.passes == capped.iterations_run + 2
 
     def test_one_point_check_per_values_pass(self):
         params = SmoothingParams(2.0)
         smooth_value(self.fam, params, np.ones(3))
         smooth_gradient(self.fam, params, np.ones(3))
         assert self.fam.checks == self.fam.passes == 2
-        # run_to_gap checks x1 once and reads f_final from the checked x_T.
-        run_to_gap(self.fam, self.constants, self.config,
-                   progress=lambda t, value, grad_norm: None)
-        assert self.fam.checks == self.fam.passes
+        # run_to_gap's pass at x1 is the one check of x1.
+        report = run_to_gap(self.fam, self.constants, self.config,
+                            progress=lambda t, value, grad_norm: None)
+        assert report.stop_reason == "certified"
+        assert self.fam.checks == self.fam.passes == 2 + report.iterations_run + 1
+        # At the cap, the values pass at x_T reads the point agd_step made.
+        self.fam.checks = self.fam.passes = 0
+        capped = run_to_gap(self.fam, self.constants,
+                            replace(self.config, max_iterations_override=3))
+        assert capped.stop_reason == "override"
+        assert self.fam.checks == self.fam.passes - 1 == capped.iterations_run + 1
 
     def test_observers_see_the_public_values(self):
         rows, ys, grads = [], [self.config.x1], []
@@ -380,10 +431,14 @@ class TestBatchHookContract:
                             progress=lambda *row: rows.append(row),
                             iterate_observer=lambda state, grad: ys.append(state.y_current))
         assert (report.s, report.U_s) == (0.0, constants.max_smoothness)
-        assert report.gap_certificate == gap_bound(
-            report.iterations_run, report.L_s, report.kappa_s,
-            config.initial_distance_bound, constants.gradient_norm_bound * 10.0,
-        )
+        # One step from x1 lands on the centre, where the bound is exact.
+        assert (report.stop_reason, report.iterations_run) == ("certified", 1)
+        maxima = [fam.values_at(y)[0] for y in ys]
+        grads = [fam.combined_gradient(y, np.ones(1)) for y in ys]
+        assert report.f_final == min(maxima)
+        assert report.lower_bound == max(
+            f - float(g.dot(g)) / (2.0 * report.L_s) for f, g in zip(maxima, grads))
+        assert report.gap_certificate == max(0.0, report.f_final - report.lower_bound)
         assert rows == [
             (k + 2, fam.values_at(ys[k + 1])[0],
              float(np.linalg.norm(fam.combined_gradient(ys[k], np.ones(1)))))

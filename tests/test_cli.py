@@ -112,6 +112,38 @@ class TestSolveCommand:
         assert rows[0] == ["t", "smooth_value_y", "grad_norm_y"]
         assert len(rows) > 1
 
+    def test_trace_to_standard_output(self, two_point_file, tmp_path):
+        out_path = tmp_path / "result.json"
+        proc = run_cli("solve", "--input", two_point_file, "--algorithm", "smooth",
+                       "--epsilon", "0.1", "--trace", "-", "--output", str(out_path),
+                       cwd=tmp_path)
+        assert proc.returncode == 0
+        rows = list(csv.reader(proc.stdout.splitlines()))
+        result = json.loads(out_path.read_text())
+        assert rows[0] == ["t", "smooth_value_y", "grad_norm_y"]
+        assert len(rows) == result["iterations"] + 1
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("output", [["--output", "-"], []])
+    def test_trace_and_result_both_on_standard_output_exit_2(self, two_point_file, tmp_path,
+                                                             output):
+        proc = run_cli("solve", "--input", two_point_file, "--algorithm", "smooth",
+                       "--epsilon", "0.1", "--trace", "-", *output, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "--trace -" in proc.stderr
+
+    def test_smooth_result_reports_how_it_stopped(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        np.savetxt(path, np.random.default_rng(2).standard_normal((60, 3)), delimiter=",")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", "smooth",
+                       "--epsilon", "0.1", "--verify")
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        assert out["stop_reason"] == "certified"
+        assert out["certified_radius_lower"] <= out["exact_radius"] * (1.0 + 1e-9)
+        assert out["iterations"] < out["planned_iterations"]
+
     def test_output_file(self, two_point_file, tmp_path):
         out_path = tmp_path / "result.json"
         proc = run_cli("solve", "--input", two_point_file, "--algorithm", "exact",
@@ -183,6 +215,10 @@ class TestBenchCommand:
             assert row["radius_over_exact"] >= 1.0 - 1e-9
             if row["algorithm"] == "smooth":
                 assert row["observed_to_target"] is not None
+                assert row["stop_reason"] == "certified"
+                assert row["certified_radius_lower"] <= report["exact_radius"] * (1 + 1e-9)
+            else:
+                assert row["stop_reason"] is row["certified_radius_lower"] is None
 
     def test_csv_format(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",

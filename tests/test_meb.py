@@ -214,3 +214,41 @@ def test_far_offset_clouds_keep_the_guarantee(seed, offset, eps):
     dists = np.linalg.norm(moved.points - result.center, axis=1)
     assert np.max(dists) <= result.radius * (1.0 + 1e-9)
     assert result.radius <= (1.0 + eps) * (exact + math.sqrt(dim) * np.spacing(2.0 * offset))
+
+
+# Coordinates on a 2^-20 grid: adding 1e6 or 1e8 to them is exact, so the
+# moved cloud has exactly the radius Welzl computes on the unmoved one.
+GRID = 2.0 ** -20
+CLOUD_KINDS = DISTRIBUTIONS + ("duplicates", "cospherical")
+
+
+def soundness_cloud(kind: str, seed: int, n: int, dim: int) -> PointCloud:
+    if kind == "cospherical":  # every corner of [-1, 1]^dim, on one sphere
+        corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * dim)).reshape(dim, -1).T
+        return PointCloud(corners)
+    if kind == "duplicates":  # a few points, each repeated four times
+        points = np.repeat(random_point_cloud(seed, max(2, n // 4), dim).points, 4, axis=0)
+    else:
+        points = random_point_cloud(seed, n, dim, kind).points
+    return PointCloud(np.round(points / GRID) * GRID)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(CLOUD_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e6, 1e8]),
+    eps=st.sampled_from([0.1, 0.03]),
+)
+def test_certified_radius_bound_is_sound(kind, seed, offset, eps):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    cloud = soundness_cloud(kind, seed, int(rng.integers(2, 121)), dim)
+    exact = welzl_exact(cloud).radius
+    moved = PointCloud(cloud.points + offset)
+    assert np.array_equal(moved.points - offset, cloud.points)
+    result = solve_meb(moved, MebConfig(eps))
+    assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
+    assert result.radius <= (1.0 + eps) * exact * (1.0 + 1e-9)
+    dists = np.linalg.norm(moved.points - result.center, axis=1)
+    assert np.max(dists) <= result.radius * (1.0 + 1e-9)
