@@ -5,7 +5,9 @@ Runs both algorithms over a range of epsilons on one seeded cloud and fits
 log-log slopes of iterations against 1/epsilon.  Expected: ~0.5 for the
 smooth solver's planned count (sqrt scaling, modulo the log factor) and 2.0
 for the ceil(1/eps^2) core-set iteration.  The smooth solver's run count,
-where its lower bound certified the gap, is printed next to the planned one.
+where its lower bound certified the gap, is printed next to the planned one,
+with the certified ratio radius / certified_radius_lower (a proven bound on
+radius / R).
 """
 
 import argparse
@@ -35,14 +37,15 @@ def main():
 
     smooth_iters, coreset_iters = [], []
     print(f"{'eps':>8} {'smooth_planned':>15} {'smooth_run':>11} {'stop_reason':>12} "
-          f"{'coreset':>9} {'smooth_radius/R':>16}")
+          f"{'certified_ratio':>16} {'coreset':>9} {'smooth_radius/R':>16}")
     for eps in epsilons:
         res = solve_meb(cloud, MebConfig(eps))
         base = badoiu_clarkson(cloud, eps)
         smooth_iters.append(res.planned_iterations)
         coreset_iters.append(base.iterations)
         print(f"{eps:>8} {res.planned_iterations:>15} {res.iterations:>11} "
-              f"{res.solve_report.stop_reason:>12} {base.iterations:>9} "
+              f"{res.solve_report.stop_reason:>12} {res.certified_ratio:>16.8f} "
+              f"{base.iterations:>9} "
               f"{res.radius / exact:>16.8f}")
 
     inv = [1.0 / e for e in epsilons]

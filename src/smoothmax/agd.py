@@ -7,7 +7,7 @@ Implements the update pair
 
 together with the smoother selection s = 2 log(n) / epsilon, the
 closed-form sufficient iteration count (the cap of each solve), the lower
-bound on the optimum that stops a solve once it certifies the gap, and the
+bounds on the optimum that stop a solve once they certify the gap, and the
 online epsilon-halving scheduler.
 """
 
@@ -31,8 +31,10 @@ from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .families import ComponentFamily, DomainConstants, SmoothingParams
 
 MAX_PLANNED_ITERATIONS = 2 ** 31
-# A solve is certified once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|;
-# the margin keeps roundoff in the bound from certifying a gap just above eps.
+# A solve is certified once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|
+# (or f_best - (1 + rel)^2 lb_best <= -CERTIFY_MARGIN |f_best| under a relative
+# target); the margin keeps roundoff in the bound from certifying a gap just
+# above the target.
 CERTIFY_MARGIN = 1e-12
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
@@ -44,15 +46,23 @@ IterateObserver = Callable[["OptimizerState", np.ndarray], None]
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``epsilon`` is the absolute gap the smoother and the a-priori count are
+    built for.  With ``relative_epsilon`` set, a solve is certified once
+    f_best <= (1 + relative_epsilon)^2 lb_best instead of on the absolute gap:
+    the stop for a nonnegative objective that is a squared radius."""
+
     epsilon: float
     x1: np.ndarray
     initial_distance_bound: float
     max_iterations_override: int | None = None
+    relative_epsilon: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
         if not self.epsilon > 0:
             raise ContractViolationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.relative_epsilon is not None and not self.relative_epsilon > 0:
+            raise ContractViolationError("relative_epsilon must be positive")
         if not self.initial_distance_bound > 0:
             raise ContractViolationError("initial_distance_bound must be positive")
         if self.max_iterations_override is not None and self.max_iterations_override < 1:
@@ -106,26 +116,87 @@ def smoother_for_gap(epsilon: float, n: int) -> float:
     return 2.0 * math.log(n) / epsilon
 
 
+def momentum_for(kappa_s: float) -> float:
+    """The momentum 1 - 2 / (sqrt(kappa_s) + 1) of every step of a solve."""
+    return 1.0 - 2.0 / (math.sqrt(kappa_s) + 1.0)
+
+
 def agd_step(
-    state: OptimizerState, grad: np.ndarray, U_s: float, kappa_s: float
+    state: OptimizerState,
+    grad: np.ndarray,
+    U_s: float,
+    kappa_s: float,
+    *,
+    momentum: float | None = None,
+    grad_sq: float | None = None,
 ) -> OptimizerState:
     """One accelerated step from grad f_s(y_t), which must be finite (else
-    DivergenceError).  run_to_gap checks U_s > 0 and kappa_s >= 1 once."""
-    if not np.isfinite(grad).all():
+    DivergenceError).  run_to_gap checks U_s > 0 and kappa_s >= 1 once, and
+    passes ``momentum_for(kappa_s)`` and ``grad . grad`` it already has; a
+    finite ``grad_sq`` proves a finite gradient, and only a non-finite one
+    (which an overflow of finite entries can also give) scans the entries."""
+    if grad_sq is None:
+        grad_sq = float(grad.dot(grad))
+    if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
         raise DivergenceError(
             f"non-finite gradient at iteration {state.t}", iterate=state.y_current
         )
+    if momentum is None:
+        momentum = momentum_for(kappa_s)
     x_next = state.y_current - grad / U_s
-    momentum = 1.0 - 2.0 / (math.sqrt(kappa_s) + 1.0)
     y_next = x_next + momentum * (x_next - state.x_current)
     return OptimizerState(x_current=x_next, y_current=y_next, t=state.t + 1)
 
 
-def lower_bound(mean_value: float, grad: np.ndarray, L_s: float) -> float:
-    """f* >= sum_i p_i f_i(y) - ||grad f_s(y)||^2 / (2 L_s) for any p in the
-    simplex: the p-weighted sum is L_s-strongly convex, its gradient at y is
-    grad f_s(y), and it never exceeds the max."""
-    return mean_value - float(grad.dot(grad)) / (2.0 * L_s)
+def lower_bound(value: float, slope_sq: float, curvature: float) -> float:
+    """min_x of the quadratic model value + g . (x - a) + (curvature / 2) ||x - a||^2,
+    which is value - ||g||^2 / (2 curvature), with slope_sq = ||g||^2.
+
+    It bounds f* from below whenever the model lies below the max.  The pass
+    at y gives such a model with value = sum_i p_i f_i(y), g = grad f_s(y)
+    and curvature = sum_i p_i l_i: the p-weighted sum of the components is
+    that strongly convex, has that gradient at y and never exceeds the max.
+    So does any average of such models (``LowerModel``)."""
+    return value - slope_sq / (2.0 * curvature)
+
+
+class LowerModel:
+    """The t-weighted average of the passes' lower models of the max.
+
+    Pass t (x1 is pass 1) at y_t gives q_t(x) = mean_t + g_t . (x - y_t)
+    + (mu_t / 2) ||x - y_t||^2 <= f(x), as in ``lower_bound``.  The average
+    sum_t t q_t / sum_t t is the running mean with weight beta_t = 2 / (t + 1)
+    on the newest model.  Unlike one pass's bound, it does not start over at
+    each y: for bounding spheres its minimum is the Frank-Wolfe dual at the
+    averaged softmax weights.  It is kept as the unnormalised sums (a scalar,
+    a d-vector and a curvature) of a quadratic anchored at the latest y.
+    Moving the anchor by delta = y_t - y_{t-1} adds slope . delta
+    + (curvature / 2) ||delta||^2 to the value and curvature delta to the
+    slope; delta is a difference of neighbouring iterates, so no term grows
+    with how far the iterates have travelled from x1.
+    """
+
+    __slots__ = ("value", "slope", "curvature", "passes", "weight")
+
+    def __init__(self, value: float, slope: np.ndarray, curvature: float):
+        self.value, self.slope, self.curvature = value, slope.copy(), curvature
+        self.passes = self.weight = 1
+
+    def add(self, delta: np.ndarray, value: float, slope: np.ndarray, curvature: float) -> None:
+        """Move the anchor by ``delta`` and add the next pass's model there."""
+        self.passes += 1
+        t = self.passes
+        self.weight += t
+        self.value += float(self.slope.dot(delta)) + 0.5 * self.curvature * float(delta.dot(delta))
+        self.value += t * value
+        self.slope += self.curvature * delta
+        self.slope += t * slope
+        self.curvature += t * curvature
+
+    def bound(self) -> float:
+        """The minimum of the average: a lower bound on f*."""
+        slope_sq = float(self.slope.dot(self.slope))
+        return lower_bound(self.value, slope_sq, self.curvature) / self.weight
 
 
 def gap_bound(t: int, L_s: float, kappa_s: float, distance: float, initial_gap: float) -> float:
@@ -176,12 +247,15 @@ def run_to_gap(
     optimization gap; both halves are baked into the a-priori iteration
     count, which caps the run (as does a smaller ``max_iterations_override``).
     Each step makes one pass at the new y.  It gives the next gradient, the
-    ``progress`` value, the true max at y and the lower bound on f* of
-    ``lower_bound``.  After each step, the solve stops once the lowest max
-    minus the highest bound, over x1 and every y so far, is at most epsilon
-    (less CERTIFY_MARGIN).  At the cap, one values pass at x_T adds it as a
-    candidate, and the certificate is the smaller of the proven gap and the
-    a-priori bound.
+    ``progress`` value, the true max at y, and that pass's lower model of the
+    max (``lower_bound``), which also joins the running ``LowerModel``
+    average.  ``lb_best`` is the highest of both bounds over x1 and every y
+    so far, and ``f_best`` the lowest max.  After each step, the solve stops
+    once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|, or, with
+    ``config.relative_epsilon`` set, once f_best - (1 + relative_epsilon)^2
+    lb_best <= -CERTIFY_MARGIN |f_best|.  At the cap, one values pass at x_T
+    adds it as a candidate, and the certificate is the smaller of the proven
+    gap and the a-priori bound.
     """
     n = family.n
     distance = config.initial_distance_bound
@@ -211,26 +285,43 @@ def run_to_gap(
     if config.max_iterations_override is not None:
         iterations = min(iterations, config.max_iterations_override)
 
+    if config.relative_epsilon is None:
+        lb_scale, target = 1.0, config.epsilon
+    else:
+        lb_scale, target = (1.0 + config.relative_epsilon) ** 2, 0.0
+    momentum = momentum_for(kappa_s)
+    # Each pass's model curvature sum_i p_i l_i costs one n-dot, unless
+    # every l_i is L_s.
+    strong = constants.per_component_strong_convexity
+    mixed = strong.max() > L_s
+
     state = initial_state(config.x1)
     weights = np.empty(n)  # the exp buffer of every pass
-    _, grad, _, _, _, f_best, mean_value = smooth_pass(
+    _, grad, _, total, _, f_best, mean_value = smooth_pass(
         family, params, state.y_current, out=weights
     )
-    x_best, lb_best = state.y_current, lower_bound(mean_value, grad, L_s)
+    grad_sq = float(grad.dot(grad))
+    curvature = float(weights.dot(strong)) / total if mixed else L_s
+    model = LowerModel(mean_value, grad, curvature)
+    x_best, lb_best = state.y_current, lower_bound(mean_value, grad_sq, curvature)
     for _ in range(iterations):
-        grad_at_y = grad
-        state = agd_step(state, grad_at_y, U_s, kappa_s)
-        value, grad, _, _, _, max_value, mean_value = smooth_pass(
+        grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, state.y_current
+        state = agd_step(state, grad_at_y, U_s, kappa_s,
+                         momentum=momentum, grad_sq=grad_sq_at_y)
+        value, grad, _, total, _, max_value, mean_value = smooth_pass(
             family, params, state.y_current, out=weights
         )
         if progress is not None:
-            progress(state.t, value, float(np.linalg.norm(grad_at_y)))
+            progress(state.t, value, math.sqrt(grad_sq_at_y))
         if iterate_observer is not None:
             iterate_observer(state, grad_at_y)
-        lb_best = max(lb_best, lower_bound(mean_value, grad, L_s))
+        grad_sq = float(grad.dot(grad))
+        curvature = float(weights.dot(strong)) / total if mixed else L_s
+        model.add(state.y_current - y_previous, mean_value, grad, curvature)
+        lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
         if max_value < f_best:
             x_best, f_best = state.y_current, max_value
-        if f_best - lb_best <= config.epsilon - CERTIFY_MARGIN * abs(f_best):
+        if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
             stop_reason, a_priori = "certified", math.inf
             break
     else:

@@ -141,6 +141,7 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
             # A cloud solved without steps (one point, or all coincident) is exact.
             "stop_reason": "certified" if rep is None else rep.stop_reason,
             "certified_radius_lower": res.certified_radius_lower,
+            "certified_ratio": res.certified_ratio,
         }
         if rep is not None:
             constants = {

@@ -2,8 +2,10 @@
 
 The objective is f(x) = max_i ||x - c_i||^2.  Every constant the generic
 solver needs is derived analytically: component curvature is exactly 2,
-the radius bracket at the centroid gives both the absolute gap and the
-initial distance bound, and the gradient norm bound follows in closed form.
+the radius bracket at the centroid gives both the absolute gap (which sets
+the smoother and caps the run) and the initial distance bound, and the
+gradient norm bound follows in closed form.  A solve stops as soon as its
+lower bound on R^2 certifies the (1+eps) radius.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ class MebResult:
     solve_report: SolveReport | None = None
     # sqrt of the solve's certified lower bound on R^2 (None from baselines).
     certified_radius_lower: float | None = None
+    # radius / certified_radius_lower, a proven bound on radius / R; None
+    # when the lower radius is 0 (or not computed).
+    certified_ratio: float | None = None
 
 
 class BoundingSphereFamily(ComponentFamily):
@@ -177,8 +182,11 @@ def solve_meb(
 
     The absolute gap fed to the generic solver uses the conservative lower
     end of the radius bracket, eps_abs = (2 eps + eps^2) f(x1) / 4, which can
-    only strengthen the guarantee.  The iteration budget is the smaller of
-    the specialized and the general closed-form counts.
+    only strengthen the a-priori guarantee; it sets the smoother, and the cap
+    is the smaller of the specialized and the general closed-form counts.
+    The run stops earlier, once its lower bound lb on R^2 proves
+    f_best <= (1+eps)^2 lb (``OptimizerConfig.relative_epsilon``), so that
+    radius <= (1+eps) certified_radius_lower <= (1+eps) R.
     """
     eps_rel = config.relative_epsilon
     x1 = centroid_init(cloud)
@@ -212,11 +220,13 @@ def solve_meb(
             x1=x1,
             initial_distance_bound=math.sqrt(f1),
             max_iterations_override=planned,
+            relative_epsilon=eps_rel,
         ),
         progress=progress,
         iterate_observer=iterate_observer,
     )
     radius = math.sqrt(report.f_final)
+    radius_lb = math.sqrt(max(report.lower_bound, 0.0))
     return MebResult(
         center=report.x_final,
         radius=radius,
@@ -226,5 +236,6 @@ def solve_meb(
         radius_lower=lower,
         radius_upper=upper,
         solve_report=report,
-        certified_radius_lower=math.sqrt(max(report.lower_bound, 0.0)),
+        certified_radius_lower=radius_lb,
+        certified_ratio=radius / radius_lb if radius_lb > 0 else None,
     )

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothmax import (
+    BoundingSphereFamily,
     DomainConstants,
+    MebConfig,
     OptimizerConfig,
+    PointCloud,
     SmoothingParams,
     agd_step,
+    centroid_init,
     gap_bound,
     initial_state,
     required_iterations_general,
@@ -19,7 +23,10 @@ from smoothmax import (
     smooth_hessian,
     smooth_value,
     smoother_for_gap,
+    solve_meb,
 )
+from smoothmax.agd import LowerModel, lower_bound
+from smoothmax.core import smooth_pass
 from smoothmax.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -27,7 +34,7 @@ from smoothmax.errors import (
     UnsupportedCapabilityError,
 )
 from smoothmax.families import ComponentFamily
-from smoothmax.testkit import RandomQuadraticFamily, grid_oracle_minimize
+from smoothmax.testkit import RandomQuadraticFamily, grid_oracle_minimize, random_point_cloud
 
 
 def symmetric_pair():
@@ -109,6 +116,27 @@ class TestAgdStep:
         with pytest.raises(DivergenceError) as err:
             agd_step(state, np.array([math.nan]), U_s=1.0, kappa_s=2.0)
         assert err.value.iterate is not None
+
+    def test_squared_norm_shortcut_keeps_the_exact_finiteness_test(self):
+        state = initial_state(np.array([1.0, 2.0]))
+        # grad . grad overflows on finite entries: the entry scan lets it step.
+        huge = np.array([1e200, -1e200])
+        stepped = agd_step(state, huge, U_s=1e200, kappa_s=4.0, grad_sq=math.inf)
+        np.testing.assert_allclose(stepped.x_current, [0.0, 3.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DivergenceError):
+                agd_step(state, np.array([bad, 0.0]), U_s=1.0, kappa_s=4.0, grad_sq=bad)
+
+    def test_passed_momentum_and_squared_norm_give_the_same_step(self):
+        state = agd_step(initial_state(np.array([1.0, -2.0])), np.array([0.3, 0.1]),
+                         U_s=2.0, kappa_s=9.0)
+        grad = np.array([-0.7, 0.4])
+        plain = agd_step(state, grad, U_s=2.0, kappa_s=9.0)
+        given = agd_step(state, grad, U_s=2.0, kappa_s=9.0, momentum=0.5,
+                         grad_sq=float(grad.dot(grad)))
+        assert np.array_equal(plain.x_current, given.x_current)
+        assert np.array_equal(plain.y_current, given.y_current)
+        assert plain.t == given.t == 3
 
 
 class TestGapBound:
@@ -272,6 +300,93 @@ def test_lower_bound_and_certificate_are_sound(seed, eps, override):
         assert report.iterations_run == min(report.planned_iterations, override or math.inf)
         cut = report.iterations_run < report.planned_iterations
         assert report.stop_reason == ("override" if cut else "planned")
+
+
+def replay_passes(family, params, points, strong):
+    """Redo a solve's passes at x1 and each y, building the bounds as
+    run_to_gap does; yields (t, p_t, averaged bound, running lb_best)."""
+    model, lb = None, -math.inf
+    for t, y in enumerate(points, start=1):
+        _, grad, e, total, _, _, mean = smooth_pass(family, params, y)
+        curvature = float(e.dot(strong)) / total if strong.max() > strong.min() else strong[0]
+        if model is None:
+            model = LowerModel(mean, grad, curvature)
+        else:
+            model.add(y - points[t - 2], mean, grad, curvature)
+        lb = max(lb, lower_bound(mean, float(grad.dot(grad)), curvature), model.bound())
+        yield t, e / total, curvature, model.bound(), lb
+
+
+class TestLowerModel:
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_bounding_sphere_bound_is_the_dual_at_the_averaged_weights(self, offset):
+        # Every pass's model of a bounding-sphere max is exact for its
+        # p-weighted sum, so the averaged model's minimum is the Frank-Wolfe
+        # dual sum p~ ||c~||^2 - ||p~^T P||^2 at the t-weighted mean p~ of the
+        # passes' softmax weights.
+        cloud = PointCloud(random_point_cloud(7, 150, 3, "gaussian").points + offset)
+        ys = []
+        result = solve_meb(cloud, MebConfig(0.01),
+                           iterate_observer=lambda state, grad: ys.append(state.y_current))
+        report = result.solve_report
+        assert report.stop_reason == "certified"
+        family = BoundingSphereFamily(cloud)
+        weights_sum, weight = np.zeros(cloud.n), 0
+        for t, p, _, averaged, lb in replay_passes(family, SmoothingParams(report.s),
+                                                   [centroid_init(cloud)] + ys,
+                                                   np.full(cloud.n, 2.0)):
+            weights_sum += t * p
+            weight += t
+            p_bar = weights_sum / weight
+            centre = p_bar @ family.centred
+            assert averaged == pytest.approx(
+                p_bar @ family.centred_sq - centre @ centre, rel=1e-9)
+        # The solve keeps the highest of the per-pass and the averaged bounds.
+        assert report.lower_bound == lb
+
+    def test_average_uses_the_passes_softmax_curvature(self):
+        # With mixed curvatures, each pass's model has curvature p . l >= min l.
+        fam = RandomQuadraticFamily.from_seed(3, n=5, dim=2, curv_min=0.2, curv_max=5.0)
+        constants = fam.true_constants(domain_radius=6.0)
+        config = OptimizerConfig(epsilon=0.05, x1=np.zeros(2), initial_distance_bound=4.0)
+        ys = []
+        report = run_to_gap(fam, constants, config,
+                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+        for _, _, curvature, _, lb in replay_passes(fam, SmoothingParams(report.s),
+                                                    [config.x1] + ys,
+                                                    constants.per_component_strong_convexity):
+            assert curvature >= report.L_s
+        assert report.lower_bound == lb
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    eps=st.sampled_from([0.1, 0.01]),
+)
+def test_averaged_bound_is_sound_far_from_x1(seed, offset, eps):
+    # Curvatures spread over two decades; the centres sit `offset` away from
+    # x1 = 0, so the iterates travel that far.  The gap is scaled with the
+    # squared travel, which keeps the step count independent of the offset.
+    # f* does not move with the centres, so it comes from the unmoved family.
+    rng = np.random.default_rng(seed)
+    dim, n = int(rng.integers(1, 3)), int(rng.integers(2, 9))
+    base = rng.standard_normal((n, dim))
+    curvatures = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+    direction = rng.standard_normal(dim)
+    direction /= np.linalg.norm(direction)
+    fam = RandomQuadraticFamily(base + offset * direction, curvatures)
+    x1 = np.zeros(dim)
+    config = OptimizerConfig(epsilon=eps * (1.0 + offset) ** 2, x1=x1,
+                             initial_distance_bound=offset + 3.0)
+    report = run_to_gap(fam, fam.true_constants(domain_radius=2.0 * offset + 4.0), config)
+    _, f_star = oracle_minimum(RandomQuadraticFamily(base, curvatures), [-3.0] * dim,
+                               [3.0] * dim, resolution={1: 241, 2: 41}[dim])
+    # Roundoff: a few ulps of the largest values the solve handles, f(x1).
+    slack = 1e-14 * float(np.max(fam.values_at(x1))) + 1e-9 * (1.0 + abs(f_star))
+    assert report.lower_bound <= f_star + slack
+    assert report.f_final - f_star <= report.gap_certificate + slack
 
 
 class TestRunOnline:

@@ -142,6 +142,8 @@ class TestSolveCommand:
         out = json.loads(proc.stdout)
         assert out["stop_reason"] == "certified"
         assert out["certified_radius_lower"] <= out["exact_radius"] * (1.0 + 1e-9)
+        assert out["certified_ratio"] == out["radius"] / out["certified_radius_lower"]
+        assert out["certified_ratio"] <= 1.1 * (1.0 + 1e-12)
         assert out["iterations"] < out["planned_iterations"]
 
     def test_output_file(self, two_point_file, tmp_path):

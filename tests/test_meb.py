@@ -252,3 +252,32 @@ def test_certified_radius_bound_is_sound(kind, seed, offset, eps):
     assert result.radius <= (1.0 + eps) * exact * (1.0 + 1e-9)
     dists = np.linalg.norm(moved.points - result.center, axis=1)
     assert np.max(dists) <= result.radius * (1.0 + 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(CLOUD_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e6, 1e8]),
+    eps=st.sampled_from([0.1, 0.03, 0.01]),
+)
+def test_certified_solves_prove_their_own_ratio(kind, seed, offset, eps):
+    # A certified solve proves radius <= (1+eps) certified_radius_lower from
+    # its own bound, and that bound is below the exact radius.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    cloud = soundness_cloud(kind, seed, int(rng.integers(2, 121)), dim)
+    exact = welzl_exact(cloud).radius
+    result = solve_meb(PointCloud(cloud.points + offset), MebConfig(eps))
+    lower = result.certified_radius_lower
+    assert lower <= exact * (1.0 + 1e-9)
+    assert result.certified_ratio == result.radius / lower
+    if result.solve_report.stop_reason == "certified":
+        assert result.radius <= (1.0 + eps) * lower * (1.0 + 1e-12)
+    else:
+        assert result.iterations == result.planned_iterations
+
+
+def test_certified_ratio_is_none_without_a_positive_lower_radius():
+    assert solve_meb(cloud_of([1.0, 2.0]), MebConfig(0.1)).certified_ratio is None
+    assert solve_meb(cloud_of([3.0], [3.0]), MebConfig(0.1)).certified_ratio is None
