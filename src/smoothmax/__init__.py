@@ -14,7 +14,6 @@ from .agd import (
     SolveReport,
     agd_step,
     gap_bound,
-    initial_state,
     required_iterations_general,
     run_online,
     run_to_gap,
@@ -62,7 +61,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerState",
     "SolveReport",
-    "initial_state",
     "smoother_for_gap",
     "agd_step",
     "gap_bound",

@@ -39,7 +39,8 @@ CERTIFY_MARGIN = 1e-12
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
-# ``iterate_observer(state, grad f_s(y_{t-1}))``, which sees the iterate pair.
+# ``iterate_observer(state, grad f_s(y_{t-1}))``, which sees the iterate pair
+# in an ``OptimizerState`` built only for it.
 ProgressCallback = Callable[[int, float, float], None]
 IterateObserver = Callable[["OptimizerState", np.ndarray], None]
 
@@ -71,16 +72,12 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Iterate pair (x_t, y_t) and the counter t."""
+    """Iterate pair (x_t, y_t) and the counter t, as an iterate observer
+    sees them; run_to_gap itself carries the bare arrays."""
 
     x_current: np.ndarray
     y_current: np.ndarray
     t: int
-
-
-def initial_state(x1: np.ndarray) -> OptimizerState:
-    x1 = np.asarray(x1, dtype=float)
-    return OptimizerState(x_current=x1, y_current=x1, t=1)
 
 
 @dataclass(frozen=True)
@@ -122,30 +119,13 @@ def momentum_for(kappa_s: float) -> float:
 
 
 def agd_step(
-    state: OptimizerState,
-    grad: np.ndarray,
-    U_s: float,
-    kappa_s: float,
-    *,
-    momentum: float | None = None,
-    grad_sq: float | None = None,
-) -> OptimizerState:
-    """One accelerated step from grad f_s(y_t), which must be finite (else
-    DivergenceError).  run_to_gap checks U_s > 0 and kappa_s >= 1 once, and
-    passes ``momentum_for(kappa_s)`` and ``grad . grad`` it already has; a
-    finite ``grad_sq`` proves a finite gradient, and only a non-finite one
-    (which an overflow of finite entries can also give) scans the entries."""
-    if grad_sq is None:
-        grad_sq = float(grad.dot(grad))
-    if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
-        raise DivergenceError(
-            f"non-finite gradient at iteration {state.t}", iterate=state.y_current
-        )
-    if momentum is None:
-        momentum = momentum_for(kappa_s)
-    x_next = state.y_current - grad / U_s
-    y_next = x_next + momentum * (x_next - state.x_current)
-    return OptimizerState(x_current=x_next, y_current=y_next, t=state.t + 1)
+    x: np.ndarray, y: np.ndarray, grad: np.ndarray, U_s: float, momentum: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One accelerated step from grad f_s(y): x' = y - grad / U_s and
+    y' = x' + momentum (x' - x), both fresh arrays.  run_to_gap checks that
+    the gradient is finite, and passes ``momentum_for(kappa_s)``."""
+    x_next = y - grad / U_s
+    return x_next, x_next + momentum * (x_next - x)
 
 
 def lower_bound(value: float, slope_sq: float, curvature: float) -> float:
@@ -176,17 +156,16 @@ class LowerModel:
     with how far the iterates have travelled from x1.
     """
 
-    __slots__ = ("value", "slope", "curvature", "passes", "weight")
+    __slots__ = ("value", "slope", "curvature", "passes")
 
     def __init__(self, value: float, slope: np.ndarray, curvature: float):
         self.value, self.slope, self.curvature = value, slope.copy(), curvature
-        self.passes = self.weight = 1
+        self.passes = 1
 
     def add(self, delta: np.ndarray, value: float, slope: np.ndarray, curvature: float) -> None:
         """Move the anchor by ``delta`` and add the next pass's model there."""
         self.passes += 1
         t = self.passes
-        self.weight += t
         self.value += float(self.slope.dot(delta)) + 0.5 * self.curvature * float(delta.dot(delta))
         self.value += t * value
         self.slope += self.curvature * delta
@@ -194,9 +173,11 @@ class LowerModel:
         self.curvature += t * curvature
 
     def bound(self) -> float:
-        """The minimum of the average: a lower bound on f*."""
+        """The minimum of the average: a lower bound on f*.  The weight
+        sum_t t is an integer, so it is exact."""
         slope_sq = float(self.slope.dot(self.slope))
-        return lower_bound(self.value, slope_sq, self.curvature) / self.weight
+        weight = self.passes * (self.passes + 1) // 2
+        return lower_bound(self.value, slope_sq, self.curvature) / weight
 
 
 def gap_bound(t: int, L_s: float, kappa_s: float, distance: float, initial_gap: float) -> float:
@@ -295,32 +276,33 @@ def run_to_gap(
     strong = constants.per_component_strong_convexity
     mixed = strong.max() > L_s
 
-    state = initial_state(config.x1)
+    x = y = config.x1
     weights = np.empty(n)  # the exp buffer of every pass
-    _, grad, _, total, _, f_best, mean_value = smooth_pass(
-        family, params, state.y_current, out=weights
-    )
+    _, grad, _, total, _, f_best, mean_value = smooth_pass(family, params, y, out=weights)
     grad_sq = float(grad.dot(grad))
     curvature = float(weights.dot(strong)) / total if mixed else L_s
     model = LowerModel(mean_value, grad, curvature)
-    x_best, lb_best = state.y_current, lower_bound(mean_value, grad_sq, curvature)
-    for _ in range(iterations):
-        grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, state.y_current
-        state = agd_step(state, grad_at_y, U_s, kappa_s,
-                         momentum=momentum, grad_sq=grad_sq_at_y)
+    x_best, lb_best = y, lower_bound(mean_value, grad_sq, curvature)
+    for t in range(2, iterations + 2):  # step t - 1 -> t
+        # A finite grad . grad proves a finite gradient; only a non-finite
+        # one (which an overflow of finite entries can also give) scans it.
+        if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
+            raise DivergenceError(f"non-finite gradient at iteration {t - 1}", iterate=y)
+        grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, y
+        x, y = agd_step(x, y, grad_at_y, U_s, momentum)
         value, grad, _, total, _, max_value, mean_value = smooth_pass(
-            family, params, state.y_current, out=weights
+            family, params, y, out=weights
         )
         if progress is not None:
-            progress(state.t, value, math.sqrt(grad_sq_at_y))
+            progress(t, value, math.sqrt(grad_sq_at_y))
         if iterate_observer is not None:
-            iterate_observer(state, grad_at_y)
+            iterate_observer(OptimizerState(x, y, t), grad_at_y)
         grad_sq = float(grad.dot(grad))
         curvature = float(weights.dot(strong)) / total if mixed else L_s
-        model.add(state.y_current - y_previous, mean_value, grad, curvature)
+        model.add(y - y_previous, mean_value, grad, curvature)
         lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
         if max_value < f_best:
-            x_best, f_best = state.y_current, max_value
+            x_best, f_best = y, max_value
         if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
             stop_reason, a_priori = "certified", math.inf
             break
@@ -328,14 +310,14 @@ def run_to_gap(
         stop_reason = "planned" if iterations == planned else "override"
         # x_T is a candidate, so the a-priori bound covers x_final too.
         # Finite: component_values raises on nan or +inf.
-        values, top = component_values(family, state.x_current)
+        values, top = component_values(family, x)
         if values[top] < f_best:
-            x_best, f_best = state.x_current, float(values[top])
+            x_best, f_best = x, float(values[top])
         a_priori = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
     certificate = min(max(0.0, f_best - lb_best), a_priori)
     return SolveReport(
         x_final=x_best,
-        iterations_run=state.t - 1,
+        iterations_run=t - 1,
         planned_iterations=planned,
         s=s,
         L_s=L_s,

@@ -70,16 +70,18 @@ def parse_points_csv(path: str) -> PointCloud:
     except ValueError:
         points = None
     if points is None or not np.isfinite(points).all():
-        _raise_first_bad_row(path, rows, start + 1)
+        # The file's own line numbers, blank lines included.
+        linenos = [k for k, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        _raise_first_bad_row(path, rows, linenos[start:])
     return PointCloud(points)
 
 
-def _raise_first_bad_row(path: str, rows: list[list[str]], first_lineno: int) -> None:
+def _raise_first_bad_row(path: str, rows: list[list[str]], linenos: list[int]) -> None:
     """Raise InputFormatError for the first row, in file order, with a
     column count unlike the first row's or a token that is not a finite
-    number."""
+    number; ``linenos`` holds each row's line number in the file."""
     width = len(rows[0])
-    for lineno, tokens in enumerate(rows, start=first_lineno):
+    for lineno, tokens in zip(linenos, rows):
         if len(tokens) != width:
             raise InputFormatError(
                 f"{path}: line {lineno} has {len(tokens)} columns, expected {width}",
@@ -184,6 +186,9 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
     if args.epsilon is not None and not 0 < args.epsilon <= 1:
         print("error: --epsilon must be in (0, 1]", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trace and args.algorithm != "smooth":
+        print("error: --trace needs --algorithm smooth", file=sys.stderr)
         return EXIT_USAGE
     if args.trace == "-" and args.output in (None, "-"):
         print("error: --trace - and the JSON result cannot both go to standard output; "

@@ -189,8 +189,9 @@ def solve_meb(
     radius <= (1+eps) certified_radius_lower <= (1+eps) R.
     """
     eps_rel = config.relative_epsilon
-    x1 = centroid_init(cloud)
-    f1, _ = farthest_sq_distance(cloud, x1)
+    family = BoundingSphereFamily(cloud)
+    # x1 is the centroid, where the centred offset x~1 is 0.
+    x1, f1 = family.centroid, float(family.centred_sq.max())
 
     if cloud.n == 1 or f1 == 0.0:
         # Single or fully coincident points: the centroid is the exact center.
@@ -211,7 +212,6 @@ def solve_meb(
     constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, g_bound)
     planned = required_iterations_meb(eps_rel, cloud.n)
 
-    family = BoundingSphereFamily(cloud)
     report = run_to_gap(
         family,
         constants,

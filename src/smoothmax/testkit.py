@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ContractViolationError
 from .families import ComponentFamily, DomainConstants
@@ -54,7 +53,10 @@ def grid_oracle_minimize(
     """Exhaustive grid scan followed by a local polish from the best cell.
 
     Independent of the accelerated solver on purpose; practical for d <= 3.
+    SciPy is imported here, so importing the CLI does not load it.
     """
+    from scipy import optimize
+
     lows = np.atleast_1d(np.asarray(lows, dtype=float))
     highs = np.atleast_1d(np.asarray(highs, dtype=float))
     if resolution < 2:

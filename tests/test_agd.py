@@ -15,7 +15,6 @@ from smoothmax import (
     agd_step,
     centroid_init,
     gap_bound,
-    initial_state,
     required_iterations_general,
     run_online,
     run_to_gap,
@@ -25,7 +24,7 @@ from smoothmax import (
     smoother_for_gap,
     solve_meb,
 )
-from smoothmax.agd import LowerModel, lower_bound
+from smoothmax.agd import LowerModel, lower_bound, momentum_for
 from smoothmax.core import smooth_pass
 from smoothmax.errors import (
     ConfigurationError,
@@ -89,54 +88,69 @@ class TestSmootherForGap:
 
 class TestAgdStep:
     def test_kappa_one_is_plain_gradient_descent(self):
-        state = initial_state(np.array([1.0]))
-        new = agd_step(state, 2.0 * state.y_current, U_s=2.0, kappa_s=1.0)
-        np.testing.assert_allclose(new.y_current, new.x_current)
+        x = np.array([1.0])
+        x_next, y_next = agd_step(x, x, 2.0 * x, U_s=2.0, momentum=momentum_for(1.0))
+        np.testing.assert_allclose(x_next, x - 2.0 * x / 2.0)
+        np.testing.assert_allclose(y_next, x_next)
 
     def test_single_quadratic_one_step_exact(self):
-        state = initial_state(np.array([5.0]))
-        new = agd_step(state, 2.0 * state.y_current, U_s=2.0, kappa_s=4.0)
-        np.testing.assert_allclose(new.x_current, [0.0])
-        assert new.t == 2
+        x = np.array([5.0])
+        x_next, _ = agd_step(x, x, 2.0 * x, U_s=2.0, momentum=momentum_for(4.0))
+        np.testing.assert_allclose(x_next, [0.0])
 
     def test_zero_gradient_fixed_point(self):
-        state = initial_state(np.array([2.0, -1.0]))
-        kappa = 9.0
-        momentum = 1.0 - 2.0 / (math.sqrt(kappa) + 1.0)
-        moved = agd_step(state, np.ones(2), U_s=1.0, kappa_s=kappa)
-        fixed = agd_step(moved, np.zeros(2), U_s=1.0, kappa_s=kappa)
-        np.testing.assert_allclose(fixed.x_current, moved.y_current)
-        np.testing.assert_allclose(
-            fixed.y_current,
-            moved.y_current + momentum * (moved.y_current - moved.x_current),
-        )
+        x = np.array([2.0, -1.0])
+        momentum = momentum_for(9.0)
+        moved_x, moved_y = agd_step(x, x, np.ones(2), U_s=1.0, momentum=momentum)
+        fixed_x, fixed_y = agd_step(moved_x, moved_y, np.zeros(2), U_s=1.0, momentum=momentum)
+        np.testing.assert_allclose(fixed_x, moved_y)
+        np.testing.assert_allclose(fixed_y, moved_y + momentum * (moved_y - moved_x))
 
-    def test_non_finite_gradient_raises(self):
-        state = initial_state(np.array([1.0]))
-        with pytest.raises(DivergenceError) as err:
-            agd_step(state, np.array([math.nan]), U_s=1.0, kappa_s=2.0)
-        assert err.value.iterate is not None
 
-    def test_squared_norm_shortcut_keeps_the_exact_finiteness_test(self):
-        state = initial_state(np.array([1.0, 2.0]))
-        # grad . grad overflows on finite entries: the entry scan lets it step.
-        huge = np.array([1e200, -1e200])
-        stepped = agd_step(state, huge, U_s=1e200, kappa_s=4.0, grad_sq=math.inf)
-        np.testing.assert_allclose(stepped.x_current, [0.0, 3.0])
+class GradientOverrideFamily(BatchOnlyFamily):
+    """Finite values; ``combined_gradient`` returns ``grad`` on pass ``at``
+    (1 is the pass at x1) and from then on when ``stay``."""
+
+    def __init__(self, inner, grad, at, stay):
+        super().__init__(inner)
+        self.grad, self.at, self.stay, self.calls = grad, at, stay, 0
+
+    def combined_gradient(self, x, weights):
+        self.calls += 1
+        if self.calls == self.at or (self.stay and self.calls > self.at):
+            return self.grad.copy()
+        return super().combined_gradient(x, weights)
+
+
+class TestGradientFiniteness:
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_non_finite_gradient_raises(self, at):
+        inner = RandomQuadraticFamily.from_seed(2, n=4, dim=2)
+        config = OptimizerConfig(epsilon=0.01, x1=np.array([0.5, -0.5]),
+                                 initial_distance_bound=4.0)
         for bad in (math.nan, math.inf):
-            with pytest.raises(DivergenceError):
-                agd_step(state, np.array([bad, 0.0]), U_s=1.0, kappa_s=4.0, grad_sq=bad)
+            fam = GradientOverrideFamily(inner, np.array([bad, 0.0]), at, stay=True)
+            ys = [config.x1]
+            with pytest.raises(DivergenceError, match=f"non-finite gradient at iteration {at}$") as err:
+                run_to_gap(fam, inner.true_constants(domain_radius=6.0), config,
+                           iterate_observer=lambda state, grad: ys.append(state.y_current))
+            # The pass at y_at gave the gradient; no step is taken from it.
+            assert len(ys) == at
+            assert err.value.iterate is ys[-1]
 
-    def test_passed_momentum_and_squared_norm_give_the_same_step(self):
-        state = agd_step(initial_state(np.array([1.0, -2.0])), np.array([0.3, 0.1]),
-                         U_s=2.0, kappa_s=9.0)
-        grad = np.array([-0.7, 0.4])
-        plain = agd_step(state, grad, U_s=2.0, kappa_s=9.0)
-        given = agd_step(state, grad, U_s=2.0, kappa_s=9.0, momentum=0.5,
-                         grad_sq=float(grad.dot(grad)))
-        assert np.array_equal(plain.x_current, given.x_current)
-        assert np.array_equal(plain.y_current, given.y_current)
-        assert plain.t == given.t == 3
+    def test_overflowing_squared_norm_still_steps(self):
+        # grad . grad overflows on finite entries: the entry scan lets it step.
+        inner = RandomQuadraticFamily(np.array([[2.0, -1.0]]), np.array([1.0]))
+        fam = GradientOverrideFamily(inner, np.array([1e200, -1e200]), 1, stay=False)
+        constants = DomainConstants.uniform(1, 1.0, 1e200, 1.0)
+        config = OptimizerConfig(epsilon=0.1, x1=np.array([1.0, 2.0]), initial_distance_bound=10.0)
+        rows, xs = [], []
+        with np.errstate(over="ignore"):  # the lower models square the huge slope
+            report = run_to_gap(fam, constants, config, progress=lambda *row: rows.append(row),
+                                iterate_observer=lambda state, grad: xs.append(state.x_current))
+        assert report.iterations_run == 1
+        assert rows[0][0] == 2 and rows[0][2] == math.inf
+        np.testing.assert_allclose(xs[0], [0.0, 3.0])
 
 
 class TestGapBound:

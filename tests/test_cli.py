@@ -63,6 +63,18 @@ class TestParsePointsCsv:
             parse_points_csv(str(path))
         assert (err.value.line, err.value.column) == (3, 2)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,2\n\n3,x\n", 3, 2),  # a blank line before the bad token
+        ("x,y\n\n1,2\n3\n", 4, None),  # a header, a blank line, a ragged row
+    ])
+    def test_line_numbers_count_blank_lines(self, tmp_path, text, line, column):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as err:
+            parse_points_csv(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert f"line {line}" in str(err.value)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
@@ -74,6 +86,15 @@ class TestParsePointsCsv:
         path.write_bytes(b"1,2\n\xff\xfe,3\n")
         with pytest.raises(InputFormatError):
             parse_points_csv(str(path))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, smoothmax.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False")
 
 
 class TestSolveCommand:
@@ -132,6 +153,15 @@ class TestSolveCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "--trace -" in proc.stderr
+
+    @pytest.mark.parametrize("algorithm", ["exact", "coreset"])
+    def test_trace_without_smooth_exit_2(self, two_point_file, tmp_path, algorithm):
+        trace = tmp_path / "trace.csv"
+        proc = run_cli("solve", "--input", two_point_file, "--algorithm", algorithm,
+                       "--epsilon", "0.1", "--trace", str(trace))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "--trace" in proc.stderr
+        assert not trace.exists()
 
     def test_smooth_result_reports_how_it_stopped(self, tmp_path):
         path = tmp_path / "cloud.csv"
