@@ -21,11 +21,8 @@ from .agd import (
 )
 from .baselines import ExactMebResult, badoiu_clarkson, welzl_exact
 from .core import (
-    SmoothEval,
     condition_number,
     hessian_eig_bounds,
-    sandwich_bounds,
-    smooth_eval,
     smooth_gradient,
     smooth_hessian,
     smooth_value,
@@ -49,13 +46,10 @@ __all__ = [
     "ComponentFamily",
     "DomainConstants",
     "SmoothingParams",
-    "SmoothEval",
     "smooth_value",
     "softmax_weights",
     "smooth_gradient",
     "smooth_hessian",
-    "smooth_eval",
-    "sandwich_bounds",
     "hessian_eig_bounds",
     "condition_number",
     "OptimizerConfig",

@@ -276,7 +276,7 @@ def run_to_gap(
     strong = constants.per_component_strong_convexity
     mixed = strong.max() > L_s
 
-    x = y = config.x1
+    x = y = family.check_point(config.x1)  # later passes read agd_step's arrays
     weights = np.empty(n)  # the exp buffer of every pass
     _, grad, _, total, _, f_best, mean_value = smooth_pass(family, params, y, out=weights)
     grad_sq = float(grad.dot(grad))

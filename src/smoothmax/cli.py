@@ -36,6 +36,14 @@ EXIT_PARSE = 3
 EXIT_SOLVER = 4
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of every --seed: NumPy rejects a negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -48,13 +56,14 @@ def parse_points_csv(path: str) -> PointCloud:
     """One point per line, comma-separated coordinates.
 
     A single leading header line is skipped when its first token is not
-    numeric.  All rows must share the same column count of finite values.
+    numeric; a UTF-8 byte-order mark is dropped before it.  All rows must
+    share the same column count of finite values.
     The rows are converted in one NumPy call, which reads each token as
     ``float`` does; only a failed conversion is scanned for its line and
     column.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
@@ -227,6 +236,16 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _log_log_slope(rows: list[dict], key: str) -> float | None:
+    """Least-squares slope of log(row[key]) against log(1/epsilon); None
+    with fewer than two distinct epsilons or a count of 0."""
+    inv_eps = [1.0 / row["epsilon"] for row in rows]
+    counts = [row[key] for row in rows]
+    if len(set(inv_eps)) < 2 or min(counts) <= 0:
+        return None
+    return float(np.polyfit(np.log(inv_eps), np.log(counts), 1)[0])
+
+
 def cmd_bench(args) -> int:
     try:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
@@ -279,11 +298,17 @@ def cmd_bench(args) -> int:
                     "radius_over_exact": over,
                     "stop_reason": result.get("stop_reason"),
                     "certified_radius_lower": result.get("certified_radius_lower"),
+                    "certified_ratio": result.get("certified_ratio"),
                 })
     except Exception as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
+    slopes = {}
+    for algorithm in algorithms:
+        own = [row for row in rows if row["algorithm"] == algorithm]
+        slopes[algorithm] = {key: _log_log_slope(own, key)
+                             for key in ("planned_iterations", "iterations")}
     report = {
         "instance": {
             "seed": args.seed,
@@ -293,13 +318,12 @@ def cmd_bench(args) -> int:
         },
         "exact_radius": exact_radius,
         "rows": rows,
+        "slopes": slopes,
     }
     if args.format == "json":
         payload = json.dumps(report, indent=2)
     else:
-        header = ["algorithm", "epsilon", "iterations", "planned_iterations",
-                  "observed_to_target", "wall_time_ms", "radius", "radius_over_exact",
-                  "stop_reason", "certified_radius_lower"]
+        header = list(rows[0])
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(
@@ -363,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algorithm", required=True,
                        choices=["smooth", "coreset", "exact"])
     solve.add_argument("--output", default=None, help="output path (default stdout)")
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=non_negative_int, default=0)
     solve.add_argument("--trace", default=None,
                        help="optional per-iteration CSV trace (smooth only); '-' for "
                             "standard output, which then needs --output FILE")
@@ -375,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--dim", type=int, required=True)
     bench.add_argument("--distribution", default="gaussian", choices=DISTRIBUTIONS)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=non_negative_int, default=0)
     bench.add_argument("--epsilons", required=True,
                        help="comma-separated list, e.g. 0.2,0.1,0.05,0.025")
     bench.add_argument("--algorithms", required=True,
@@ -386,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gradcheck = sub.add_parser("gradcheck",
                                help="verify smoothed derivatives against finite differences")
-    gradcheck.add_argument("--seed", type=int, default=0)
+    gradcheck.add_argument("--seed", type=non_negative_int, default=0)
     gradcheck.add_argument("--n", type=int, default=5)
     gradcheck.add_argument("--dim", type=int, default=4)
     gradcheck.add_argument("--smoother", type=float, default=5.0)

@@ -9,7 +9,6 @@ and any s > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,6 @@ def component_values(family: ComponentFamily, x: np.ndarray) -> tuple[np.ndarray
     return values, max_index
 
 
-@dataclass(frozen=True)
-class SmoothEval:
-    """One smoothed evaluation: value, softmax weights, gradient, exact max."""
-
-    value: float
-    weights: np.ndarray
-    gradient: np.ndarray
-    max_index: int
-    max_value: float
-
-
 def smooth_pass(
     family: ComponentFamily,
     params: SmoothingParams,
@@ -64,10 +52,11 @@ def smooth_pass(
     sum_i p_i f_i(x) = m + e . (s (f - m)) / (s S), taken from the unfloored
     exponents.
 
+    ``x`` must be a float array of shape (dim,), as ``family.check_point``
+    returns; the public wrappers check it, and run_to_gap checks x1 once.
     Returns ``(value, gradient, e, S, max_index, max_value, mean_value)``;
     the softmax weights are e / S.  np.argmax breaks ties by lowest index.
     """
-    x = family.check_point(x)
     shifted, max_index = component_values(family, x)
     max_value = float(shifted[max_index])
     shifted -= max_value
@@ -85,27 +74,20 @@ def smooth_pass(
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:
     """f_s(x) = m + (1/s) log sum_i exp(s (f_i(x) - m)), m = max_i f_i(x)."""
-    return smooth_pass(family, params, x, gradient=False)[0]
+    return smooth_pass(family, params, family.check_point(x), gradient=False)[0]
 
 
 def softmax_weights(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """Probability vector p_s(x); entries in (0, 1], sum 1 (tiny entries sit
     at the exp(EXP_FLOOR) / S floor)."""
-    weights, total = smooth_pass(family, params, x, gradient=False)[2:4]
+    weights, total = smooth_pass(family, params, family.check_point(x), gradient=False)[2:4]
     weights /= total
     return weights
 
 
 def smooth_gradient(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """sum_i p_{s,i}(x) grad f_i(x), computed in one pass over the weights."""
-    return smooth_pass(family, params, x)[1]
-
-
-def smooth_eval(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> SmoothEval:
-    """Value, weights, gradient and exact max of one pass."""
-    value, grad, weights, total, max_index, max_value, _ = smooth_pass(family, params, x)
-    weights /= total
-    return SmoothEval(value, weights, grad, max_index, max_value)
+    return smooth_pass(family, params, family.check_point(x))[1]
 
 
 def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
@@ -126,13 +108,6 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
         mean_hess += weights[i] * family.hessian_at(i, x)
     hess = params.s * cov + mean_hess
     return 0.5 * (hess + hess.T)  # symmetrize away roundoff
-
-
-def sandwich_bounds(max_value: float, params: SmoothingParams, n: int) -> tuple[float, float]:
-    """(f(x), f(x) + log(n)/s): the bracket the smooth value always sits in."""
-    if n < 1:
-        raise ContractViolationError(f"need n >= 1, got {n}")
-    return max_value, max_value + math.log(n) / params.s
 
 
 def hessian_eig_bounds(constants: DomainConstants, params: SmoothingParams) -> tuple[float, float]:

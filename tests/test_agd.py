@@ -22,6 +22,7 @@ from smoothmax import (
     smooth_hessian,
     smooth_value,
     smoother_for_gap,
+    softmax_weights,
     solve_meb,
 )
 from smoothmax.agd import LowerModel, lower_bound, momentum_for
@@ -29,6 +30,7 @@ from smoothmax.core import smooth_pass
 from smoothmax.errors import (
     ConfigurationError,
     ContractViolationError,
+    DimensionMismatchError,
     DivergenceError,
     UnsupportedCapabilityError,
 )
@@ -470,22 +472,27 @@ class TestOnePassPerIteration:
             "override", report.iterations_run - 1)
         assert self.fam.passes == capped.iterations_run + 2
 
-    def test_one_point_check_per_values_pass(self):
+    def test_one_point_check_per_call(self):
         params = SmoothingParams(2.0)
-        smooth_value(self.fam, params, np.ones(3))
-        smooth_gradient(self.fam, params, np.ones(3))
-        assert self.fam.checks == self.fam.passes == 2
-        # run_to_gap's pass at x1 is the one check of x1.
+        for wrapper in (smooth_value, softmax_weights, smooth_gradient):
+            wrapper(self.fam, params, np.ones(3))
+        assert self.fam.checks == self.fam.passes == 3
+        # run_to_gap checks x1 once; every later pass reads agd_step's arrays.
+        self.fam.checks = 0
         report = run_to_gap(self.fam, self.constants, self.config,
                             progress=lambda t, value, grad_norm: None)
-        assert report.stop_reason == "certified"
-        assert self.fam.checks == self.fam.passes == 2 + report.iterations_run + 1
-        # At the cap, the values pass at x_T reads the point agd_step made.
-        self.fam.checks = self.fam.passes = 0
+        assert report.stop_reason == "certified" and report.iterations_run > 1
+        assert self.fam.checks == 1
+        # At the cap, the values pass at x_T adds no check either.
+        self.fam.checks = 0
         capped = run_to_gap(self.fam, self.constants,
                             replace(self.config, max_iterations_override=3))
         assert capped.stop_reason == "override"
-        assert self.fam.checks == self.fam.passes - 1 == capped.iterations_run + 1
+        assert self.fam.checks == 1
+
+    def test_wrong_shape_x1_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            run_to_gap(self.fam, self.constants, replace(self.config, x1=np.zeros(2)))
 
     def test_observers_see_the_public_values(self):
         rows, ys, grads = [], [self.config.x1], []

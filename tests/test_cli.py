@@ -34,6 +34,12 @@ class TestParsePointsCsv:
         cloud = parse_points_csv(str(path))
         assert (cloud.n, cloud.dim) == (3, 2)
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1,2\n3,4\n5,6\n", encoding="utf-8")
+        np.testing.assert_array_equal(parse_points_csv(str(path)).points,
+                                      [[1, 2], [3, 4], [5, 6]])
+
     def test_header_detection(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("x,y\n1,2\n")
@@ -66,10 +72,11 @@ class TestParsePointsCsv:
     @pytest.mark.parametrize("text, line, column", [
         ("1,2\n\n3,x\n", 3, 2),  # a blank line before the bad token
         ("x,y\n\n1,2\n3\n", 4, None),  # a header, a blank line, a ragged row
+        ("\ufeff1,2\n\n3,x\n", 3, 2),  # a byte-order mark, a blank line, a bad token
     ])
     def test_line_numbers_count_blank_lines(self, tmp_path, text, line, column):
         path = tmp_path / "h.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InputFormatError) as err:
             parse_points_csv(str(path))
         assert (err.value.line, err.value.column) == (line, column)
@@ -95,6 +102,18 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--input", "points.csv", "--algorithm", "exact"],
+    ["bench", "--n", "10", "--dim", "2", "--epsilons", "0.1", "--algorithms", "exact"],
+    ["gradcheck"],
+])
+def test_negative_seed_exit_2(command):
+    proc = run_cli(*command, "--seed", "-1")
+    assert proc.returncode == 2
+    assert "error: argument --seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestSolveCommand:
@@ -251,6 +270,7 @@ class TestBenchCommand:
                 assert row["certified_radius_lower"] <= report["exact_radius"] * (1 + 1e-9)
             else:
                 assert row["stop_reason"] is row["certified_radius_lower"] is None
+                assert row["certified_ratio"] is None
 
     def test_csv_format(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",
@@ -259,7 +279,44 @@ class TestBenchCommand:
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("algorithm,epsilon,iterations")
+        assert lines[0].endswith(",certified_radius_lower,certified_ratio")
         assert len(lines) == 3
+
+    def test_log_log_slopes(self):
+        proc = run_cli("bench", "--n", "60", "--dim", "5", "--epsilons", "0.2,0.1",
+                       "--algorithms", "smooth,coreset")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        smooth = [row for row in report["rows"] if row["algorithm"] == "smooth"]
+        coreset = [row["iterations"] for row in report["rows"] if row["algorithm"] == "coreset"]
+        assert coreset == [25, 100]  # ceil(1/eps^2)
+        assert report["slopes"]["coreset"] == {"planned_iterations": pytest.approx(2.0),
+                                               "iterations": pytest.approx(2.0)}
+        assert all(isinstance(slope, float) for slope in report["slopes"]["smooth"].values())
+        for row in smooth:
+            assert row["stop_reason"] == "certified"
+            assert row["certified_ratio"] == row["radius"] / row["certified_radius_lower"]
+            assert row["certified_ratio"] <= (1.0 + row["epsilon"]) * (1.0 + 1e-12)
+
+    def test_above_the_exact_solver_dimension(self):
+        proc = run_cli("bench", "--n", "40", "--dim", "13", "--epsilons", "0.2,0.1",
+                       "--algorithms", "smooth,coreset")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["exact_radius"] is None
+        assert all(row["radius_over_exact"] is None for row in report["rows"])
+
+    def test_cloud_solved_without_steps(self):
+        proc = run_cli("bench", "--n", "1", "--dim", "5", "--epsilons", "0.2,0.1",
+                       "--algorithms", "smooth,coreset,exact")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert all(row["iterations"] == 0 for row in report["rows"])
+        for row in report["rows"]:
+            if row["algorithm"] == "smooth":
+                assert (row["stop_reason"], row["certified_ratio"]) == ("certified", None)
+        assert all(slope is None for slopes in report["slopes"].values()
+                   for slope in slopes.values())
 
     def test_coreset_iteration_scaling(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",

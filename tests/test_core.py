@@ -9,8 +9,6 @@ from smoothmax import (
     SmoothingParams,
     condition_number,
     hessian_eig_bounds,
-    sandwich_bounds,
-    smooth_eval,
     smooth_gradient,
     smooth_hessian,
     smooth_value,
@@ -22,6 +20,7 @@ from smoothmax.errors import (
     EvaluationError,
     UnsupportedCapabilityError,
 )
+from smoothmax.core import component_values
 from smoothmax.families import ComponentFamily
 from smoothmax.testkit import (
     RandomQuadraticFamily,
@@ -149,19 +148,6 @@ class TestSmoothHessian:
 
 
 class TestBoundsAndConditioning:
-    def test_sandwich_single_component(self):
-        assert sandwich_bounds(5.0, SmoothingParams(3.0), 1) == (5.0, 5.0)
-
-    def test_sandwich_log2(self):
-        lo, hi = sandwich_bounds(0.0, SmoothingParams(1.0), 2)
-        assert lo == 0.0
-        assert hi == pytest.approx(math.log(2.0))
-
-    def test_sandwich_matches_half_gap_smoother(self):
-        s = 2.0 * math.log(4.0) / 0.1
-        lo, hi = sandwich_bounds(3.0, SmoothingParams(s), 4)
-        assert (lo, hi) == (3.0, pytest.approx(3.05))
-
     def test_eig_bounds_uniform_constants(self):
         constants = DomainConstants.uniform(5, 2.0, 2.0, 10.0)
         assert hessian_eig_bounds(constants, SmoothingParams(1.0)) == (2.0, 102.0)
@@ -192,21 +178,11 @@ class TestBoundsAndConditioning:
             condition_number(2.0, 1.0)
 
 
-class TestSmoothEvalBundle:
+class TestComponentValues:
     def test_tie_breaks_to_lowest_index(self):
-        fam = ConstantFamily([7.0, 7.0, 3.0])
-        ev = smooth_eval(fam, SmoothingParams(1.0), np.zeros(1))
-        assert ev.max_index == 0
-        assert ev.max_value == 7.0
-
-    def test_bundle_consistent_with_scalar_ops(self):
-        fam = RandomQuadraticFamily.from_seed(2, n=4, dim=2)
-        params = SmoothingParams(3.0)
-        x = np.array([0.3, -0.7])
-        ev = smooth_eval(fam, params, x)
-        assert ev.value == smooth_value(fam, params, x)
-        np.testing.assert_array_equal(ev.weights, softmax_weights(fam, params, x))
-        np.testing.assert_array_equal(ev.gradient, smooth_gradient(fam, params, x))
+        values, max_index = component_values(ConstantFamily([7.0, 7.0, 3.0]), np.zeros(1))
+        assert max_index == 0
+        assert values[max_index] == 7.0
 
 
 # --- property tests ------------------------------------------------------
