@@ -1,8 +1,8 @@
 """Command-line front end: point-cloud ingestion, solver invocation, and the
 iteration-scaling benchmark harness.
 
-Exit codes: 0 success, 1 gradcheck tolerance failure, 2 bad flags,
-3 input parse errors, 4 solver errors.
+Exit codes: 0 success, 2 bad flags, 3 input parse errors, 4 solver errors,
+5 gradcheck tolerance failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .baselines import WELZL_MAX_DIM, badoiu_clarkson, welzl_exact
-from .errors import EmptyInputError, InputFormatError
+from .errors import EmptyInputError, InputFormatError, SmoothmaxError
 from .families import SmoothingParams
 from .meb import MebConfig, PointCloud, farthest_sq_distance, solve_meb
 from .testkit import (
@@ -30,10 +30,11 @@ from .testkit import (
 )
 
 EXIT_OK = 0
-EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_SOLVER = 4
+# Not 1, which is also the exit code of an uncaught Python exception.
+EXIT_TOLERANCE = 5
 
 
 def non_negative_int(text: str) -> int:
@@ -348,22 +349,26 @@ def cmd_gradcheck(args) -> int:
     worst_grad = 0.0
     worst_hess = 0.0
     worst_case = None
-    for trial in range(args.trials):
-        family = RandomQuadraticFamily.from_seed(args.seed + trial, args.n, args.dim)
-        x = rng.standard_normal(args.dim)
-        grad = core.smooth_gradient(family, params, x)
-        fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
-        grad_err = np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6)
-        hess = core.smooth_hessian(family, params, x)
-        fd_hess = finite_diff_jacobian(
-            lambda p: core.smooth_gradient(family, params, p), x
-        )
-        hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
-        if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
-            worst_case = (trial, x)
-        # np.maximum keeps a nan, which the builtin max may drop.
-        worst_grad = float(np.maximum(worst_grad, grad_err))
-        worst_hess = float(np.maximum(worst_hess, hess_err))
+    try:
+        for trial in range(args.trials):
+            family = RandomQuadraticFamily.from_seed(args.seed + trial, args.n, args.dim)
+            x = rng.standard_normal(args.dim)
+            grad = core.smooth_gradient(family, params, x)
+            fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
+            grad_err = np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6)
+            hess = core.smooth_hessian(family, params, x)
+            fd_hess = finite_diff_jacobian(
+                lambda p: core.smooth_gradient(family, params, p), x
+            )
+            hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
+            if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
+                worst_case = (trial, x)
+            # np.maximum keeps a nan, which the builtin max may drop.
+            worst_grad = float(np.maximum(worst_grad, grad_err))
+            worst_hess = float(np.maximum(worst_hess, hess_err))
+    except SmoothmaxError as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"max relative gradient error: {worst_grad:.3e}")
     print(f"max relative hessian error:  {worst_hess:.3e}")
     if not (worst_grad <= 1e-5 and worst_hess <= 1e-4):  # a nan error fails

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 
-class ContractViolationError(ValueError):
+class SmoothmaxError(Exception):
+    """Base of every error the library raises."""
+
+
+class ContractViolationError(SmoothmaxError, ValueError):
     """An argument violates a documented precondition."""
 
 
@@ -11,7 +15,7 @@ class DimensionMismatchError(ContractViolationError):
     """Vector/matrix shapes do not agree with the family dimensions."""
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(SmoothmaxError, RuntimeError):
     """A component evaluation produced a non-finite value.
 
     ``index`` identifies the offending component when known.
@@ -22,11 +26,11 @@ class EvaluationError(RuntimeError):
         self.index = index
 
 
-class UnsupportedCapabilityError(RuntimeError):
+class UnsupportedCapabilityError(SmoothmaxError, RuntimeError):
     """The family does not expose an optional capability (e.g. Hessians)."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(SmoothmaxError, RuntimeError):
     """The optimizer encountered a non-finite gradient.
 
     Carries the offending iterate for diagnostics.
@@ -37,15 +41,15 @@ class DivergenceError(RuntimeError):
         self.iterate = iterate
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(SmoothmaxError, ValueError):
     """A run was refused because its configuration is unusable."""
 
 
-class UnsupportedDimensionError(ValueError):
+class UnsupportedDimensionError(SmoothmaxError, ValueError):
     """The exact solver does not support this ambient dimension."""
 
 
-class InputFormatError(ValueError):
+class InputFormatError(SmoothmaxError, ValueError):
     """Malformed point-cloud input file."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):

@@ -2,16 +2,18 @@
 
 The objective is f(x) = max_i ||x - c_i||^2.  Every constant the generic
 solver needs is derived analytically: component curvature is exactly 2,
-the radius bracket at the centroid gives both the absolute gap (which sets
-the smoother and caps the run) and the initial distance bound, and the
-gradient norm bound follows in closed form.  A solve stops as soon as its
-lower bound on R^2 certifies the (1+eps) radius.
+the radius bracket at the centroid gives the initial distance bound and the
+first lower bound on R^2 (which, with each round's relative gap, sets the
+smoother), and the gradient norm bound follows in closed form.  A solve is
+a short sequence of warm-started rounds at relative gaps 1, 1/4, 1/16, ...
+down to eps; each round stops as soon as its lower bound on R^2 certifies
+its (1+e_k) radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +26,10 @@ from .agd import (
 )
 from .errors import ContractViolationError
 from .families import ComponentFamily, DomainConstants
+
+
+# Round k of a solve targets the relative gap max(eps, ROUND_GAP_RATIO^-k).
+ROUND_GAP_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,8 @@ class MebResult:
     radius_lower: float
     radius_upper: float
     solve_report: SolveReport | None = None
-    # sqrt of the solve's certified lower bound on R^2 (None from baselines).
+    # sqrt of the best certified lower bound on R^2 over the solve's rounds
+    # (None from baselines).
     certified_radius_lower: float | None = None
     # radius / certified_radius_lower, a proven bound on radius / R; None
     # when the lower radius is 0 (or not computed).
@@ -180,13 +187,24 @@ def solve_meb(
 ) -> MebResult:
     """Approximate minimal bounding sphere with radius <= (1+eps) R.
 
-    The absolute gap fed to the generic solver uses the conservative lower
-    end of the radius bracket, eps_abs = (2 eps + eps^2) f(x1) / 4, which can
-    only strengthen the a-priori guarantee; it sets the smoother, and the cap
-    is the smaller of the specialized and the general closed-form counts.
-    The run stops earlier, once its lower bound lb on R^2 proves
-    f_best <= (1+eps)^2 lb (``OptimizerConfig.relative_epsilon``), so that
+    Smoother continuation: round k is a ``run_to_gap`` solve at the relative
+    gap e_k = max(eps, 4^-k) (1, 1/4, 1/16, ... down to eps), warm-started
+    at the previous round's ``x_final`` (the centroid x1 for round 0).  Its
+    absolute gap, which sets the smoother, is eps_abs = (2 e_k + e_k^2) lb
+    with lb = max(f(x1) / 4, the highest lower bound the rounds so far
+    proved).  Every pass's lower model bounds the true max, not f_s, so a
+    bound stays valid under the next smoother, and lb <= R^2 keeps each
+    round's a-priori guarantee.  A round's cap is the single-shot count for
+    e_k, so the last round's is ``planned_iterations``.  A round stops
+    once its lower bound lb on R^2 proves f_best <= (1+e_k)^2 lb
+    (``OptimizerConfig.relative_epsilon``); a coarse round that reaches its
+    cap still holds its (1+e_k) guarantee, and the last one gives
     radius <= (1+eps) certified_radius_lower <= (1+eps) R.
+
+    ``iterations`` counts the steps of all rounds.  The observers see one
+    step counter t across the solve (each round's t is offset by the steps
+    of the rounds before it); the ``progress`` value is f_s at that round's
+    smoother.
     """
     eps_rel = config.relative_epsilon
     family = BoundingSphereFamily(cloud)
@@ -207,30 +225,38 @@ def solve_meb(
         )
 
     lower, upper = radius_bounds(f1)
-    epsilon_gap = (2.0 * eps_rel + eps_rel ** 2) * lower ** 2
-    g_bound = meb_gradient_bound(f1, epsilon_gap)
-    constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, g_bound)
     planned = required_iterations_meb(eps_rel, cloud.n)
+    x_start, lb_best, steps, round_gap = x1, -math.inf, 0, 1.0
+    while True:
+        round_gap = max(eps_rel, round_gap)
+        epsilon_gap = (2.0 * round_gap + round_gap ** 2) * max(lower ** 2, lb_best)
+        g_bound = meb_gradient_bound(f1, epsilon_gap)
+        report = run_to_gap(
+            family,
+            DomainConstants.uniform(cloud.n, 2.0, 2.0, g_bound),
+            OptimizerConfig(
+                epsilon=epsilon_gap,
+                x1=x_start,
+                initial_distance_bound=math.sqrt(f1),
+                max_iterations_override=required_iterations_meb(round_gap, cloud.n),
+                relative_epsilon=round_gap,
+            ),
+            progress=_offset_progress(progress, steps),
+            iterate_observer=_offset_observer(iterate_observer, steps),
+        )
+        steps += report.iterations_run
+        lb_best = max(lb_best, report.lower_bound)
+        x_start = report.x_final
+        if round_gap == eps_rel:
+            break
+        round_gap /= ROUND_GAP_RATIO
 
-    report = run_to_gap(
-        family,
-        constants,
-        OptimizerConfig(
-            epsilon=epsilon_gap,
-            x1=x1,
-            initial_distance_bound=math.sqrt(f1),
-            max_iterations_override=planned,
-            relative_epsilon=eps_rel,
-        ),
-        progress=progress,
-        iterate_observer=iterate_observer,
-    )
     radius = math.sqrt(report.f_final)
-    radius_lb = math.sqrt(max(report.lower_bound, 0.0))
+    radius_lb = math.sqrt(max(lb_best, 0.0))
     return MebResult(
         center=report.x_final,
         radius=radius,
-        iterations=report.iterations_run,
+        iterations=steps,
         planned_iterations=planned,
         epsilon_gap_used=epsilon_gap,
         radius_lower=lower,
@@ -239,3 +265,15 @@ def solve_meb(
         certified_radius_lower=radius_lb,
         certified_ratio=radius / radius_lb if radius_lb > 0 else None,
     )
+
+
+def _offset_progress(progress: ProgressCallback | None, offset: int) -> ProgressCallback | None:
+    if progress is None or offset == 0:
+        return progress
+    return lambda t, value, grad_norm: progress(t + offset, value, grad_norm)
+
+
+def _offset_observer(observer: IterateObserver | None, offset: int) -> IterateObserver | None:
+    if observer is None or offset == 0:
+        return observer
+    return lambda state, grad: observer(replace(state, t=state.t + offset), grad)

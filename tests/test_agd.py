@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from smoothmax import (
     BoundingSphereFamily,
     DomainConstants,
-    MebConfig,
     OptimizerConfig,
     PointCloud,
     SmoothingParams,
     agd_step,
     centroid_init,
     gap_bound,
+    meb_gradient_bound,
     required_iterations_general,
     run_online,
     run_to_gap,
@@ -23,7 +23,6 @@ from smoothmax import (
     smooth_value,
     smoother_for_gap,
     softmax_weights,
-    solve_meb,
 )
 from smoothmax.agd import LowerModel, lower_bound, momentum_for
 from smoothmax.core import smooth_pass
@@ -340,16 +339,22 @@ class TestLowerModel:
         # p-weighted sum, so the averaged model's minimum is the Frank-Wolfe
         # dual sum p~ ||c~||^2 - ||p~^T P||^2 at the t-weighted mean p~ of the
         # passes' softmax weights.
+        # One solve from the centroid at the relative gap 0.01, its absolute
+        # gap set from the radius bracket's lower end f(x1) / 4.
         cloud = PointCloud(random_point_cloud(7, 150, 3, "gaussian").points + offset)
-        ys = []
-        result = solve_meb(cloud, MebConfig(0.01),
-                           iterate_observer=lambda state, grad: ys.append(state.y_current))
-        report = result.solve_report
-        assert report.stop_reason == "certified"
         family = BoundingSphereFamily(cloud)
+        f1 = float(family.centred_sq.max())
+        gap = (2.0 * 0.01 + 0.01 ** 2) * f1 / 4.0
+        constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, meb_gradient_bound(f1, gap))
+        config = OptimizerConfig(epsilon=gap, x1=centroid_init(cloud),
+                                 initial_distance_bound=math.sqrt(f1), relative_epsilon=0.01)
+        ys = []
+        report = run_to_gap(family, constants, config,
+                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+        assert report.stop_reason == "certified"
         weights_sum, weight = np.zeros(cloud.n), 0
         for t, p, _, averaged, lb in replay_passes(family, SmoothingParams(report.s),
-                                                   [centroid_init(cloud)] + ys,
+                                                   [config.x1] + ys,
                                                    np.full(cloud.n, 2.0)):
             weights_sum += t * p
             weight += t

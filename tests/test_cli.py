@@ -8,7 +8,7 @@ import pytest
 
 from smoothmax import cli
 from smoothmax.cli import parse_points_csv
-from smoothmax.errors import EmptyInputError, InputFormatError
+from smoothmax.errors import EmptyInputError, EvaluationError, InputFormatError
 
 
 def run_cli(*args, **kwargs):
@@ -347,6 +347,33 @@ class TestBenchCommand:
         assert "Traceback" not in proc.stderr
 
 
+class TestBenchStepCounts:
+    """Certified step counts are deterministic, so they guard the smoother
+    continuation: single-shot solves took 88, 768 and 4303 steps here, a
+    log-log slope of 0.84 against 1/eps."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bench") / "bench.json"
+        assert cli.main(["bench", "--n", "2000", "--dim", "5", "--epsilons", "0.1,0.01,0.001",
+                         "--algorithms", "smooth", "--output", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_certified_steps(self, report):
+        rows = report["rows"]
+        assert [row["epsilon"] for row in rows] == [0.1, 0.01, 0.001]
+        assert all(row["stop_reason"] == "certified" for row in rows)
+        for row, cap in zip(rows, (60, 500, 1000)):
+            assert row["iterations"] <= cap
+        assert report["slopes"]["smooth"]["iterations"] <= 0.75
+
+    def test_first_hit_counts_the_steps_of_all_rounds(self, report):
+        # Every row here runs several rounds; its first hit of (1+eps) R is
+        # counted on the solve's one step counter.
+        for row in report["rows"]:
+            assert row["observed_to_target"] <= row["iterations"]
+
+
 class TestGradcheckCommand:
     def test_default_flags_pass(self):
         proc = run_cli("gradcheck")
@@ -369,5 +396,14 @@ class TestGradcheckCommand:
     def test_nan_error_fails(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.core, "smooth_gradient",
                             lambda family, params, x: np.full(family.dim, np.nan))
-        assert cli.main(["gradcheck", "--trials", "2"]) == 1
+        assert cli.main(["gradcheck", "--trials", "2"]) == cli.EXIT_TOLERANCE == 5
         assert "max relative gradient error: nan" in capsys.readouterr().out
+
+    def test_library_error_exit_4(self, monkeypatch, capsys):
+        def failing_gradient(family, params, x):
+            raise EvaluationError("component 0 evaluated to a non-finite value", index=0)
+
+        monkeypatch.setattr(cli.core, "smooth_gradient", failing_gradient)
+        assert cli.main(["gradcheck", "--trials", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: solver failed: component 0 evaluated to a non-finite value\n"

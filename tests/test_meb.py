@@ -15,6 +15,7 @@ from smoothmax import (
     solve_meb,
     welzl_exact,
 )
+from smoothmax import meb
 from smoothmax.errors import ContractViolationError
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
@@ -275,9 +276,61 @@ def test_certified_solves_prove_their_own_ratio(kind, seed, offset, eps):
     if result.solve_report.stop_reason == "certified":
         assert result.radius <= (1.0 + eps) * lower * (1.0 + 1e-12)
     else:
-        assert result.iterations == result.planned_iterations
+        # The last round ran its full a-priori count.
+        assert result.solve_report.iterations_run == result.planned_iterations
 
 
 def test_certified_ratio_is_none_without_a_positive_lower_radius():
     assert solve_meb(cloud_of([1.0, 2.0]), MebConfig(0.1)).certified_ratio is None
     assert solve_meb(cloud_of([3.0], [3.0]), MebConfig(0.1)).certified_ratio is None
+
+
+class TestContinuation:
+    def test_observers_see_one_step_counter(self):
+        cloud = random_point_cloud(5, 300, 4, "gaussian")
+        rows, states = [], []
+        result = solve_meb(cloud, MebConfig(0.01),
+                           progress=lambda t, value, grad_norm: rows.append(t),
+                           iterate_observer=lambda state, grad: states.append(state.t))
+        assert result.iterations > result.solve_report.iterations_run  # several rounds stepped
+        assert rows == states == list(range(2, result.iterations + 2))
+
+    def test_rounds_follow_the_schedule_and_the_proved_bound(self, monkeypatch):
+        # With every cap at 2 steps, every round of this cloud reaches it.
+        configs, reports, run_to_gap = [], [], meb.run_to_gap
+
+        def recording_run_to_gap(family, constants, config, **observers):
+            configs.append(config)
+            reports.append(run_to_gap(family, constants, config, **observers))
+            return reports[-1]
+
+        monkeypatch.setattr(meb, "required_iterations_meb", lambda eps, n: 2)
+        monkeypatch.setattr(meb, "run_to_gap", recording_run_to_gap)
+        cloud = random_point_cloud(2, 200, 3, "clustered")
+        result = solve_meb(cloud, MebConfig(0.01))
+        assert [c.relative_epsilon for c in configs] == [1.0, 0.25, 0.0625, 0.015625, 0.01]
+        assert all(r.iterations_run == 2 and r.stop_reason == "override" for r in reports)
+        assert result.iterations == 2 * len(reports)
+        assert result.planned_iterations == 2
+        f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
+        lb = f1 / 4.0
+        for k, config in enumerate(configs):
+            e = config.relative_epsilon
+            assert config.epsilon == pytest.approx((2.0 * e + e * e) * lb, rel=1e-12)
+            assert config.max_iterations_override == 2
+            if k:
+                assert config.x1 is reports[k - 1].x_final
+            lb = max(lb, reports[k].lower_bound)
+        exact = welzl_exact(cloud).radius
+        dists = np.linalg.norm(cloud.points - result.center, axis=1)
+        assert np.max(dists) <= result.radius * (1.0 + 1e-9)
+        assert result.certified_radius_lower == math.sqrt(max(r.lower_bound for r in reports))
+        assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
+        assert result.solve_report is reports[-1]
+
+    def test_relative_epsilon_one_is_one_round(self):
+        cloud = random_point_cloud(3, 60, 3, "gaussian")
+        rows = []
+        result = solve_meb(cloud, MebConfig(1.0),
+                           progress=lambda t, value, grad_norm: rows.append(t))
+        assert result.iterations == result.solve_report.iterations_run == len(rows)
