@@ -37,7 +37,6 @@ from .meb import (
     centroid_init,
     farthest_sq_distance,
     meb_gradient_bound,
-    radius_bounds,
     required_iterations_meb,
     solve_meb,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "BoundingSphereFamily",
     "centroid_init",
     "farthest_sq_distance",
-    "radius_bounds",
     "meb_gradient_bound",
     "required_iterations_meb",
     "solve_meb",

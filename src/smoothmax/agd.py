@@ -278,7 +278,7 @@ def run_to_gap(
 
     x = y = family.check_point(config.x1)  # later passes read agd_step's arrays
     weights = np.empty(n)  # the exp buffer of every pass
-    _, grad, _, total, _, f_best, mean_value = smooth_pass(family, params, y, out=weights)
+    _, grad, _, total, f_best, mean_value = smooth_pass(family, params, y, out=weights)
     grad_sq = float(grad.dot(grad))
     curvature = float(weights.dot(strong)) / total if mixed else L_s
     model = LowerModel(mean_value, grad, curvature)
@@ -290,9 +290,7 @@ def run_to_gap(
             raise DivergenceError(f"non-finite gradient at iteration {t - 1}", iterate=y)
         grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, y
         x, y = agd_step(x, y, grad_at_y, U_s, momentum)
-        value, grad, _, total, _, max_value, mean_value = smooth_pass(
-            family, params, y, out=weights
-        )
+        value, grad, _, total, max_value, mean_value = smooth_pass(family, params, y, out=weights)
         if progress is not None:
             progress(t, value, math.sqrt(grad_sq_at_y))
         if iterate_observer is not None:
@@ -338,12 +336,12 @@ def run_online(
     rounds: int,
     config: OptimizerConfig,
     progress: ProgressCallback | None = None,
-    iterate_observer: IterateObserver | None = None,
 ) -> list[SolveReport]:
     """Epsilon-halving restarts: round k targets epsilon_0 / 2^k.
 
     Each round warm-starts from the previous round's final iterate; the
     caller's distance bound is kept, which remains valid under warm starts.
+    ``progress`` sees each round's own step counter, which restarts at 2.
     """
     if not epsilon_0 > 0 or rounds < 1:
         raise ContractViolationError("need epsilon_0 > 0 and rounds >= 1")
@@ -352,13 +350,7 @@ def run_online(
     for k in range(rounds):
         eps_k = epsilon_0 / 2 ** k
         round_config = replace(config, epsilon=eps_k, x1=x_start)
-        report = run_to_gap(
-            family,
-            constants_provider(eps_k),
-            round_config,
-            progress=progress,
-            iterate_observer=iterate_observer,
-        )
+        report = run_to_gap(family, constants_provider(eps_k), round_config, progress=progress)
         reports.append(report)
         x_start = report.x_final
     return reports

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, UnsupportedDimensionError
-from .meb import MebResult, PointCloud, farthest_sq_distance, radius_bounds
+from .agd import MAX_PLANNED_ITERATIONS
+from .errors import ConfigurationError, ContractViolationError, UnsupportedDimensionError
+from .meb import MebResult, PointCloud, farthest_sq_distance
 
 WELZL_MAX_DIM = 12
 
@@ -93,31 +94,30 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     """Farthest-point core-set iteration with ceil(1/eps^2) steps.
 
     c_0 is the first input point; step k moves c toward the farthest point
-    by a 1/(k+1) fraction, so every iterate stays in the convex hull.
+    by a 1/(k+1) fraction, so every iterate stays in the convex hull.  A
+    count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
     """
     if not 0 < relative_epsilon <= 1:
         raise ContractViolationError(
             f"relative_epsilon must be in (0, 1], got {relative_epsilon}"
         )
     center = cloud.points[0].copy()
-    f0, _ = farthest_sq_distance(cloud, center)
-    lower, upper = radius_bounds(f0)
-
     iterations = 0
     if cloud.n > 1:
-        iterations = math.ceil(1.0 / relative_epsilon ** 2)
+        # Any eps below 2^-16 plans 2^32 steps, so its square is never formed.
+        iterations = math.ceil(1.0 / max(relative_epsilon, 2.0 ** -16) ** 2)
+        if iterations > MAX_PLANNED_ITERATIONS:
+            raise ConfigurationError(
+                f"core-set count at eps={relative_epsilon} exceeds {MAX_PLANNED_ITERATIONS}"
+            )
         for k in range(1, iterations + 1):
             _, idx = farthest_sq_distance(cloud, center)
             center = center + (cloud.points[idx] - center) / (k + 1)
 
     f_final, _ = farthest_sq_distance(cloud, center)
-    eps = relative_epsilon
     return MebResult(
         center=center,
         radius=math.sqrt(f_final),
         iterations=iterations,
         planned_iterations=iterations,
-        epsilon_gap_used=(2.0 * eps + eps ** 2) * lower ** 2,
-        radius_lower=lower,
-        radius_upper=upper,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .baselines import WELZL_MAX_DIM, badoiu_clarkson, welzl_exact
-from .errors import EmptyInputError, InputFormatError, SmoothmaxError
+from .errors import ContractViolationError, EmptyInputError, InputFormatError, SmoothmaxError
 from .families import SmoothingParams
 from .meb import MebConfig, PointCloud, farthest_sq_distance, solve_meb
 from .testkit import (
@@ -58,7 +58,8 @@ def parse_points_csv(path: str) -> PointCloud:
 
     A single leading header line is skipped when its first token is not
     numeric; a UTF-8 byte-order mark is dropped before it.  All rows must
-    share the same column count of finite values.
+    share the same column count of finite values, and the cloud must fit
+    ``PointCloud``'s overflow guard.
     The rows are converted in one NumPy call, which reads each token as
     ``float`` does; only a failed conversion is scanned for its line and
     column.
@@ -83,7 +84,10 @@ def parse_points_csv(path: str) -> PointCloud:
         # The file's own line numbers, blank lines included.
         linenos = [k for k, line in enumerate(text.splitlines(), start=1) if line.strip()]
         _raise_first_bad_row(path, rows, linenos[start:])
-    return PointCloud(points)
+    try:
+        return PointCloud(points)
+    except ContractViolationError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _raise_first_bad_row(path: str, rows: list[list[str]], linenos: list[int]) -> None:
@@ -123,7 +127,7 @@ def _emit(payload: str, output: str | None) -> None:
 
 def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: int,
                 trace_rows: list | None = None, radius_trace: list | None = None):
-    """Run one algorithm; returns (result_dict, center, radius)."""
+    """Run one algorithm (smooth unless "exact" or "coreset"); returns the result dict."""
     t0 = time.perf_counter()
     constants = None
     certified = None
@@ -135,7 +139,7 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
         res = badoiu_clarkson(cloud, epsilon)
         center, radius = res.center, res.radius
         iterations, planned = res.iterations, res.planned_iterations
-    elif algorithm == "smooth":
+    else:
         progress = None
         if trace_rows is not None:
             progress = lambda t, value, grad_norm: trace_rows.append((t, value, grad_norm))
@@ -163,8 +167,6 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
                 "kappa_s": rep.kappa_s,
                 "G_s": rep.g_s,
             }
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     wall_ms = (time.perf_counter() - t0) * 1e3
     result = {
         "algorithm": algorithm,
@@ -220,7 +222,7 @@ def cmd_solve(args) -> int:
             result["radius_over_exact"] = (
                 float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
             )
-    except Exception as exc:
+    except SmoothmaxError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -301,7 +303,7 @@ def cmd_bench(args) -> int:
                     "certified_radius_lower": result.get("certified_radius_lower"),
                     "certified_ratio": result.get("certified_ratio"),
                 })
-    except Exception as exc:
+    except SmoothmaxError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -42,7 +42,7 @@ def smooth_pass(
     x: np.ndarray,
     gradient: bool = True,
     out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray, float, int, float, float]:
+) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float]:
     """The one evaluation pass every smoothed quantity at x is read from.
 
     values -> max m -> e_i = exp(max(s (f_i(x) - m), EXP_FLOOR)), written to
@@ -54,8 +54,8 @@ def smooth_pass(
 
     ``x`` must be a float array of shape (dim,), as ``family.check_point``
     returns; the public wrappers check it, and run_to_gap checks x1 once.
-    Returns ``(value, gradient, e, S, max_index, max_value, mean_value)``;
-    the softmax weights are e / S.  np.argmax breaks ties by lowest index.
+    Returns ``(value, gradient, e, S, max_value, mean_value)``; the softmax
+    weights are e / S.
     """
     shifted, max_index = component_values(family, x)
     max_value = float(shifted[max_index])
@@ -69,7 +69,7 @@ def smooth_pass(
     # The products e_i s (f_i - m) stay normal doubles, as a floored e_i
     # meets |s (f_i - m)| >= 700; e_i (f_i - m) can be subnormal at large s.
     mean_value = max_value + float(weights.dot(shifted)) / (params.s * total)
-    return value, grad, weights, total, max_index, max_value, mean_value
+    return value, grad, weights, total, max_value, mean_value
 
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:

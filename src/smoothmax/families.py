@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedCapabilityError
+from .errors import ContractViolationError, DimensionMismatchError, UnsupportedCapabilityError
 
 
 class ComponentFamily(ABC):
@@ -81,9 +81,9 @@ class DomainConstants:
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise DimensionMismatchError("constant vectors must be 1-D and of equal length")
         if not (np.all(lo > 0) and np.all(lo <= hi)):
-            raise ValueError("need 0 < strong_convexity[i] <= smoothness[i] for every i")
+            raise ContractViolationError("need 0 < strong_convexity[i] <= smoothness[i], all i")
         if not self.gradient_norm_bound > 0:
-            raise ValueError("gradient_norm_bound must be positive")
+            raise ContractViolationError("gradient_norm_bound must be positive")
 
     @property
     def min_strong_convexity(self) -> float:
@@ -112,4 +112,4 @@ class SmoothingParams:
 
     def __post_init__(self):
         if not 0 < self.s < math.inf:
-            raise ValueError(f"smoother must be positive and finite, got {self.s}")
+            raise ContractViolationError(f"smoother must be positive and finite, got {self.s}")

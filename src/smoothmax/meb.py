@@ -18,18 +18,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .agd import (
+    MAX_PLANNED_ITERATIONS,
     IterateObserver,
     OptimizerConfig,
     ProgressCallback,
     SolveReport,
     run_to_gap,
 )
-from .errors import ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .families import ComponentFamily, DomainConstants
 
 
 # Round k of a solve targets the relative gap max(eps, ROUND_GAP_RATIO^-k).
 ROUND_GAP_RATIO = 4.0
+# A cloud is refused unless its squared bounding-box diagonal D^2 times this
+# factor is finite.  A solve's largest intermediates are the t-weighted sums of
+# ``agd.LowerModel``; after T passes the squared slope sum has measured below
+# 1.2 (T^2 / 2)^2 D^2, so this covers a round of MAX_PLANNED_ITERATIONS = 2^31.
+OVERFLOW_HEADROOM = 2.0 ** 128
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,16 @@ class PointCloud:
             raise ContractViolationError(
                 f"points must be a nonempty 2-D array, got shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ContractViolationError("all coordinates must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail this too
+            span = pts.max(axis=0) - pts.min(axis=0)
+            room = float(span @ span) * OVERFLOW_HEADROOM
+        if not math.isfinite(room):
+            if not np.all(np.isfinite(pts)):
+                raise ContractViolationError("all coordinates must be finite")
+            raise ContractViolationError(
+                f"the squared bounding-box diagonal times {OVERFLOW_HEADROOM:.3g} overflows; "
+                "rescale the points"
+            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -76,15 +90,12 @@ class MebResult:
     radius: float
     iterations: int
     planned_iterations: int
-    epsilon_gap_used: float
-    radius_lower: float
-    radius_upper: float
     solve_report: SolveReport | None = None
-    # sqrt of the best certified lower bound on R^2 over the solve's rounds
-    # (None from baselines).
+    # sqrt of the proved lower bound on R^2: f(x1)/4 or the best a round
+    # certified, whichever is higher (None from baselines).
     certified_radius_lower: float | None = None
     # radius / certified_radius_lower, a proven bound on radius / R; None
-    # when the lower radius is 0 (or not computed).
+    # when the radius is 0 (or from baselines).
     certified_ratio: float | None = None
 
 
@@ -149,15 +160,6 @@ def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:
     return float(sq[idx]), idx
 
 
-def radius_bounds(f_at_x1: float) -> tuple[float, float]:
-    """Bracket on the optimal radius from one objective value in the hull:
-    sqrt(f(x1))/2 <= R <= sqrt(f(x1))."""
-    if f_at_x1 < 0:
-        raise ContractViolationError("squared distance cannot be negative")
-    root = math.sqrt(f_at_x1)
-    return 0.5 * root, root
-
-
 def meb_gradient_bound(f_at_x1: float, epsilon_gap: float) -> float:
     """Common gradient norm bound over all iterates: 6 sqrt(5 f(x1) + eps/2)."""
     if f_at_x1 < 0 or not epsilon_gap > 0:
@@ -167,7 +169,8 @@ def meb_gradient_bound(f_at_x1: float, epsilon_gap: float) -> float:
 
 def required_iterations_meb(relative_epsilon: float, n: int) -> int:
     """Closed-form sufficient iteration count for the (1+eps) guarantee:
-    ceil(1 + log(1 + 4/eps) sqrt(1 + 18 (1 + 20/eps) log n))."""
+    ceil(1 + log(1 + 4/eps) sqrt(1 + 18 (1 + 20/eps) log n)).  A count above
+    ``MAX_PLANNED_ITERATIONS`` is refused, as ``run_to_gap`` refuses its own."""
     if not 0 < relative_epsilon <= 1 or n < 1:
         raise ContractViolationError("need 0 < relative_epsilon <= 1 and n >= 1")
     if n == 1:
@@ -176,6 +179,8 @@ def required_iterations_meb(relative_epsilon: float, n: int) -> int:
     value = 1.0 + math.log(1.0 + 4.0 / eps) * math.sqrt(
         1.0 + 18.0 * (1.0 + 20.0 / eps) * math.log(n)
     )
+    if not value <= MAX_PLANNED_ITERATIONS:  # also an infinite value at a subnormal eps
+        raise ConfigurationError(f"planned count at eps={eps} exceeds {MAX_PLANNED_ITERATIONS}")
     return math.ceil(value)
 
 
@@ -196,10 +201,12 @@ def solve_meb(
     bound stays valid under the next smoother, and lb <= R^2 keeps each
     round's a-priori guarantee.  A round's cap is the single-shot count for
     e_k, so the last round's is ``planned_iterations``.  A round stops
-    once its lower bound lb on R^2 proves f_best <= (1+e_k)^2 lb
+    once its own lower bound on R^2 proves f_best <= (1+e_k)^2 times it
     (``OptimizerConfig.relative_epsilon``); a coarse round that reaches its
-    cap still holds its (1+e_k) guarantee, and the last one gives
-    radius <= (1+eps) certified_radius_lower <= (1+eps) R.
+    cap still holds its (1+e_k) guarantee.  ``certified_radius_lower`` is
+    sqrt(lb) after the last round, so a certified solve gives
+    radius <= (1+eps) certified_radius_lower <= (1+eps) R; the last round's
+    absolute gap is 2 log(n) / ``solve_report.s``.
 
     ``iterations`` counts the steps of all rounds.  The observers see one
     step counter t across the solve (each round's t is offset by the steps
@@ -218,18 +225,15 @@ def solve_meb(
             radius=0.0,
             iterations=0,
             planned_iterations=0,
-            epsilon_gap_used=0.0,
-            radius_lower=0.0,
-            radius_upper=0.0,
             certified_radius_lower=0.0,
         )
 
-    lower, upper = radius_bounds(f1)
     planned = required_iterations_meb(eps_rel, cloud.n)
-    x_start, lb_best, steps, round_gap = x1, -math.inf, 0, 1.0
+    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound.
+    x_start, lb, steps, round_gap = x1, f1 / 4.0, 0, 1.0
     while True:
         round_gap = max(eps_rel, round_gap)
-        epsilon_gap = (2.0 * round_gap + round_gap ** 2) * max(lower ** 2, lb_best)
+        epsilon_gap = (2.0 * round_gap + round_gap ** 2) * lb
         g_bound = meb_gradient_bound(f1, epsilon_gap)
         report = run_to_gap(
             family,
@@ -245,25 +249,21 @@ def solve_meb(
             iterate_observer=_offset_observer(iterate_observer, steps),
         )
         steps += report.iterations_run
-        lb_best = max(lb_best, report.lower_bound)
+        lb = max(lb, report.lower_bound)
         x_start = report.x_final
         if round_gap == eps_rel:
             break
         round_gap /= ROUND_GAP_RATIO
 
-    radius = math.sqrt(report.f_final)
-    radius_lb = math.sqrt(max(lb_best, 0.0))
+    radius, radius_lb = math.sqrt(report.f_final), math.sqrt(lb)
     return MebResult(
         center=report.x_final,
         radius=radius,
         iterations=steps,
         planned_iterations=planned,
-        epsilon_gap_used=epsilon_gap,
-        radius_lower=lower,
-        radius_upper=upper,
         solve_report=report,
         certified_radius_lower=radius_lb,
-        certified_ratio=radius / radius_lb if radius_lb > 0 else None,
+        certified_ratio=radius / radius_lb,
     )
 
 

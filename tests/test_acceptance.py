@@ -220,7 +220,8 @@ def test_criterion_7_runtime_gradient_bounds():
         if result.solve_report is None:
             continue
         params = SmoothingParams(result.solve_report.s)
-        core_bound = math.sqrt(5.0 * exact ** 2 + 0.5 * result.epsilon_gap_used)
+        epsilon_gap = 2.0 * math.log(cloud.n) / result.solve_report.s
+        core_bound = math.sqrt(5.0 * exact ** 2 + 0.5 * epsilon_gap)
         for x_t, y_t in records:
             gx = float(np.linalg.norm(smooth_gradient(family, params, x_t)))
             gy = float(np.linalg.norm(smooth_gradient(family, params, y_t)))

@@ -322,7 +322,7 @@ def replay_passes(family, params, points, strong):
     run_to_gap does; yields (t, p_t, averaged bound, running lb_best)."""
     model, lb = None, -math.inf
     for t, y in enumerate(points, start=1):
-        _, grad, e, total, _, _, mean = smooth_pass(family, params, y)
+        _, grad, e, total, _, mean = smooth_pass(family, params, y)
         curvature = float(e.dot(strong)) / total if strong.max() > strong.min() else strong[0]
         if model is None:
             model = LowerModel(mean, grad, curvature)

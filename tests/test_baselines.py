@@ -6,7 +6,11 @@ import pytest
 
 from smoothmax import PointCloud, badoiu_clarkson, welzl_exact
 from smoothmax.baselines import _circumball
-from smoothmax.errors import ContractViolationError, UnsupportedDimensionError
+from smoothmax.errors import (
+    ConfigurationError,
+    ContractViolationError,
+    UnsupportedDimensionError,
+)
 from smoothmax.testkit import random_point_cloud
 
 
@@ -121,6 +125,14 @@ class TestBadoiuClarkson:
         cloud = random_point_cloud(2, 30, 2, "gaussian")
         result = badoiu_clarkson(cloud, 0.25)
         assert result.iterations == math.ceil(1.0 / 0.25 ** 2)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-160, 1e-200, 5e-324])
+    def test_count_above_the_planned_cap_is_refused(self, eps):
+        # 1e-6 plans 10^12 steps; 1e-160 and 1e-200 square to an overflowing
+        # or zero count, and 5e-324 is the smallest subnormal.
+        cloud = PointCloud(np.array([[0.0], [1.0]]))
+        with pytest.raises(ConfigurationError):
+            badoiu_clarkson(cloud, eps)
 
 
 class TestBaselineEquivariance:

@@ -8,7 +8,12 @@ import pytest
 
 from smoothmax import cli
 from smoothmax.cli import parse_points_csv
-from smoothmax.errors import EmptyInputError, EvaluationError, InputFormatError
+from smoothmax.errors import (
+    DivergenceError,
+    EmptyInputError,
+    EvaluationError,
+    InputFormatError,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -223,6 +228,44 @@ class TestSolveCommand:
         assert proc.returncode == 3
         assert "line 2, column 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("algorithm", ["smooth", "coreset", "exact"])
+    def test_overflowing_cloud_exit_3(self, tmp_path, algorithm):
+        path = tmp_path / "wide.csv"
+        path.write_text("1e154,0\n-1e154,0\n0,1\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", algorithm,
+                       "--epsilon", "0.1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "diagonal" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_coreset_count_over_budget_exit_4(self, two_point_file):
+        proc = run_cli("solve", "--input", two_point_file, "--algorithm", "coreset",
+                       "--epsilon", "1e-200", timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: solver failed: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_library_error_exit_4(self, two_point_file, monkeypatch, capsys):
+        def diverging_solve(cloud, config, **observers):
+            raise DivergenceError("non-finite gradient at iteration 3")
+
+        monkeypatch.setattr(cli, "solve_meb", diverging_solve)
+        assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                         "--epsilon", "0.1"]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: solver failed: non-finite gradient at iteration 3\n"
+
+    def test_program_fault_is_not_reported_as_solver_failure(self, two_point_file,
+                                                             monkeypatch):
+        def broken_solve(cloud, config, **observers):
+            raise TypeError("a bug, not a solver failure")
+
+        monkeypatch.setattr(cli, "solve_meb", broken_solve)
+        with pytest.raises(TypeError):
+            cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                      "--epsilon", "0.1"])
 
     def test_missing_file_exit_3(self):
         proc = run_cli("solve", "--input", "/nonexistent.csv", "--algorithm", "exact")

@@ -18,6 +18,7 @@ from smoothmax.errors import (
     ContractViolationError,
     DimensionMismatchError,
     EvaluationError,
+    SmoothmaxError,
     UnsupportedCapabilityError,
 )
 from smoothmax.core import component_values
@@ -170,6 +171,15 @@ class TestBoundsAndConditioning:
     def test_smoother_must_be_positive_and_finite(self, s):
         with pytest.raises(ValueError):
             SmoothingParams(s)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DomainConstants(np.array([0.0]), np.array([1.0]), 1.0),
+        lambda: DomainConstants(np.array([1.0]), np.array([1.0]), 0.0),
+        lambda: SmoothingParams(0.0),
+    ], ids=["strong_convexity", "gradient_norm_bound", "smoother"])
+    def test_invalid_constants_raise_library_errors(self, build):
+        with pytest.raises(SmoothmaxError):
+            build()
 
     def test_condition_number_contract(self):
         with pytest.raises(ContractViolationError):

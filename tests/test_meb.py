@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +12,12 @@ from smoothmax import (
     centroid_init,
     farthest_sq_distance,
     meb_gradient_bound,
-    radius_bounds,
     required_iterations_meb,
     solve_meb,
     welzl_exact,
 )
-from smoothmax import meb
-from smoothmax.errors import ContractViolationError
+from smoothmax import badoiu_clarkson, meb
+from smoothmax.errors import ConfigurationError, ContractViolationError
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
 
@@ -30,6 +31,34 @@ class TestPointCloud:
             PointCloud(np.zeros((0, 2)))
         with pytest.raises(ContractViolationError):
             cloud_of([0.0, math.nan])
+
+    def test_overflow_limit(self):
+        # 2^k scalings of one cloud, the widest whose squared diagonal keeps
+        # OVERFLOW_HEADROOM of room and the next, twice as wide.  Power-of-2
+        # scaling is exact, so inside the limit every algorithm gives the
+        # scaled answer of the unscaled cloud, with no overflow warning.
+        base = random_point_cloud(5, 60, 3, "gaussian").points
+        span = base.max(axis=0) - base.min(axis=0)
+        k = math.floor(math.log2(sys.float_info.max / meb.OVERFLOW_HEADROOM / (span @ span)) / 2)
+        with pytest.raises(ContractViolationError, match="diagonal"):
+            PointCloud(base * 2.0 ** (k + 1))
+        inside, scale = PointCloud(base * 2.0 ** k), 2.0 ** k
+        reference = solve_meb(PointCloud(base), MebConfig(0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_meb(inside, MebConfig(0.01))
+            coreset = badoiu_clarkson(inside, 0.1)
+            exact = welzl_exact(inside)
+        assert result.iterations == reference.iterations
+        assert result.radius == reference.radius * scale
+        assert result.certified_radius_lower == reference.certified_radius_lower * scale
+        assert coreset.radius == badoiu_clarkson(PointCloud(base), 0.1).radius * scale
+        assert exact.radius == pytest.approx(welzl_exact(PointCloud(base)).radius * scale)
+
+    def test_far_apart_points_still_solve(self):
+        cloud = cloud_of([1e100, 0.0], [-1e100, 0.0], [0.0, 1.0])
+        result = solve_meb(cloud, MebConfig(0.1))
+        assert result.radius <= 1.1 * welzl_exact(cloud).radius
 
     def test_shape_accessors(self):
         cloud = cloud_of([0.0, 0.0], [1.0, 2.0])
@@ -67,11 +96,6 @@ class TestFarthestSqDistance:
 
 
 class TestRadiusAndGradientBounds:
-    def test_radius_bounds_values(self):
-        assert radius_bounds(4.0) == (1.0, 2.0)
-        assert radius_bounds(0.0) == (0.0, 0.0)
-        assert radius_bounds(1.0) == (0.5, 1.0)
-
     def test_gradient_bound_values(self):
         assert meb_gradient_bound(4.0, 2.0) == pytest.approx(6.0 * math.sqrt(21.0))
         assert meb_gradient_bound(0.0, 2.0) == pytest.approx(6.0)
@@ -87,6 +111,13 @@ class TestRequiredIterationsMeb:
 
     def test_single_point(self):
         assert required_iterations_meb(1.0, 1) == 1
+
+    @pytest.mark.parametrize("eps", [1e-14, 5e-324])
+    def test_count_above_the_planned_cap_is_refused(self, eps):
+        with pytest.raises(ConfigurationError):
+            required_iterations_meb(eps, 64)
+        with pytest.raises(ConfigurationError):
+            solve_meb(cloud_of([0.0], [1.0]), MebConfig(eps))
 
     def test_quartering_epsilon_roughly_doubles(self):
         # the log(1 + 4/eps) factor keeps the ratio slightly above 2
@@ -136,8 +167,12 @@ class TestSolveMeb:
             cloud = random_point_cloud(seed, 50, 3, "gaussian")
             result = solve_meb(cloud, MebConfig(0.1))
             exact = welzl_exact(cloud, seed=seed).radius
-            assert result.radius_lower <= exact <= result.radius_upper
-            assert result.radius_upper == pytest.approx(2.0 * result.radius_lower)
+            root_f1 = math.sqrt(farthest_sq_distance(cloud, centroid_init(cloud))[0])
+            slack = 1.0 + 1e-9
+            assert 0.5 * root_f1 <= result.certified_radius_lower * slack
+            assert result.certified_radius_lower <= exact * slack
+            assert exact <= result.radius * slack
+            assert result.radius <= root_f1 * slack
 
     def test_planned_iterations_match_formula(self):
         cloud = random_point_cloud(11, 80, 3, "gaussian")
@@ -186,8 +221,8 @@ class TestSolveMeb:
             records.append((state, grad_y))
 
         result = solve_meb(cloud, MebConfig(0.05), iterate_observer=observer)
-        eps = result.epsilon_gap_used
         s = result.solve_report.s
+        eps = 2.0 * math.log(cloud.n) / s
         params = SmoothingParams(s)
         bound_core = math.sqrt(5.0 * exact ** 2 + 0.5 * eps)
         for state, _ in records:
@@ -324,7 +359,7 @@ class TestContinuation:
         exact = welzl_exact(cloud).radius
         dists = np.linalg.norm(cloud.points - result.center, axis=1)
         assert np.max(dists) <= result.radius * (1.0 + 1e-9)
-        assert result.certified_radius_lower == math.sqrt(max(r.lower_bound for r in reports))
+        assert result.certified_radius_lower == math.sqrt(lb)
         assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
         assert result.solve_report is reports[-1]
 
