@@ -274,7 +274,7 @@ def run_to_gap(
     # Each pass's model curvature sum_i p_i l_i costs one n-dot, unless
     # every l_i is L_s.
     strong = constants.per_component_strong_convexity
-    mixed = strong.max() > L_s
+    mixed = not constants.uniform_strong_convexity
 
     x = y = family.check_point(config.x1)  # later passes read agd_step's arrays
     weights = np.empty(n)  # the exp buffer of every pass

@@ -59,7 +59,7 @@ def _welzl_mtf(
         inside = False
         if center is not None:
             diff = pts[j] - center
-            inside = float(diff @ diff) <= r2 * (1.0 + _CONTAINS_SLACK) + 1e-30
+            inside = float(diff @ diff) <= r2 * (1.0 + _CONTAINS_SLACK)
         if not inside:
             center, r2, support = _welzl_mtf(pts, order[:i], boundary + [j])
             order.pop(i)

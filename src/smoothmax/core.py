@@ -113,7 +113,9 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
 def hessian_eig_bounds(constants: DomainConstants, params: SmoothingParams) -> tuple[float, float]:
     """Eigenvalue bracket of the smooth Hessian on the working set.
 
-    L_s = min_i l_i and U_s = s G^2 + max_i u_i.
+    The Hessian is s Cov_p(grad f_i) + E_p[hess f_i] (``smooth_hessian``),
+    so L_s = min_i l_i and U_s = s G^2 + max_i u_i, with G^2 a bound on
+    the top eigenvalue of Cov_p(grad f_i) (``DomainConstants``).
     """
     L_s = constants.min_strong_convexity
     U_s = params.s * constants.gradient_norm_bound ** 2 + constants.max_smoothness

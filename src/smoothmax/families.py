@@ -6,9 +6,10 @@ The solver reads a family only through two batch hooks, ``values_at`` and
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,14 +65,26 @@ class DomainConstants:
     """Curvature and gradient bounds valid on the working set of the solve.
 
     ``per_component_strong_convexity[i]`` and ``per_component_smoothness[i]``
-    bracket the eigenvalues of the i-th component Hessian; the gradient norm
-    bound is common to all components.  Generic callers assert their own
-    constants; the bounding-sphere module derives them analytically.
+    bracket the eigenvalues of the i-th component Hessian.  The gradient
+    bound G has two jobs: G^2 bounds the spread of the component gradients,
+    lambda_max(Cov_p(grad f_i(x))) for every probability vector p and every
+    x of the working set, which sets the smoothness U_s = s G^2 + max_i u_i;
+    and G bounds ||grad f_s|| at the start point, which bounds the initial
+    gap by G D.  A bound on every ||grad f_i|| over the working set does
+    both.  Generic callers assert their own constants; the bounding-sphere
+    module derives them analytically.
+
+    ``min_strong_convexity``, ``max_smoothness`` and
+    ``uniform_strong_convexity`` (every l_i equal) are taken once, on
+    construction.
     """
 
     per_component_strong_convexity: np.ndarray
     per_component_smoothness: np.ndarray
     gradient_norm_bound: float
+    min_strong_convexity: float = field(init=False, repr=False)
+    max_smoothness: float = field(init=False, repr=False)
+    uniform_strong_convexity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.asarray(self.per_component_strong_convexity, dtype=float)
@@ -82,17 +95,24 @@ class DomainConstants:
             raise DimensionMismatchError("constant vectors must be 1-D and of equal length")
         if not (np.all(lo > 0) and np.all(lo <= hi)):
             raise ContractViolationError("need 0 < strong_convexity[i] <= smoothness[i], all i")
+        object.__setattr__(self, "min_strong_convexity", float(lo.min()))
+        object.__setattr__(self, "max_smoothness", float(hi.max()))
+        object.__setattr__(self, "uniform_strong_convexity", bool(lo.max() == lo.min()))
+        self._check_gradient_norm_bound()
+
+    def _check_gradient_norm_bound(self) -> None:
         if not self.gradient_norm_bound > 0:
             raise ContractViolationError("gradient_norm_bound must be positive")
 
-    @property
-    def min_strong_convexity(self) -> float:
-        return float(np.min(self.per_component_strong_convexity))
-
-    @property
-    def max_smoothness(self) -> float:
-        """The pseudo-smoothness bound: max over component smoothness."""
-        return float(np.max(self.per_component_smoothness))
+    def with_gradient_norm_bound(self, gradient_norm_bound: float) -> "DomainConstants":
+        """These curvature bounds under a new G.  The arrays and their
+        reductions are shared, not taken or checked again as
+        ``dataclasses.replace`` would, so a solve made of several rounds
+        builds them once."""
+        other = copy.copy(self)
+        object.__setattr__(other, "gradient_norm_bound", gradient_norm_bound)
+        other._check_gradient_norm_bound()
+        return other
 
     @staticmethod
     def uniform(n: int, strong_convexity: float, smoothness: float,

@@ -4,15 +4,16 @@ The objective is f(x) = max_i ||x - c_i||^2.  Every constant the generic
 solver needs is derived analytically: component curvature is exactly 2,
 the radius bracket at the centroid gives the initial distance bound and the
 first lower bound on R^2 (which, with each round's relative gap, sets the
-smoother), and the gradient norm bound follows in closed form.  A solve is
-a short sequence of warm-started rounds at relative gaps 1, 1/4, 1/16, ...
-down to eps; each round stops as soon as its lower bound on R^2 certifies
-its (1+e_k) radius.
+smoother), and the max at a round's start point gives its gradient bound,
+which sets the smoothness.  A solve is a short sequence of warm-started rounds at relative
+gaps 1, 1/2, 1/4, ... down to eps; each round stops as soon as its lower
+bound on R^2 certifies its (1+e_k) radius.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,12 +31,18 @@ from .families import ComponentFamily, DomainConstants
 
 
 # Round k of a solve targets the relative gap max(eps, ROUND_GAP_RATIO^-k).
-ROUND_GAP_RATIO = 4.0
+ROUND_GAP_RATIO = 2.0
 # A cloud is refused unless its squared bounding-box diagonal D^2 times this
 # factor is finite.  A solve's largest intermediates are the t-weighted sums of
 # ``agd.LowerModel``; after T passes the squared slope sum has measured below
 # 1.2 (T^2 / 2)^2 D^2, so this covers a round of MAX_PLANNED_ITERATIONS = 2^31.
 OVERFLOW_HEADROOM = 2.0 ** 128
+# A cloud of distinct points is refused unless D^2 divided by this factor is a
+# normal double.  The smallest quantity a solve divides by is a round's gap
+# (2 e + e^2) f(x1) / 4, with e >= 2^-44 under the planned cap and
+# f(x1) >= D^2 / (4 d); squared distances below the normal range lose their
+# precision, or underflow to 0 and make distinct points look coincident.
+UNDERFLOW_HEADROOM = 2.0 ** 128
 
 
 @dataclass(frozen=True)
@@ -52,13 +59,18 @@ class PointCloud:
             )
         with np.errstate(over="ignore", invalid="ignore"):  # nan and inf fail this too
             span = pts.max(axis=0) - pts.min(axis=0)
-            room = float(span @ span) * OVERFLOW_HEADROOM
-        if not math.isfinite(room):
+            diagonal_sq = float(span @ span)
+        if not math.isfinite(diagonal_sq * OVERFLOW_HEADROOM):
             if not np.all(np.isfinite(pts)):
                 raise ContractViolationError("all coordinates must be finite")
             raise ContractViolationError(
                 f"the squared bounding-box diagonal times {OVERFLOW_HEADROOM:.3g} overflows; "
                 "rescale the points"
+            )
+        if span.any() and diagonal_sq / UNDERFLOW_HEADROOM < sys.float_info.min:
+            raise ContractViolationError(
+                f"the squared bounding-box diagonal divided by {UNDERFLOW_HEADROOM:.3g} "
+                "underflows; rescale the points"
             )
         object.__setattr__(self, "points", pts)
 
@@ -193,14 +205,24 @@ def solve_meb(
     """Approximate minimal bounding sphere with radius <= (1+eps) R.
 
     Smoother continuation: round k is a ``run_to_gap`` solve at the relative
-    gap e_k = max(eps, 4^-k) (1, 1/4, 1/16, ... down to eps), warm-started
+    gap e_k = max(eps, 2^-k) (1, 1/2, 1/4, ... down to eps), warm-started
     at the previous round's ``x_final`` (the centroid x1 for round 0).  Its
     absolute gap, which sets the smoother, is eps_abs = (2 e_k + e_k^2) lb
     with lb = max(f(x1) / 4, the highest lower bound the rounds so far
     proved).  Every pass's lower model bounds the true max, not f_s, so a
     bound stays valid under the next smoother, and lb <= R^2 keeps each
-    round's a-priori guarantee.  A round's cap is the single-shot count for
-    e_k, so the last round's is ``planned_iterations``.  A round stops
+    round's a-priori guarantee.
+
+    The gradient bound G of a round is 2 sqrt(f_top), with f_top the max
+    at its start point, the lowest max evaluated so far.  grad f_i(x) =
+    2 (x - c_i), so Cov_p(grad f_i) = 4 Cov_p(c_i) at every x, and its top
+    eigenvalue is at most 4 E_p ||c_i - x*||^2 <= 4 R^2 <= 4 f_top (x* the
+    exact centre): the smoothness is U_s = 4 s f_top + 2.  At the start
+    point, ||grad f_s|| = 2 ||x - E_p c_i|| <= 2 sqrt(f_top), so G also
+    bounds the initial gap by G D.  A round's cap is the smaller of
+    ``run_to_gap``'s own count under these bounds and the paper's
+    single-shot count for e_k (``required_iterations_meb``), so the last
+    round never runs longer than ``planned_iterations``.  A round stops
     once its own lower bound on R^2 proves f_best <= (1+e_k)^2 times it
     (``OptimizerConfig.relative_epsilon``); a coarse round that reaches its
     cap still holds its (1+e_k) guarantee.  ``certified_radius_lower`` is
@@ -229,15 +251,17 @@ def solve_meb(
         )
 
     planned = required_iterations_meb(eps_rel, cloud.n)
-    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound.
-    x_start, lb, steps, round_gap = x1, f1 / 4.0, 0, 1.0
+    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound;
+    # f_top, the max at a round's start point, is at least R^2.
+    x_start, lb, f_top, steps, round_gap = x1, f1 / 4.0, f1, 0, 1.0
+    # The curvature arrays are built once per solve; each round sets its G.
+    constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, 2.0 * math.sqrt(f_top))
     while True:
         round_gap = max(eps_rel, round_gap)
         epsilon_gap = (2.0 * round_gap + round_gap ** 2) * lb
-        g_bound = meb_gradient_bound(f1, epsilon_gap)
         report = run_to_gap(
             family,
-            DomainConstants.uniform(cloud.n, 2.0, 2.0, g_bound),
+            constants,
             OptimizerConfig(
                 epsilon=epsilon_gap,
                 x1=x_start,
@@ -250,10 +274,11 @@ def solve_meb(
         )
         steps += report.iterations_run
         lb = max(lb, report.lower_bound)
-        x_start = report.x_final
+        x_start, f_top = report.x_final, report.f_final
         if round_gap == eps_rel:
             break
         round_gap /= ROUND_GAP_RATIO
+        constants = constants.with_gradient_norm_bound(2.0 * math.sqrt(f_top))
 
     radius, radius_lb = math.sqrt(report.f_final), math.sqrt(lb)
     return MebResult(

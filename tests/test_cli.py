@@ -240,6 +240,19 @@ class TestSolveCommand:
         assert "diagonal" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("algorithm", ["smooth", "coreset", "exact"])
+    def test_underflowing_cloud_exit_3(self, tmp_path, algorithm):
+        # Squared distances of 1e-320 used to give "radius": 0.0 from exact
+        # and a non-finite smoother (exit 4) from smooth.
+        path = tmp_path / "tiny.csv"
+        path.write_text("1e-160,0\n-1e-160,0\n0,1e-160\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", algorithm,
+                       "--epsilon", "0.1")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "diagonal" in proc.stderr
+        assert proc.stdout == ""
+
     def test_coreset_count_over_budget_exit_4(self, two_point_file):
         proc = run_cli("solve", "--input", two_point_file, "--algorithm", "coreset",
                        "--epsilon", "1e-200", timeout=60)

@@ -163,6 +163,17 @@ class TestBoundsAndConditioning:
         constants = DomainConstants(np.array([1.0, 3.0]), np.array([2.0, 5.0]), 2.0)
         assert hessian_eig_bounds(constants, SmoothingParams(3.0)) == (1.0, 17.0)
 
+    def test_new_gradient_bound_shares_the_curvature(self):
+        base = DomainConstants(np.array([1.0, 3.0]), np.array([2.0, 5.0]), 2.0)
+        other = base.with_gradient_norm_bound(4.0)
+        assert (base.gradient_norm_bound, other.gradient_norm_bound) == (2.0, 4.0)
+        assert other.per_component_strong_convexity is base.per_component_strong_convexity
+        assert (other.min_strong_convexity, other.max_smoothness) == (1.0, 5.0)
+        assert not other.uniform_strong_convexity
+        assert hessian_eig_bounds(other, SmoothingParams(1.0)) == (1.0, 21.0)
+        with pytest.raises(ContractViolationError):
+            base.with_gradient_norm_bound(0.0)
+
     @pytest.mark.parametrize("L,U,expected", [(2.0, 2.0, 1.0), (2.0, 102.0, 51.0), (1.0, 17.0, 17.0)])
     def test_condition_number(self, L, U, expected):
         assert condition_number(L, U) == pytest.approx(expected)

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from smoothmax import (
     solve_meb,
     welzl_exact,
 )
-from smoothmax import badoiu_clarkson, meb
+from smoothmax import BoundingSphereFamily, SmoothingParams, badoiu_clarkson, core, meb
 from smoothmax.errors import ConfigurationError, ContractViolationError
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
@@ -54,6 +55,34 @@ class TestPointCloud:
         assert result.certified_radius_lower == reference.certified_radius_lower * scale
         assert coreset.radius == badoiu_clarkson(PointCloud(base), 0.1).radius * scale
         assert exact.radius == pytest.approx(welzl_exact(PointCloud(base)).radius * scale)
+
+    def test_underflow_limit(self):
+        # 2^-k scalings of one cloud, the narrowest whose squared diagonal keeps
+        # UNDERFLOW_HEADROOM of room above the normal doubles and the next,
+        # half as wide.  Inside the limit every algorithm gives the scaled
+        # answer of the unscaled cloud; coincident points still solve to 0.
+        base = random_point_cloud(5, 60, 3, "gaussian").points
+        span = base.max(axis=0) - base.min(axis=0)
+        k = math.floor(math.log2((span @ span) / meb.UNDERFLOW_HEADROOM / sys.float_info.min) / 2)
+        with pytest.raises(ContractViolationError, match="diagonal"):
+            PointCloud(base * 2.0 ** -(k + 1))
+        with pytest.raises(ContractViolationError, match="diagonal"):
+            cloud_of([1e-160, 0.0], [-1e-160, 0.0], [0.0, 1e-160])
+        inside, scale = PointCloud(base * 2.0 ** -k), 2.0 ** -k
+        reference = solve_meb(PointCloud(base), MebConfig(0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_meb(inside, MebConfig(0.01))
+            coreset = badoiu_clarkson(inside, 0.1)
+            exact = welzl_exact(inside)
+        assert result.iterations == reference.iterations
+        assert result.radius == reference.radius * scale
+        assert result.certified_radius_lower == reference.certified_radius_lower * scale
+        assert coreset.radius == badoiu_clarkson(PointCloud(base), 0.1).radius * scale
+        assert exact.radius == pytest.approx(welzl_exact(PointCloud(base)).radius * scale)
+        coincident = cloud_of([1e-300, 0.0], [1e-300, 0.0])
+        assert solve_meb(coincident, MebConfig(0.1)).radius == 0.0
+        assert badoiu_clarkson(coincident, 0.1).radius == welzl_exact(coincident).radius == 0.0
 
     def test_far_apart_points_still_solve(self):
         cloud = cloud_of([1e100, 0.0], [-1e100, 0.0], [0.0, 1.0])
@@ -148,6 +177,15 @@ class TestSolveMeb:
         result = solve_meb(cloud, MebConfig(eps))
         exact = welzl_exact(cloud, seed=seed).radius
         assert result.radius <= (1.0 + eps) * exact * (1.0 + 1e-9)
+
+    def test_small_epsilon_certifies_in_few_steps(self):
+        # A U_s of s G^2 + 2 (G = 6 sqrt(5 f(x1) + gap/2)) instead of
+        # 4 s f_top + 2 took 41667 steps here.
+        cloud = cloud_of([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.3, 0.2])
+        result = solve_meb(cloud, MebConfig(1e-6))
+        assert result.solve_report.stop_reason == "certified"
+        assert result.iterations <= 8000
+        assert result.radius <= (1.0 + 1e-6) * result.certified_radius_lower * (1.0 + 1e-12)
 
     def test_enclosure_is_by_construction(self):
         cloud = random_point_cloud(3, 60, 3, "gaussian")
@@ -311,8 +349,33 @@ def test_certified_solves_prove_their_own_ratio(kind, seed, offset, eps):
     if result.solve_report.stop_reason == "certified":
         assert result.radius <= (1.0 + eps) * lower * (1.0 + 1e-12)
     else:
-        # The last round ran its full a-priori count.
-        assert result.solve_report.iterations_run == result.planned_iterations
+        # The last round ran its full cap: the smaller of run_to_gap's own
+        # a-priori count and the paper's.
+        report = result.solve_report
+        assert report.iterations_run == min(report.planned_iterations, result.planned_iterations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(CLOUD_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    s_times_r2=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+    distance=st.sampled_from([0.0, 3.0, 1e3]),
+)
+def test_smooth_hessian_is_within_the_spread_bound(kind, seed, s_times_r2, distance):
+    # The Hessian of f_s is 2 I + 4 s Cov_p(c_i) at every x, and
+    # lambda_max(Cov_p(c_i)) <= E_p ||c_i - x*||^2 <= R^2, so
+    # U_s = 4 s R^2 + 2 holds inside the hull (distance 0) and far outside.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    cloud = soundness_cloud(kind, seed, int(rng.integers(2, 121)), dim)
+    exact = welzl_exact(cloud).radius
+    s = s_times_r2 / exact ** 2
+    inside = rng.dirichlet(np.ones(cloud.n)) @ cloud.points
+    direction = rng.standard_normal(dim)
+    x = inside + distance * exact * direction / np.linalg.norm(direction)
+    hessian = core.smooth_hessian(BoundingSphereFamily(cloud), SmoothingParams(s), x)
+    assert np.linalg.eigvalsh(hessian)[-1] <= 2.0 + 4.0 * s * exact ** 2 * (1.0 + 1e-9)
 
 
 def test_certified_ratio_is_none_without_a_positive_lower_radius():
@@ -331,20 +394,26 @@ class TestContinuation:
         assert rows == states == list(range(2, result.iterations + 2))
 
     def test_rounds_follow_the_schedule_and_the_proved_bound(self, monkeypatch):
-        # With every cap at 2 steps, every round of this cloud reaches it.
+        # With every cap at 2 steps and no round able to certify, every round
+        # reaches its cap.
         configs, reports, run_to_gap = [], [], meb.run_to_gap
 
         def recording_run_to_gap(family, constants, config, **observers):
             configs.append(config)
-            reports.append(run_to_gap(family, constants, config, **observers))
+            uncertifiable = replace(config, relative_epsilon=1e-12)
+            reports.append(run_to_gap(family, constants, uncertifiable, **observers))
             return reports[-1]
 
         monkeypatch.setattr(meb, "required_iterations_meb", lambda eps, n: 2)
         monkeypatch.setattr(meb, "run_to_gap", recording_run_to_gap)
         cloud = random_point_cloud(2, 200, 3, "clustered")
         result = solve_meb(cloud, MebConfig(0.01))
-        assert [c.relative_epsilon for c in configs] == [1.0, 0.25, 0.0625, 0.015625, 0.01]
-        assert all(r.iterations_run == 2 and r.stop_reason == "override" for r in reports)
+        assert [c.relative_epsilon for c in configs] == [
+            1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
+        ]
+        assert all(r.iterations_run == 2 for r in reports)
+        assert all(r.stop_reason == ("planned" if r.planned_iterations <= 2 else "override")
+                   for r in reports)
         assert result.iterations == 2 * len(reports)
         assert result.planned_iterations == 2
         f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
@@ -362,6 +431,32 @@ class TestContinuation:
         assert result.certified_radius_lower == math.sqrt(lb)
         assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
         assert result.solve_report is reports[-1]
+
+    @pytest.mark.parametrize("kind,offset", [("gaussian", 0.0), ("clustered", 1e6),
+                                             ("sphere_surface", 1e8)])
+    def test_rounds_at_their_caps_keep_the_a_priori_guarantee(self, monkeypatch, kind, offset):
+        # No round can certify, so each runs to its cap, run_to_gap's own
+        # count under G = 2 sqrt(f_top), which is below the paper's, and
+        # still proves its (1+e_k) radius a priori.
+        configs, reports, run_to_gap = [], [], meb.run_to_gap
+
+        def uncertified_run_to_gap(family, constants, config, **observers):
+            configs.append(config)
+            uncertifiable = replace(config, relative_epsilon=1e-12)
+            reports.append(run_to_gap(family, constants, uncertifiable, **observers))
+            return reports[-1]
+
+        monkeypatch.setattr(meb, "run_to_gap", uncertified_run_to_gap)
+        base = random_point_cloud(4, 150, 3, kind)
+        exact = welzl_exact(base).radius
+        result = solve_meb(PointCloud(base.points + offset), MebConfig(0.01))
+        for config, report in zip(configs, reports):
+            assert report.stop_reason == "planned"
+            assert report.iterations_run == report.planned_iterations
+            assert report.planned_iterations < config.max_iterations_override
+            assert math.sqrt(report.f_final) <= (1.0 + config.relative_epsilon) * exact * (1.0 + 1e-9)
+        assert result.iterations == sum(r.iterations_run for r in reports)
+        assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
 
     def test_relative_epsilon_one_is_one_round(self):
         cloud = random_point_cloud(3, 60, 3, "gaussian")
