@@ -36,7 +36,6 @@ from .meb import (
     PointCloud,
     centroid_init,
     farthest_sq_distance,
-    meb_gradient_bound,
     required_iterations_meb,
     solve_meb,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "BoundingSphereFamily",
     "centroid_init",
     "farthest_sq_distance",
-    "meb_gradient_bound",
     "required_iterations_meb",
     "solve_meb",
     "ExactMebResult",

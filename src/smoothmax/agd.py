@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (  # smooth_gradient and smooth_value stay importable from here
     component_values,
     condition_number,
-    hessian_eig_bounds,
+    shifted_pass,
     smooth_gradient,
     smooth_pass,
     smooth_value,
@@ -214,6 +214,191 @@ def required_iterations_general(
     return math.ceil(1.0 + root * math.log(log_arg))
 
 
+class Round(NamedTuple):
+    """The scalars of one round of ``run_rounds``, as ``plan_round`` derives
+    them.  ``params`` drives the passes; ``s`` is the reported smoother (0 for
+    n = 1, where any smoother is exact).  ``planned`` is the a-priori count and
+    ``cap`` the smaller of it and the override.  ``epsilon`` is the absolute
+    gap, and ``relative_epsilon``, when set, the relative stop (see
+    ``OptimizerConfig``).  ``distance`` is D, and ``regret`` log(n) / s."""
+
+    params: SmoothingParams
+    s: float
+    L_s: float
+    U_s: float
+    kappa_s: float
+    G_s: float
+    planned: int
+    cap: int
+    epsilon: float
+    relative_epsilon: float | None
+    distance: float
+    regret: float
+
+
+# Called as round_end(x_best, f_best, lb_best, steps, stop_reason) when a
+# round of ``run_rounds`` stops, with its lowest max and where it was found,
+# its best lower bound, its step count and why it stopped.  It returns the
+# next round, or None to end the solve.
+RoundEnd = Callable[[np.ndarray, float, float, int, str], "Round | None"]
+
+
+def plan_round(
+    n: int,
+    epsilon: float,
+    distance: float,
+    G_s: float,
+    min_strong_convexity: float,
+    max_smoothness: float,
+    max_iterations_override: int | None = None,
+    relative_epsilon: float | None = None,
+) -> Round:
+    """Pick s for the absolute gap ``epsilon`` and derive a round's constants.
+
+    The epsilon budget is split evenly between smoothing regret and
+    optimization gap; both halves are baked into the a-priori iteration
+    count, which caps the round (as does a smaller override).  U_s = s G^2
+    + max_i u_i, as ``core.hessian_eig_bounds`` gives it.
+    """
+    if n == 1:
+        # Already smooth: s = 0, zero regret.  A pass over one component is
+        # exact at any smoother (e = [1], S = 1), so params only drives it.
+        s, regret, params = 0.0, 0.0, SmoothingParams(1.0)
+        L_s, U_s = min_strong_convexity, max_smoothness
+    else:
+        s = smoother_for_gap(epsilon, n)
+        params = SmoothingParams(s)
+        L_s, U_s = min_strong_convexity, s * G_s ** 2 + max_smoothness
+        regret = math.log(n) / s  # == epsilon / 2 by choice of s
+    kappa_s = condition_number(L_s, U_s)
+
+    planned = required_iterations_general(epsilon, n, G_s, L_s, max_smoothness, distance)
+    if planned > MAX_PLANNED_ITERATIONS:
+        raise ConfigurationError(
+            f"planned iteration count {planned} exceeds {MAX_PLANNED_ITERATIONS}; "
+            "relax epsilon or supply tighter constants"
+        )
+    cap = planned if max_iterations_override is None else min(planned, max_iterations_override)
+    return Round(params, s, L_s, U_s, kappa_s, G_s, planned, cap, epsilon, relative_epsilon,
+                 distance, regret)
+
+
+def run_rounds(
+    family: ComponentFamily,
+    x1: np.ndarray,
+    first: Round,
+    round_end: RoundEnd | None = None,
+    strong_convexity: np.ndarray | None = None,
+    progress: ProgressCallback | None = None,
+    iterate_observer: IterateObserver | None = None,
+) -> SolveReport:
+    """The accelerated step loop: a sequence of rounds from x1, each stepping
+    until its gap is certified or its cap runs out; ``round_end`` plans the
+    round after each (none: ``first`` is the only round).
+
+    Each step makes one pass at the new y.  It gives the next gradient, the
+    ``progress`` value, the true max at y, and that pass's lower model of the
+    max (``lower_bound``), which also joins the round's running ``LowerModel``
+    average.  A round's ``lb_best`` is the highest of both bounds over its
+    passes, and ``f_best`` the lowest max of the solve, at ``x_best``.  After
+    each step, the round stops once f_best - lb_best <= epsilon - CERTIFY_MARGIN
+    |f_best|, or, with ``relative_epsilon`` set, once f_best - (1 +
+    relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN |f_best|.  At the cap, one
+    values pass at x_T adds it as a candidate, and the certificate is the
+    smaller of the proven gap and the a-priori bound.
+
+    A new round restarts the momentum at ``x_best``.  Its first pass there
+    evaluates no values: the shifted values s (f_i - f_best) kept from the
+    pass that found ``x_best`` are rescaled to the new s (``shifted_pass``).
+    ``strong_convexity`` holds the l_i when they differ; each pass's model
+    curvature is then sum_i p_i l_i, one n-dot, and L_s otherwise.
+
+    The observers see one step counter t across the rounds, from 2 to the
+    total steps + 1.  The report is the last round's.
+    """
+    rnd, offset = first, 0
+    weights = np.empty(family.n)  # the exp buffer of every pass
+    x_best = family.check_point(x1)  # later passes read agd_step's arrays
+    _, grad, _, total, f_best, mean_value, shifted_best = smooth_pass(
+        family, rnd.params, x_best, out=weights)
+    shifted_s = rnd.params.s  # the smoother shifted_best is scaled by
+    while True:
+        params, L_s, U_s = rnd.params, rnd.L_s, rnd.U_s
+        if rnd.relative_epsilon is None:
+            lb_scale, target = 1.0, rnd.epsilon
+        else:
+            lb_scale, target = (1.0 + rnd.relative_epsilon) ** 2, 0.0
+        momentum = momentum_for(rnd.kappa_s)
+        x = y = x_best
+        grad_sq = float(grad.dot(grad))
+        curvature = L_s
+        if strong_convexity is not None:
+            curvature = float(weights.dot(strong_convexity)) / total
+        model = LowerModel(mean_value, grad, curvature)
+        lb_best = lower_bound(mean_value, grad_sq, curvature)
+        for t in range(2, rnd.cap + 2):  # step t - 1 -> t of this round
+            # A finite grad . grad proves a finite gradient; only a non-finite
+            # one (which an overflow of finite entries can also give) scans it.
+            if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
+                raise DivergenceError(f"non-finite gradient at iteration {t - 1 + offset}",
+                                      iterate=y)
+            grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, y
+            x, y = agd_step(x, y, grad_at_y, U_s, momentum)
+            value, grad, _, total, max_value, mean_value, shifted = smooth_pass(
+                family, params, y, out=weights)
+            if progress is not None:
+                progress(t + offset, value, math.sqrt(grad_sq_at_y))
+            if iterate_observer is not None:
+                iterate_observer(OptimizerState(x, y, t + offset), grad_at_y)
+            grad_sq = float(grad.dot(grad))
+            if strong_convexity is not None:
+                curvature = float(weights.dot(strong_convexity)) / total
+            model.add(y - y_previous, mean_value, grad, curvature)
+            lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
+            if max_value < f_best:
+                x_best, f_best, shifted_best, shifted_s = y, max_value, shifted, params.s
+            if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
+                stop_reason, a_priori = "certified", math.inf
+                break
+        else:
+            stop_reason = "planned" if rnd.cap == rnd.planned else "override"
+            # x_T is a candidate, so the a-priori bound covers x_final too.
+            # Finite: component_values raises on nan or +inf.
+            values, top = component_values(family, x)
+            if values[top] < f_best:
+                x_best, f_best = x, float(values[top])
+                values -= f_best
+                values *= params.s
+                shifted_best, shifted_s = values, params.s
+            a_priori = gap_bound(rnd.cap, L_s, rnd.kappa_s, rnd.distance,
+                                 rnd.G_s * rnd.distance) + rnd.regret
+        steps = t - 1
+        following = None if round_end is None else round_end(
+            x_best, f_best, lb_best, steps, stop_reason)
+        if following is None:
+            break
+        rnd, offset = following, offset + steps
+        shifted_best *= rnd.params.s / shifted_s
+        shifted_s = rnd.params.s
+        _, grad, _, total, _, mean_value, _ = shifted_pass(
+            family, rnd.params, x_best, shifted_best, f_best, out=weights)
+    certificate = min(max(0.0, f_best - lb_best), a_priori)
+    return SolveReport(
+        x_final=x_best,
+        iterations_run=steps,
+        planned_iterations=rnd.planned,
+        s=rnd.s,
+        L_s=L_s,
+        U_s=U_s,
+        kappa_s=rnd.kappa_s,
+        g_s=rnd.G_s,
+        f_final=f_best,
+        gap_certificate=certificate,
+        lower_bound=lb_best,
+        stop_reason=stop_reason,
+    )
+
+
 def run_to_gap(
     family: ComponentFamily,
     constants: DomainConstants,
@@ -221,112 +406,23 @@ def run_to_gap(
     progress: ProgressCallback | None = None,
     iterate_observer: IterateObserver | None = None,
 ) -> SolveReport:
-    """Full smoothed solve: pick s, derive constants, step until the gap
-    is certified.
-
-    The epsilon budget is split evenly between smoothing regret and
-    optimization gap; both halves are baked into the a-priori iteration
-    count, which caps the run (as does a smaller ``max_iterations_override``).
-    Each step makes one pass at the new y.  It gives the next gradient, the
-    ``progress`` value, the true max at y, and that pass's lower model of the
-    max (``lower_bound``), which also joins the running ``LowerModel``
-    average.  ``lb_best`` is the highest of both bounds over x1 and every y
-    so far, and ``f_best`` the lowest max.  After each step, the solve stops
-    once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|, or, with
-    ``config.relative_epsilon`` set, once f_best - (1 + relative_epsilon)^2
-    lb_best <= -CERTIFY_MARGIN |f_best|.  At the cap, one values pass at x_T
-    adds it as a candidate, and the certificate is the smaller of the proven
-    gap and the a-priori bound.
-    """
-    n = family.n
-    distance = config.initial_distance_bound
-    G_s = constants.gradient_norm_bound
-
-    if n == 1:
-        # Already smooth: s = 0, zero regret.  A pass over one component is
-        # exact at any smoother (e = [1], S = 1), so params only drives it.
-        s, regret, params = 0.0, 0.0, SmoothingParams(1.0)
-        L_s, U_s = constants.min_strong_convexity, constants.max_smoothness
-    else:
-        s = smoother_for_gap(config.epsilon, n)
-        params = SmoothingParams(s)
-        L_s, U_s = hessian_eig_bounds(constants, params)
-        regret = math.log(n) / s  # == epsilon / 2 by choice of s
-    kappa_s = condition_number(L_s, U_s)
-
-    planned = required_iterations_general(
-        config.epsilon, n, G_s, L_s, constants.max_smoothness, distance
+    """Full smoothed solve: pick s, derive constants (``plan_round``), step
+    until the gap is certified (``run_rounds``, one round)."""
+    first = plan_round(
+        family.n,
+        config.epsilon,
+        config.initial_distance_bound,
+        constants.gradient_norm_bound,
+        constants.min_strong_convexity,
+        constants.max_smoothness,
+        config.max_iterations_override,
+        config.relative_epsilon,
     )
-    if planned > MAX_PLANNED_ITERATIONS:
-        raise ConfigurationError(
-            f"planned iteration count {planned} exceeds {MAX_PLANNED_ITERATIONS}; "
-            "relax epsilon or supply tighter constants"
-        )
-    iterations = planned
-    if config.max_iterations_override is not None:
-        iterations = min(iterations, config.max_iterations_override)
-
-    if config.relative_epsilon is None:
-        lb_scale, target = 1.0, config.epsilon
-    else:
-        lb_scale, target = (1.0 + config.relative_epsilon) ** 2, 0.0
-    momentum = momentum_for(kappa_s)
-    # Each pass's model curvature sum_i p_i l_i costs one n-dot, unless
-    # every l_i is L_s.
-    strong = constants.per_component_strong_convexity
-    mixed = not constants.uniform_strong_convexity
-
-    x = y = family.check_point(config.x1)  # later passes read agd_step's arrays
-    weights = np.empty(n)  # the exp buffer of every pass
-    _, grad, _, total, f_best, mean_value = smooth_pass(family, params, y, out=weights)
-    grad_sq = float(grad.dot(grad))
-    curvature = float(weights.dot(strong)) / total if mixed else L_s
-    model = LowerModel(mean_value, grad, curvature)
-    x_best, lb_best = y, lower_bound(mean_value, grad_sq, curvature)
-    for t in range(2, iterations + 2):  # step t - 1 -> t
-        # A finite grad . grad proves a finite gradient; only a non-finite
-        # one (which an overflow of finite entries can also give) scans it.
-        if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
-            raise DivergenceError(f"non-finite gradient at iteration {t - 1}", iterate=y)
-        grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, y
-        x, y = agd_step(x, y, grad_at_y, U_s, momentum)
-        value, grad, _, total, max_value, mean_value = smooth_pass(family, params, y, out=weights)
-        if progress is not None:
-            progress(t, value, math.sqrt(grad_sq_at_y))
-        if iterate_observer is not None:
-            iterate_observer(OptimizerState(x, y, t), grad_at_y)
-        grad_sq = float(grad.dot(grad))
-        curvature = float(weights.dot(strong)) / total if mixed else L_s
-        model.add(y - y_previous, mean_value, grad, curvature)
-        lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
-        if max_value < f_best:
-            x_best, f_best = y, max_value
-        if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
-            stop_reason, a_priori = "certified", math.inf
-            break
-    else:
-        stop_reason = "planned" if iterations == planned else "override"
-        # x_T is a candidate, so the a-priori bound covers x_final too.
-        # Finite: component_values raises on nan or +inf.
-        values, top = component_values(family, x)
-        if values[top] < f_best:
-            x_best, f_best = x, float(values[top])
-        a_priori = gap_bound(iterations, L_s, kappa_s, distance, G_s * distance) + regret
-    certificate = min(max(0.0, f_best - lb_best), a_priori)
-    return SolveReport(
-        x_final=x_best,
-        iterations_run=t - 1,
-        planned_iterations=planned,
-        s=s,
-        L_s=L_s,
-        U_s=U_s,
-        kappa_s=kappa_s,
-        g_s=G_s,
-        f_final=f_best,
-        gap_certificate=certificate,
-        lower_bound=lb_best,
-        stop_reason=stop_reason,
-    )
+    strong = None
+    if not constants.uniform_strong_convexity:
+        strong = constants.per_component_strong_convexity
+    return run_rounds(family, config.x1, first, strong_convexity=strong, progress=progress,
+                      iterate_observer=iterate_observer)
 
 
 def run_online(

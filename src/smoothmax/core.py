@@ -42,25 +42,45 @@ def smooth_pass(
     x: np.ndarray,
     gradient: bool = True,
     out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float]:
+) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float, np.ndarray]:
     """The one evaluation pass every smoothed quantity at x is read from.
 
-    values -> max m -> e_i = exp(max(s (f_i(x) - m), EXP_FLOOR)), written to
-    ``out`` (shape (n,); a new array when None) -> S = sum_i e_i ->
-    grad f_s(x) = combined_gradient(x, e) / S (skipped when ``gradient`` is
-    false) -> f_s(x) = m + log(S) / s, and the softmax-weighted mean
-    sum_i p_i f_i(x) = m + e . (s (f - m)) / (s S), taken from the unfloored
-    exponents.
+    values -> max m -> shifted values s (f_i(x) - m) -> ``shifted_pass``.
 
     ``x`` must be a float array of shape (dim,), as ``family.check_point``
-    returns; the public wrappers check it, and run_to_gap checks x1 once.
-    Returns ``(value, gradient, e, S, max_value, mean_value)``; the softmax
-    weights are e / S.
+    returns; the public wrappers check it, and run_rounds checks x1 once.
+    Returns ``(value, gradient, e, S, max_value, mean_value, shifted)``, as
+    ``shifted_pass`` does.
     """
     shifted, max_index = component_values(family, x)
     max_value = float(shifted[max_index])
     shifted -= max_value
     shifted *= params.s
+    return shifted_pass(family, params, x, shifted, max_value, gradient, out)
+
+
+def shifted_pass(
+    family: ComponentFamily,
+    params: SmoothingParams,
+    x: np.ndarray,
+    shifted: np.ndarray,
+    max_value: float,
+    gradient: bool = True,
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float, np.ndarray]:
+    """A pass from the shifted values ``shifted`` = s (f_i(x) - m), with m =
+    ``max_value`` the max at x, on: no values are evaluated, so values kept
+    from an earlier pass at x, rescaled to a new s, give that smoother's
+    pass at x.
+
+    e_i = exp(max(shifted_i, EXP_FLOOR)), written to ``out`` (shape (n,); a
+    new array when None) -> S = sum_i e_i -> grad f_s(x) =
+    combined_gradient(x, e) / S (skipped when ``gradient`` is false) ->
+    f_s(x) = m + log(S) / s, and the softmax-weighted mean
+    sum_i p_i f_i(x) = m + e . shifted / (s S), taken from the unfloored
+    exponents.  Returns ``(value, gradient, e, S, max_value, mean_value,
+    shifted)``; the softmax weights are e / S.
+    """
     weights = np.maximum(shifted, EXP_FLOOR, out=out)
     np.exp(weights, out=weights)
     total = float(weights.sum())
@@ -69,7 +89,7 @@ def smooth_pass(
     # The products e_i s (f_i - m) stay normal doubles, as a floored e_i
     # meets |s (f_i - m)| >= 700; e_i (f_i - m) can be subnormal at large s.
     mean_value = max_value + float(weights.dot(shifted)) / (params.s * total)
-    return value, grad, weights, total, max_value, mean_value
+    return value, grad, weights, total, max_value, mean_value, shifted
 
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:

@@ -6,7 +6,6 @@ The solver reads a family only through two batch hooks, ``values_at`` and
 
 from __future__ import annotations
 
-import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -98,21 +97,8 @@ class DomainConstants:
         object.__setattr__(self, "min_strong_convexity", float(lo.min()))
         object.__setattr__(self, "max_smoothness", float(hi.max()))
         object.__setattr__(self, "uniform_strong_convexity", bool(lo.max() == lo.min()))
-        self._check_gradient_norm_bound()
-
-    def _check_gradient_norm_bound(self) -> None:
         if not self.gradient_norm_bound > 0:
             raise ContractViolationError("gradient_norm_bound must be positive")
-
-    def with_gradient_norm_bound(self, gradient_norm_bound: float) -> "DomainConstants":
-        """These curvature bounds under a new G.  The arrays and their
-        reductions are shared, not taken or checked again as
-        ``dataclasses.replace`` would, so a solve made of several rounds
-        builds them once."""
-        other = copy.copy(self)
-        object.__setattr__(other, "gradient_norm_bound", gradient_norm_bound)
-        other._check_gradient_norm_bound()
-        return other
 
     @staticmethod
     def uniform(n: int, strong_convexity: float, smoothness: float,

@@ -14,20 +14,21 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agd import (
+from .agd import (  # run_to_gap stays importable from here
     MAX_PLANNED_ITERATIONS,
     IterateObserver,
-    OptimizerConfig,
     ProgressCallback,
     SolveReport,
+    plan_round,
+    run_rounds,
     run_to_gap,
 )
 from .errors import ConfigurationError, ContractViolationError
-from .families import ComponentFamily, DomainConstants
+from .families import ComponentFamily
 
 
 # Round k of a solve targets the relative gap max(eps, ROUND_GAP_RATIO^-k).
@@ -172,13 +173,6 @@ def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:
     return float(sq[idx]), idx
 
 
-def meb_gradient_bound(f_at_x1: float, epsilon_gap: float) -> float:
-    """Common gradient norm bound over all iterates: 6 sqrt(5 f(x1) + eps/2)."""
-    if f_at_x1 < 0 or not epsilon_gap > 0:
-        raise ContractViolationError("need f_at_x1 >= 0 and epsilon_gap > 0")
-    return 6.0 * math.sqrt(5.0 * f_at_x1 + 0.5 * epsilon_gap)
-
-
 def required_iterations_meb(relative_epsilon: float, n: int) -> int:
     """Closed-form sufficient iteration count for the (1+eps) guarantee:
     ceil(1 + log(1 + 4/eps) sqrt(1 + 18 (1 + 20/eps) log n)).  A count above
@@ -204,14 +198,16 @@ def solve_meb(
 ) -> MebResult:
     """Approximate minimal bounding sphere with radius <= (1+eps) R.
 
-    Smoother continuation: round k is a ``run_to_gap`` solve at the relative
-    gap e_k = max(eps, 2^-k) (1, 1/2, 1/4, ... down to eps), warm-started
-    at the previous round's ``x_final`` (the centroid x1 for round 0).  Its
-    absolute gap, which sets the smoother, is eps_abs = (2 e_k + e_k^2) lb
-    with lb = max(f(x1) / 4, the highest lower bound the rounds so far
-    proved).  Every pass's lower model bounds the true max, not f_s, so a
-    bound stays valid under the next smoother, and lb <= R^2 keeps each
-    round's a-priori guarantee.
+    Smoother continuation: one ``run_rounds`` loop, whose round k targets
+    the relative gap e_k = max(eps, 2^-k) (1, 1/2, 1/4, ... down to eps).
+    Round 0 starts at the centroid x1; each later round restarts the
+    momentum at the best point so far, the previous round's ``x_final``,
+    from the values kept there (no values pass).  Its absolute gap, which
+    sets the smoother, is eps_abs = (2 e_k + e_k^2) lb with lb = max(f(x1) /
+    4, the highest lower bound the rounds so far proved).  Each round
+    certifies from its own passes.  Every pass's lower model bounds the true
+    max, not f_s, so a bound stays valid under the next smoother, and
+    lb <= R^2 keeps each round's a-priori guarantee.
 
     The gradient bound G of a round is 2 sqrt(f_top), with f_top the max
     at its start point, the lowest max evaluated so far.  grad f_i(x) =
@@ -220,27 +216,27 @@ def solve_meb(
     exact centre): the smoothness is U_s = 4 s f_top + 2.  At the start
     point, ||grad f_s|| = 2 ||x - E_p c_i|| <= 2 sqrt(f_top), so G also
     bounds the initial gap by G D.  A round's cap is the smaller of
-    ``run_to_gap``'s own count under these bounds and the paper's
+    its own count under these bounds (``plan_round``) and the paper's
     single-shot count for e_k (``required_iterations_meb``), so the last
     round never runs longer than ``planned_iterations``.  A round stops
     once its own lower bound on R^2 proves f_best <= (1+e_k)^2 times it
-    (``OptimizerConfig.relative_epsilon``); a coarse round that reaches its
+    (``Round.relative_epsilon``); a coarse round that reaches its
     cap still holds its (1+e_k) guarantee.  ``certified_radius_lower`` is
     sqrt(lb) after the last round, so a certified solve gives
     radius <= (1+eps) certified_radius_lower <= (1+eps) R; the last round's
     absolute gap is 2 log(n) / ``solve_report.s``.
 
     ``iterations`` counts the steps of all rounds.  The observers see one
-    step counter t across the solve (each round's t is offset by the steps
-    of the rounds before it); the ``progress`` value is f_s at that round's
-    smoother.
+    step counter t across the solve; the ``progress`` value is f_s at that
+    round's smoother.
     """
     eps_rel = config.relative_epsilon
     family = BoundingSphereFamily(cloud)
+    n = cloud.n
     # x1 is the centroid, where the centred offset x~1 is 0.
     x1, f1 = family.centroid, float(family.centred_sq.max())
 
-    if cloud.n == 1 or f1 == 0.0:
+    if n == 1 or f1 == 0.0:
         # Single or fully coincident points: the centroid is the exact center.
         return MebResult(
             center=x1,
@@ -250,36 +246,27 @@ def solve_meb(
             certified_radius_lower=0.0,
         )
 
-    planned = required_iterations_meb(eps_rel, cloud.n)
-    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound;
-    # f_top, the max at a round's start point, is at least R^2.
-    x_start, lb, f_top, steps, round_gap = x1, f1 / 4.0, f1, 0, 1.0
-    # The curvature arrays are built once per solve; each round sets its G.
-    constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, 2.0 * math.sqrt(f_top))
-    while True:
-        round_gap = max(eps_rel, round_gap)
-        epsilon_gap = (2.0 * round_gap + round_gap ** 2) * lb
-        report = run_to_gap(
-            family,
-            constants,
-            OptimizerConfig(
-                epsilon=epsilon_gap,
-                x1=x_start,
-                initial_distance_bound=math.sqrt(f1),
-                max_iterations_override=required_iterations_meb(round_gap, cloud.n),
-                relative_epsilon=round_gap,
-            ),
-            progress=_offset_progress(progress, steps),
-            iterate_observer=_offset_observer(iterate_observer, steps),
-        )
-        steps += report.iterations_run
-        lb = max(lb, report.lower_bound)
-        x_start, f_top = report.x_final, report.f_final
-        if round_gap == eps_rel:
-            break
-        round_gap /= ROUND_GAP_RATIO
-        constants = constants.with_gradient_norm_bound(2.0 * math.sqrt(f_top))
+    planned = required_iterations_meb(eps_rel, n)
+    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound.
+    distance, lb, steps, round_gap = math.sqrt(f1), f1 / 4.0, 0, 1.0
 
+    def plan(f_top: float):
+        # f_top, the max at the round's start point, is at least R^2.
+        return plan_round(n, (2.0 * round_gap + round_gap ** 2) * lb, distance,
+                          2.0 * math.sqrt(f_top), 2.0, 2.0,
+                          required_iterations_meb(round_gap, n), round_gap)
+
+    def round_end(x_best, f_best, lb_best, round_steps, stop_reason):
+        nonlocal lb, steps, round_gap
+        steps += round_steps
+        lb = max(lb, lb_best)
+        if round_gap == eps_rel:
+            return None
+        round_gap = max(eps_rel, round_gap / ROUND_GAP_RATIO)
+        return plan(f_best)
+
+    report = run_rounds(family, x1, plan(f1), round_end, progress=progress,
+                        iterate_observer=iterate_observer)
     radius, radius_lb = math.sqrt(report.f_final), math.sqrt(lb)
     return MebResult(
         center=report.x_final,
@@ -290,15 +277,3 @@ def solve_meb(
         certified_radius_lower=radius_lb,
         certified_ratio=radius / radius_lb,
     )
-
-
-def _offset_progress(progress: ProgressCallback | None, offset: int) -> ProgressCallback | None:
-    if progress is None or offset == 0:
-        return progress
-    return lambda t, value, grad_norm: progress(t + offset, value, grad_norm)
-
-
-def _offset_observer(observer: IterateObserver | None, offset: int) -> IterateObserver | None:
-    if observer is None or offset == 0:
-        return observer
-    return lambda state, grad: observer(replace(state, t=state.t + offset), grad)

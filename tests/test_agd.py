@@ -14,7 +14,6 @@ from smoothmax import (
     agd_step,
     centroid_init,
     gap_bound,
-    meb_gradient_bound,
     required_iterations_general,
     run_online,
     run_to_gap,
@@ -322,7 +321,7 @@ def replay_passes(family, params, points, strong):
     run_to_gap does; yields (t, p_t, averaged bound, running lb_best)."""
     model, lb = None, -math.inf
     for t, y in enumerate(points, start=1):
-        _, grad, e, total, _, mean = smooth_pass(family, params, y)
+        _, grad, e, total, _, mean, _ = smooth_pass(family, params, y)
         curvature = float(e.dot(strong)) / total if strong.max() > strong.min() else strong[0]
         if model is None:
             model = LowerModel(mean, grad, curvature)
@@ -345,7 +344,8 @@ class TestLowerModel:
         family = BoundingSphereFamily(cloud)
         f1 = float(family.centred_sq.max())
         gap = (2.0 * 0.01 + 0.01 ** 2) * f1 / 4.0
-        constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, meb_gradient_bound(f1, gap))
+        # G = 2 sqrt(f(x1)), the gradient bound solve_meb gives a round from x1.
+        constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, 2.0 * math.sqrt(f1))
         config = OptimizerConfig(epsilon=gap, x1=centroid_init(cloud),
                                  initial_distance_bound=math.sqrt(f1), relative_epsilon=0.01)
         ys = []

@@ -21,7 +21,7 @@ from smoothmax.errors import (
     SmoothmaxError,
     UnsupportedCapabilityError,
 )
-from smoothmax.core import component_values
+from smoothmax.core import component_values, shifted_pass, smooth_pass
 from smoothmax.families import ComponentFamily
 from smoothmax.testkit import (
     RandomQuadraticFamily,
@@ -121,6 +121,22 @@ class TestSmoothGradient:
         assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
 
 
+class TestShiftedPass:
+    @pytest.mark.parametrize("s_new", [0.01, 3.0, 400.0])
+    def test_rescaled_values_give_the_new_smoothers_pass(self, s_new):
+        # The shifted values s (f - m) of a pass at one smoother, rescaled by
+        # s_new / s, give the pass at s_new without evaluating any value.
+        fam = RandomQuadraticFamily.from_seed(12, n=7, dim=3)
+        x = np.random.default_rng(6).standard_normal(3)
+        kept = smooth_pass(fam, SmoothingParams(2.0), x)
+        shifted = kept[6] * (s_new / 2.0)
+        fresh = smooth_pass(fam, SmoothingParams(s_new), x)
+        again = shifted_pass(fam, SmoothingParams(s_new), x, shifted, kept[4])
+        assert again[6] is shifted and again[4] == fresh[4]
+        for a, b in zip(again[:4] + again[5:], fresh[:4] + fresh[5:]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
 class TestSmoothHessian:
     def test_single_component_is_plain_hessian(self):
         fam = RandomQuadraticFamily(np.zeros((1, 3)), np.array([1.5]))
@@ -162,17 +178,6 @@ class TestBoundsAndConditioning:
     def test_eig_bounds_mixed_constants(self):
         constants = DomainConstants(np.array([1.0, 3.0]), np.array([2.0, 5.0]), 2.0)
         assert hessian_eig_bounds(constants, SmoothingParams(3.0)) == (1.0, 17.0)
-
-    def test_new_gradient_bound_shares_the_curvature(self):
-        base = DomainConstants(np.array([1.0, 3.0]), np.array([2.0, 5.0]), 2.0)
-        other = base.with_gradient_norm_bound(4.0)
-        assert (base.gradient_norm_bound, other.gradient_norm_bound) == (2.0, 4.0)
-        assert other.per_component_strong_convexity is base.per_component_strong_convexity
-        assert (other.min_strong_convexity, other.max_smoothness) == (1.0, 5.0)
-        assert not other.uniform_strong_convexity
-        assert hessian_eig_bounds(other, SmoothingParams(1.0)) == (1.0, 21.0)
-        with pytest.raises(ContractViolationError):
-            base.with_gradient_norm_bound(0.0)
 
     @pytest.mark.parametrize("L,U,expected", [(2.0, 2.0, 1.0), (2.0, 102.0, 51.0), (1.0, 17.0, 17.0)])
     def test_condition_number(self, L, U, expected):

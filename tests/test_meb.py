@@ -1,7 +1,6 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from smoothmax import (
     PointCloud,
     centroid_init,
     farthest_sq_distance,
-    meb_gradient_bound,
     required_iterations_meb,
     solve_meb,
     welzl_exact,
@@ -122,16 +120,6 @@ class TestFarthestSqDistance:
         brute = [float(np.sum((p - x) ** 2)) for p in cloud.points]
         assert value == max(brute)
         assert idx == int(np.argmax(brute))
-
-
-class TestRadiusAndGradientBounds:
-    def test_gradient_bound_values(self):
-        assert meb_gradient_bound(4.0, 2.0) == pytest.approx(6.0 * math.sqrt(21.0))
-        assert meb_gradient_bound(0.0, 2.0) == pytest.approx(6.0)
-
-    def test_gradient_bound_monotone(self):
-        assert meb_gradient_bound(2.0, 1.0) < meb_gradient_bound(3.0, 1.0)
-        assert meb_gradient_bound(2.0, 1.0) < meb_gradient_bound(2.0, 2.0)
 
 
 class TestRequiredIterationsMeb:
@@ -383,6 +371,34 @@ def test_certified_ratio_is_none_without_a_positive_lower_radius():
     assert solve_meb(cloud_of([3.0], [3.0]), MebConfig(0.1)).certified_ratio is None
 
 
+class RoundRecorder:
+    """Wraps ``meb.run_rounds``: records each round ``solve_meb`` plans
+    (``rounds``) and how it ended (``ends``: x_best, f_best, lb_best, steps,
+    stop_reason).  With ``uncertifiable``, every round runs with a relative
+    stop of 1e-12, which no round can prove, so each one reaches its cap."""
+
+    def __init__(self, monkeypatch, uncertifiable: bool):
+        self.rounds, self.ends = [], []
+        run_rounds = meb.run_rounds
+
+        def forced(rnd):
+            return rnd._replace(relative_epsilon=1e-12) if uncertifiable else rnd
+
+        def recording_run_rounds(family, x1, first, round_end, **observers):
+            def recording_round_end(*end):
+                self.ends.append(end)
+                following = round_end(*end)
+                if following is None:
+                    return None
+                self.rounds.append(following)
+                return forced(following)
+
+            self.rounds.append(first)
+            return run_rounds(family, x1, forced(first), recording_round_end, **observers)
+
+        monkeypatch.setattr(meb, "run_rounds", recording_run_rounds)
+
+
 class TestContinuation:
     def test_observers_see_one_step_counter(self):
         cloud = random_point_cloud(5, 300, 4, "gaussian")
@@ -396,67 +412,90 @@ class TestContinuation:
     def test_rounds_follow_the_schedule_and_the_proved_bound(self, monkeypatch):
         # With every cap at 2 steps and no round able to certify, every round
         # reaches its cap.
-        configs, reports, run_to_gap = [], [], meb.run_to_gap
-
-        def recording_run_to_gap(family, constants, config, **observers):
-            configs.append(config)
-            uncertifiable = replace(config, relative_epsilon=1e-12)
-            reports.append(run_to_gap(family, constants, uncertifiable, **observers))
-            return reports[-1]
-
         monkeypatch.setattr(meb, "required_iterations_meb", lambda eps, n: 2)
-        monkeypatch.setattr(meb, "run_to_gap", recording_run_to_gap)
+        recorder = RoundRecorder(monkeypatch, uncertifiable=True)
         cloud = random_point_cloud(2, 200, 3, "clustered")
-        result = solve_meb(cloud, MebConfig(0.01))
-        assert [c.relative_epsilon for c in configs] == [
+        states = []
+        result = solve_meb(cloud, MebConfig(0.01),
+                           iterate_observer=lambda state, grad: states.append((state.x_current,
+                                                                               grad)))
+        rounds, ends = recorder.rounds, recorder.ends
+        assert [r.relative_epsilon for r in rounds] == [
             1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
         ]
-        assert all(r.iterations_run == 2 for r in reports)
-        assert all(r.stop_reason == ("planned" if r.planned_iterations <= 2 else "override")
-                   for r in reports)
-        assert result.iterations == 2 * len(reports)
+        assert len(ends) == len(rounds)
+        assert all(steps == 2 for _, _, _, steps, _ in ends)
+        assert all(stop == ("planned" if r.planned <= 2 else "override")
+                   for r, (_, _, _, _, stop) in zip(rounds, ends))
+        assert result.iterations == 2 * len(rounds)
         assert result.planned_iterations == 2
         f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
         lb = f1 / 4.0
-        for k, config in enumerate(configs):
-            e = config.relative_epsilon
-            assert config.epsilon == pytest.approx((2.0 * e + e * e) * lb, rel=1e-12)
-            assert config.max_iterations_override == 2
+        for k, (rnd, (_, _, lb_best, _, _)) in enumerate(zip(rounds, ends)):
+            e = rnd.relative_epsilon
+            assert rnd.epsilon == pytest.approx((2.0 * e + e * e) * lb, rel=1e-12)
+            assert rnd.cap == 2
             if k:
-                assert config.x1 is reports[k - 1].x_final
-            lb = max(lb, reports[k].lower_bound)
+                # The round's first step is taken from the previous round's
+                # x_final, with the gradient there under the new smoother.
+                x_first, grad = states[2 * k]
+                assert np.array_equal(x_first, ends[k - 1][0] - grad / rnd.U_s)
+            lb = max(lb, lb_best)
         exact = welzl_exact(cloud).radius
         dists = np.linalg.norm(cloud.points - result.center, axis=1)
         assert np.max(dists) <= result.radius * (1.0 + 1e-9)
         assert result.certified_radius_lower == math.sqrt(lb)
         assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
-        assert result.solve_report is reports[-1]
+        report = result.solve_report
+        x_best, f_best, lb_best, steps, stop = ends[-1]
+        assert report.x_final is x_best
+        assert (report.f_final, report.lower_bound, report.iterations_run, report.stop_reason) \
+            == (f_best, lb_best, steps, stop)
 
     @pytest.mark.parametrize("kind,offset", [("gaussian", 0.0), ("clustered", 1e6),
                                              ("sphere_surface", 1e8)])
     def test_rounds_at_their_caps_keep_the_a_priori_guarantee(self, monkeypatch, kind, offset):
-        # No round can certify, so each runs to its cap, run_to_gap's own
+        # No round can certify, so each runs to its cap, run_rounds' own
         # count under G = 2 sqrt(f_top), which is below the paper's, and
         # still proves its (1+e_k) radius a priori.
-        configs, reports, run_to_gap = [], [], meb.run_to_gap
-
-        def uncertified_run_to_gap(family, constants, config, **observers):
-            configs.append(config)
-            uncertifiable = replace(config, relative_epsilon=1e-12)
-            reports.append(run_to_gap(family, constants, uncertifiable, **observers))
-            return reports[-1]
-
-        monkeypatch.setattr(meb, "run_to_gap", uncertified_run_to_gap)
+        recorder = RoundRecorder(monkeypatch, uncertifiable=True)
         base = random_point_cloud(4, 150, 3, kind)
         exact = welzl_exact(base).radius
         result = solve_meb(PointCloud(base.points + offset), MebConfig(0.01))
-        for config, report in zip(configs, reports):
-            assert report.stop_reason == "planned"
-            assert report.iterations_run == report.planned_iterations
-            assert report.planned_iterations < config.max_iterations_override
-            assert math.sqrt(report.f_final) <= (1.0 + config.relative_epsilon) * exact * (1.0 + 1e-9)
-        assert result.iterations == sum(r.iterations_run for r in reports)
+        assert len(recorder.ends) == len(recorder.rounds)
+        for rnd, (_, f_best, _, steps, stop) in zip(recorder.rounds, recorder.ends):
+            assert stop == "planned"
+            assert steps == rnd.planned == rnd.cap
+            assert rnd.planned < required_iterations_meb(rnd.relative_epsilon, base.n)
+            assert math.sqrt(f_best) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
+        assert result.iterations == sum(steps for _, _, _, steps, _ in recorder.ends)
         assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("uncertifiable", [False, True], ids=["certified", "capped"])
+    def test_round_changes_make_no_values_pass(self, monkeypatch, uncertifiable):
+        # Each step makes one values pass and one gradient.  A round change
+        # makes one gradient, from the values kept at x_best, and no values
+        # pass; a round that reaches its cap makes one values pass at x_T.
+        calls = {"values_at": 0, "combined_gradient": 0}
+
+        class CountingFamily(BoundingSphereFamily):
+            def values_at(self, x):
+                calls["values_at"] += 1
+                return super().values_at(x)
+
+            def combined_gradient(self, x, weights):
+                calls["combined_gradient"] += 1
+                return super().combined_gradient(x, weights)
+
+        monkeypatch.setattr(meb, "BoundingSphereFamily", CountingFamily)
+        recorder = RoundRecorder(monkeypatch, uncertifiable)
+        result = solve_meb(random_point_cloud(6, 150, 4, "gaussian"), MebConfig(0.01))
+        rounds = len(recorder.ends)
+        capped = sum(stop != "certified" for _, _, _, _, stop in recorder.ends)
+        assert rounds == len(recorder.rounds) > 1
+        assert capped == (rounds if uncertifiable else 0)
+        assert calls["values_at"] == 1 + result.iterations + capped
+        assert calls["combined_gradient"] == rounds + result.iterations
 
     def test_relative_epsilon_one_is_one_round(self):
         cloud = random_point_cloud(3, 60, 3, "gaussian")
