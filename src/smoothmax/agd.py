@@ -36,6 +36,13 @@ MAX_PLANNED_ITERATIONS = 2 ** 31
 # target); the margin keeps roundoff in the bound from certifying a gap just
 # above the target.
 CERTIFY_MARGIN = 1e-12
+# The adaptive sequence of a round (``run_rounds``) steps at 1/U_t with U_t
+# SECANT_SAFETY times the secant estimate of the local smoothness, falling by
+# at most STEP_GROWTH per step (Malitsky and Mishchenko, "Adaptive gradient
+# descent without descent", ICML 2020).  A smaller factor stalls the 4-point
+# bounding-sphere cloud at eps 1e-6 (factor 2: 14646 steps, 8: 4119).
+SECANT_SAFETY = 8.0
+STEP_GROWTH = math.sqrt(2.0)
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
@@ -162,11 +169,13 @@ class LowerModel:
         self.value, self.slope, self.curvature = value, slope.copy(), curvature
         self.passes = 1
 
-    def add(self, delta: np.ndarray, value: float, slope: np.ndarray, curvature: float) -> None:
-        """Move the anchor by ``delta`` and add the next pass's model there."""
+    def add(self, delta: np.ndarray, delta_sq: float, value: float, slope: np.ndarray,
+            curvature: float) -> None:
+        """Move the anchor by ``delta``, of squared norm ``delta_sq``, and add
+        the next pass's model there."""
         self.passes += 1
         t = self.passes
-        self.value += float(self.slope.dot(delta)) + 0.5 * self.curvature * float(delta.dot(delta))
+        self.value += float(self.slope.dot(delta)) + 0.5 * self.curvature * delta_sq
         self.value += t * value
         self.slope += self.curvature * delta
         self.slope += t * slope
@@ -293,7 +302,7 @@ def run_rounds(
     iterate_observer: IterateObserver | None = None,
 ) -> SolveReport:
     """The accelerated step loop: a sequence of rounds from x1, each stepping
-    until its gap is certified or its cap runs out; ``round_end`` plans the
+    until its gap is certified or its steps run out; ``round_end`` plans the
     round after each (none: ``first`` is the only round).
 
     Each step makes one pass at the new y.  It gives the next gradient, the
@@ -303,9 +312,23 @@ def run_rounds(
     passes, and ``f_best`` the lowest max of the solve, at ``x_best``.  After
     each step, the round stops once f_best - lb_best <= epsilon - CERTIFY_MARGIN
     |f_best|, or, with ``relative_epsilon`` set, once f_best - (1 +
-    relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN |f_best|.  At the cap, one
+    relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN |f_best|.
+
+    A round first runs an adaptive sequence of up to ``cap`` steps.  Its
+    first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
+    SECANT_SAFETY ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
+    U_{t-1} / STEP_GROWTH)) from consecutive pass points (kept when they
+    coincide), and the next step is x' = y - grad / U_t with momentum
+    ``momentum_for(U_t / L_s)``.  A step with grad f_s(y_{t-1}) . (x_t -
+    x_{t-1}) > 0 restarts the momentum: its pass is at y_t = x_t.  The
+    bounds do not depend on the step sizes, so every pass still certifies.
+    If the adaptive sequence has not certified after ``cap`` steps, the
+    round runs the fixed sequence (U_s and ``momentum_for(kappa_s)``, no
+    restart) from its start point for ``cap`` more steps, reusing the start
+    pass's gradient; ``x_best``, ``f_best``, ``lb_best`` and the averaged
+    model, anchored at the last pass point, carry over.  At its end, one
     values pass at x_T adds it as a candidate, and the certificate is the
-    smaller of the proven gap and the a-priori bound.
+    smaller of the proven gap and the a-priori bound after ``cap`` steps.
 
     A new round restarts the momentum at ``x_best``.  Its first pass there
     evaluates no values: the shifted values s (f_i - f_best) kept from the
@@ -313,8 +336,9 @@ def run_rounds(
     ``strong_convexity`` holds the l_i when they differ; each pass's model
     curvature is then sum_i p_i l_i, one n-dot, and L_s otherwise.
 
-    The observers see one step counter t across the rounds, from 2 to the
-    total steps + 1.  The report is the last round's.
+    The observers see one step counter t across both sequences and the
+    rounds, from 2 to the total steps + 1.  The report is the last round's;
+    its ``U_s`` and ``kappa_s`` are the a-priori values.
     """
     rnd, offset = first, 0
     weights = np.empty(family.n)  # the exp buffer of every pass
@@ -323,27 +347,35 @@ def run_rounds(
         family, rnd.params, x_best, out=weights)
     shifted_s = rnd.params.s  # the smoother shifted_best is scaled by
     while True:
-        params, L_s, U_s = rnd.params, rnd.L_s, rnd.U_s
+        params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.cap
         if rnd.relative_epsilon is None:
             lb_scale, target = 1.0, rnd.epsilon
         else:
             lb_scale, target = (1.0 + rnd.relative_epsilon) ** 2, 0.0
-        momentum = momentum_for(rnd.kappa_s)
-        x = y = x_best
+        fixed_momentum = momentum_for(rnd.kappa_s)
+        x = y = anchor = start = x_best
         grad_sq = float(grad.dot(grad))
+        start_grad, start_grad_sq = grad, grad_sq
         curvature = L_s
         if strong_convexity is not None:
             curvature = float(weights.dot(strong_convexity)) / total
         model = LowerModel(mean_value, grad, curvature)
         lb_best = lower_bound(mean_value, grad_sq, curvature)
-        for t in range(2, rnd.cap + 2):  # step t - 1 -> t of this round
+        U_t, momentum, adaptive = U_s, fixed_momentum, True
+        for t in range(2, 2 * cap + 2):  # step t - 1 -> t of this round
+            if t == cap + 2:  # the fixed sequence, from the round's start
+                x = y = start
+                grad, grad_sq = start_grad, start_grad_sq
+                U_t, momentum, adaptive = U_s, fixed_momentum, False
             # A finite grad . grad proves a finite gradient; only a non-finite
             # one (which an overflow of finite entries can also give) scans it.
             if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
                 raise DivergenceError(f"non-finite gradient at iteration {t - 1 + offset}",
                                       iterate=y)
-            grad_at_y, grad_sq_at_y, y_previous = grad, grad_sq, y
-            x, y = agd_step(x, y, grad_at_y, U_s, momentum)
+            grad_at_y, grad_sq_at_y, x_previous = grad, grad_sq, x
+            x, y = agd_step(x, y, grad_at_y, U_t, momentum)
+            if adaptive and float(grad_at_y.dot(x - x_previous)) > 0.0:
+                y = x
             value, grad, _, total, max_value, mean_value, shifted = smooth_pass(
                 family, params, y, out=weights)
             if progress is not None:
@@ -353,24 +385,32 @@ def run_rounds(
             grad_sq = float(grad.dot(grad))
             if strong_convexity is not None:
                 curvature = float(weights.dot(strong_convexity)) / total
-            model.add(y - y_previous, mean_value, grad, curvature)
+            delta = y - anchor
+            delta_sq = float(delta.dot(delta))
+            model.add(delta, delta_sq, mean_value, grad, curvature)
             lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
+            if adaptive and delta_sq > 0.0:
+                change = grad - grad_at_y
+                secant = SECANT_SAFETY * math.sqrt(float(change.dot(change)) / delta_sq)
+                U_t = min(U_s, max(L_s, secant, U_t / STEP_GROWTH))
+                momentum = momentum_for(U_t / L_s)
+            anchor = y
             if max_value < f_best:
                 x_best, f_best, shifted_best, shifted_s = y, max_value, shifted, params.s
             if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
                 stop_reason, a_priori = "certified", math.inf
                 break
         else:
-            stop_reason = "planned" if rnd.cap == rnd.planned else "override"
-            # x_T is a candidate, so the a-priori bound covers x_final too.
-            # Finite: component_values raises on nan or +inf.
+            stop_reason = "planned" if cap == rnd.planned else "override"
+            # x_T of the fixed sequence is a candidate, so the a-priori bound
+            # covers x_final too.  Finite: component_values raises on nan or +inf.
             values, top = component_values(family, x)
             if values[top] < f_best:
                 x_best, f_best = x, float(values[top])
                 values -= f_best
                 values *= params.s
                 shifted_best, shifted_s = values, params.s
-            a_priori = gap_bound(rnd.cap, L_s, rnd.kappa_s, rnd.distance,
+            a_priori = gap_bound(cap, L_s, rnd.kappa_s, rnd.distance,
                                  rnd.G_s * rnd.distance) + rnd.regret
         steps = t - 1
         following = None if round_end is None else round_end(

@@ -148,7 +148,7 @@ class TestGradientFiniteness:
         with np.errstate(over="ignore"):  # the lower models square the huge slope
             report = run_to_gap(fam, constants, config, progress=lambda *row: rows.append(row),
                                 iterate_observer=lambda state, grad: xs.append(state.x_current))
-        assert report.iterations_run == 1
+        assert report.iterations_run == 2
         assert rows[0][0] == 2 and rows[0][2] == math.inf
         np.testing.assert_allclose(xs[0], [0.0, 3.0])
 
@@ -250,7 +250,7 @@ class TestRunToGap:
             max_iterations_override=7,
         )
         report = run_to_gap(fam, constants, config)
-        assert report.iterations_run == 7
+        assert report.iterations_run == 14
         assert report.planned_iterations > 7
         assert report.stop_reason == "override"
 
@@ -311,7 +311,7 @@ def test_lower_bound_and_certificate_are_sound(seed, eps, override):
     if certified:
         assert report.gap_certificate <= eps
     else:
-        assert report.iterations_run == min(report.planned_iterations, override or math.inf)
+        assert report.iterations_run == 2 * min(report.planned_iterations, override or math.inf)
         cut = report.iterations_run < report.planned_iterations
         assert report.stop_reason == ("override" if cut else "planned")
 
@@ -326,7 +326,8 @@ def replay_passes(family, params, points, strong):
         if model is None:
             model = LowerModel(mean, grad, curvature)
         else:
-            model.add(y - points[t - 2], mean, grad, curvature)
+            delta = y - points[t - 2]
+            model.add(delta, float(delta.dot(delta)), mean, grad, curvature)
         lb = max(lb, lower_bound(mean, float(grad.dot(grad)), curvature), model.bound())
         yield t, e / total, curvature, model.bound(), lb
 
@@ -380,6 +381,38 @@ class TestLowerModel:
         assert report.lower_bound == lb
 
 
+def ill_conditioned(rng, max_dim, max_n):
+    """A centre per component and curvatures spread over two decades."""
+    dim, n = int(rng.integers(1, max_dim + 1)), int(rng.integers(2, max_n + 1))
+    base = rng.standard_normal((n, dim))
+    return base, np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
+
+
+def far_from_x1(seed, offset, eps, override=None, relative_epsilon=None):
+    """An ill-conditioned family whose centres sit ``offset`` away from
+    x1 = 0, so the iterates travel that far; the gap is scaled with the
+    squared travel, which keeps the step count independent of the offset.
+    Returns the solve's family, config and constants, and f*, which does not
+    move with the centres and so comes from the unmoved family."""
+    rng = np.random.default_rng(seed)
+    base, curvatures = ill_conditioned(rng, 2, 8)
+    dim = base.shape[1]
+    direction = rng.standard_normal(dim)
+    direction /= np.linalg.norm(direction)
+    fam = RandomQuadraticFamily(base + offset * direction, curvatures)
+    config = OptimizerConfig(epsilon=eps * (1.0 + offset) ** 2, x1=np.zeros(dim),
+                             initial_distance_bound=offset + 3.0,
+                             max_iterations_override=override, relative_epsilon=relative_epsilon)
+    _, f_star = oracle_minimum(RandomQuadraticFamily(base, curvatures), [-3.0] * dim,
+                               [3.0] * dim, resolution={1: 241, 2: 41}[dim])
+    return fam, config, fam.true_constants(domain_radius=2.0 * offset + 4.0), f_star
+
+
+def roundoff_slack(fam, x1, f_star):
+    """A few ulps of the largest values the solve handles, f(x1)."""
+    return 1e-14 * float(np.max(fam.values_at(x1))) + 1e-9 * (1.0 + abs(f_star))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -387,27 +420,99 @@ class TestLowerModel:
     eps=st.sampled_from([0.1, 0.01]),
 )
 def test_averaged_bound_is_sound_far_from_x1(seed, offset, eps):
-    # Curvatures spread over two decades; the centres sit `offset` away from
-    # x1 = 0, so the iterates travel that far.  The gap is scaled with the
-    # squared travel, which keeps the step count independent of the offset.
-    # f* does not move with the centres, so it comes from the unmoved family.
-    rng = np.random.default_rng(seed)
-    dim, n = int(rng.integers(1, 3)), int(rng.integers(2, 9))
-    base = rng.standard_normal((n, dim))
-    curvatures = np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
-    direction = rng.standard_normal(dim)
-    direction /= np.linalg.norm(direction)
-    fam = RandomQuadraticFamily(base + offset * direction, curvatures)
-    x1 = np.zeros(dim)
-    config = OptimizerConfig(epsilon=eps * (1.0 + offset) ** 2, x1=x1,
-                             initial_distance_bound=offset + 3.0)
-    report = run_to_gap(fam, fam.true_constants(domain_radius=2.0 * offset + 4.0), config)
-    _, f_star = oracle_minimum(RandomQuadraticFamily(base, curvatures), [-3.0] * dim,
-                               [3.0] * dim, resolution={1: 241, 2: 41}[dim])
-    # Roundoff: a few ulps of the largest values the solve handles, f(x1).
-    slack = 1e-14 * float(np.max(fam.values_at(x1))) + 1e-9 * (1.0 + abs(f_star))
+    fam, config, constants, f_star = far_from_x1(seed, offset, eps)
+    report = run_to_gap(fam, constants, config)
+    slack = roundoff_slack(fam, config.x1, f_star)
     assert report.lower_bound <= f_star + slack
     assert report.f_final - f_star <= report.gap_certificate + slack
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    eps=st.sampled_from([0.1, 0.01]),
+    cap=st.integers(min_value=1, max_value=40),
+)
+def test_bounds_stay_sound_through_the_fallback(seed, offset, eps, cap):
+    # No bound proves a relative gap of 1e-12 on a positive max, so every
+    # solve runs the adaptive sequence and then the fixed one for its cap.
+    # The averaged model keeps its anchor at the last pass point across the
+    # restart; an anchor moved to the start point gives bounds above f*.
+    fam, config, constants, f_star = far_from_x1(seed, offset, eps, cap, 1e-12)
+    report = run_to_gap(fam, constants, config)
+    assert report.iterations_run == 2 * min(report.planned_iterations, cap)
+    slack = roundoff_slack(fam, config.x1, f_star)
+    assert report.lower_bound <= f_star + slack
+    assert report.f_final - f_star <= report.gap_certificate + slack
+
+
+class TestFallback:
+    def test_uncertified_round_replays_the_fixed_sequence(self):
+        # A round whose adaptive sequence does not certify within its cap
+        # runs today's fixed sequence from its start for the cap again:
+        # steps at 1/U_s with momentum_for(kappa_s), bit for bit.
+        fam = RandomQuadraticFamily.from_seed(7, n=6, dim=3)
+        cap, distance = 25, 3.0
+        config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5), initial_distance_bound=distance,
+                                 max_iterations_override=cap, relative_epsilon=1e-12)
+        states = []
+        report = run_to_gap(fam, fam.true_constants(domain_radius=5.0), config,
+                            iterate_observer=lambda state, grad: states.append(state))
+        assert (report.stop_reason, report.iterations_run) == ("override", 2 * cap)
+        assert [state.t for state in states] == list(range(2, 2 * cap + 2))
+        params, momentum = SmoothingParams(report.s), momentum_for(report.kappa_s)
+        x = y = config.x1
+        for state in states[cap:]:
+            x, y = agd_step(x, y, smooth_gradient(fam, params, y), report.U_s, momentum)
+            assert np.array_equal(state.x_current, x) and np.array_equal(state.y_current, y)
+        # Both sequences take the same first step at 1/U_s, then part.
+        assert np.array_equal(states[0].x_current, states[cap].x_current)
+        assert not np.array_equal(states[cap - 1].x_current, x)
+        # x_T is a candidate, and the certificate is the a-priori bound after
+        # cap steps unless the proven gap is smaller.
+        assert report.f_final <= float(np.max(fam.values_at(x)))
+        a_priori = gap_bound(cap, report.L_s, report.kappa_s, distance,
+                             report.g_s * distance) + math.log(fam.n) / report.s
+        assert report.gap_certificate == min(max(0.0, report.f_final - report.lower_bound),
+                                             a_priori)
+
+
+# The component counts and dimensions of the benchmark's observed min-max
+# families.
+GENERIC_SIZES = tuple((round(2 + 38 * k / 23), 2 + k % 7) for k in range(24))
+
+
+class TestAdaptiveStepCounts:
+    """Step totals of certified generic solves on fixed seeds, a guard on the
+    adaptive sequence's gain: within 1.25x of the 5181 and 8721 steps they
+    take with it.  The fixed sequence alone took 23434 and 213256."""
+
+    def test_benchmark_families(self):
+        steps = 0
+        for seed in range(3):
+            for k, (n, d) in enumerate(GENERIC_SIZES):
+                fam = RandomQuadraticFamily.from_seed(1000 * seed + k, n, d)
+                distance = float(np.max(np.linalg.norm(fam.centers, axis=1)))
+                config = OptimizerConfig(epsilon=0.1, x1=np.zeros(d),
+                                         initial_distance_bound=distance)
+                report = run_to_gap(fam, fam.true_constants(domain_radius=6.0), config)
+                assert report.stop_reason == "certified"
+                steps += report.iterations_run
+        assert steps <= 1.25 * 5181
+
+    def test_ill_conditioned_families(self):
+        steps = 0
+        for seed in range(50):
+            base, curvatures = ill_conditioned(np.random.default_rng(seed), 3, 19)
+            fam = RandomQuadraticFamily(base, curvatures)
+            for eps in (0.1, 0.01):
+                config = OptimizerConfig(epsilon=eps, x1=np.zeros(base.shape[1]),
+                                         initial_distance_bound=3.0)
+                report = run_to_gap(fam, fam.true_constants(domain_radius=4.0), config)
+                assert report.stop_reason == "certified"
+                steps += report.iterations_run
+        assert steps <= 1.25 * 8721
 
 
 class TestRunOnline:
@@ -469,12 +574,13 @@ class TestOnePassPerIteration:
                               progress=lambda t, value, grad_norm: None)
         assert observed.iterations_run == report.iterations_run
         assert self.fam.passes == report.iterations_run + 1
-        # One step short of that, the cap adds the values pass at x_T.
+        # One step short of that, the adaptive and the fixed sequence each
+        # run the cap, and the cap adds the values pass at x_T.
         self.fam.passes = 0
         capped = run_to_gap(self.fam, self.constants, replace(
             self.config, max_iterations_override=report.iterations_run - 1))
         assert (capped.stop_reason, capped.iterations_run) == (
-            "override", report.iterations_run - 1)
+            "override", 2 * (report.iterations_run - 1))
         assert self.fam.passes == capped.iterations_run + 2
 
     def test_one_point_check_per_call(self):

@@ -424,10 +424,10 @@ class TestContinuation:
             1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
         ]
         assert len(ends) == len(rounds)
-        assert all(steps == 2 for _, _, _, steps, _ in ends)
+        assert all(steps == 4 for _, _, _, steps, _ in ends)
         assert all(stop == ("planned" if r.planned <= 2 else "override")
                    for r, (_, _, _, _, stop) in zip(rounds, ends))
-        assert result.iterations == 2 * len(rounds)
+        assert result.iterations == 4 * len(rounds)
         assert result.planned_iterations == 2
         f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
         lb = f1 / 4.0
@@ -438,7 +438,7 @@ class TestContinuation:
             if k:
                 # The round's first step is taken from the previous round's
                 # x_final, with the gradient there under the new smoother.
-                x_first, grad = states[2 * k]
+                x_first, grad = states[4 * k]
                 assert np.array_equal(x_first, ends[k - 1][0] - grad / rnd.U_s)
             lb = max(lb, lb_best)
         exact = welzl_exact(cloud).radius
@@ -465,7 +465,7 @@ class TestContinuation:
         assert len(recorder.ends) == len(recorder.rounds)
         for rnd, (_, f_best, _, steps, stop) in zip(recorder.rounds, recorder.ends):
             assert stop == "planned"
-            assert steps == rnd.planned == rnd.cap
+            assert steps == 2 * rnd.cap and rnd.planned == rnd.cap
             assert rnd.planned < required_iterations_meb(rnd.relative_epsilon, base.n)
             assert math.sqrt(f_best) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
         assert result.iterations == sum(steps for _, _, _, steps, _ in recorder.ends)
