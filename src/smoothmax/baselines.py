@@ -10,7 +10,7 @@ import numpy as np
 
 from .agd import MAX_PLANNED_ITERATIONS
 from .errors import ConfigurationError, ContractViolationError, UnsupportedDimensionError
-from .meb import MebResult, PointCloud, farthest_sq_distance
+from .meb import BoundingSphereFamily, MebResult, PointCloud, farthest_sq_distance
 
 WELZL_MAX_DIM = 12
 
@@ -96,6 +96,12 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     c_0 is the first input point; step k moves c toward the farthest point
     by a 1/(k+1) fraction, so every iterate stays in the convex hull.  A
     count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
+
+    Each step finds its farthest point with the smooth solver's O(nd)
+    kernel, ``BoundingSphereFamily.values_at`` (one GEMV on the centred
+    cloud), so the two solvers' wall times compare like with like.  The
+    returned radius is taken on the raw coordinates, so it encloses every
+    point exactly as computed.
     """
     if not 0 < relative_epsilon <= 1:
         raise ContractViolationError(
@@ -110,8 +116,9 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
             raise ConfigurationError(
                 f"core-set count at eps={relative_epsilon} exceeds {MAX_PLANNED_ITERATIONS}"
             )
+        family = BoundingSphereFamily(cloud)
         for k in range(1, iterations + 1):
-            _, idx = farthest_sq_distance(cloud, center)
+            idx = int(family.values_at(center).argmax())
             center = center + (cloud.points[idx] - center) / (k + 1)
 
     f_final, _ = farthest_sq_distance(cloud, center)

@@ -20,7 +20,7 @@ from . import core
 from .baselines import WELZL_MAX_DIM, badoiu_clarkson, welzl_exact
 from .errors import ContractViolationError, EmptyInputError, InputFormatError, SmoothmaxError
 from .families import SmoothingParams
-from .meb import MebConfig, PointCloud, farthest_sq_distance, solve_meb
+from .meb import BoundingSphereFamily, MebConfig, PointCloud, solve_meb
 from .testkit import (
     DISTRIBUTIONS,
     finite_diff_gradient,
@@ -145,8 +145,11 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
             progress = lambda t, value, grad_norm: trace_rows.append((t, value, grad_norm))
         observer = None
         if radius_trace is not None:
+            # The returned center is the best evaluated point, a y_t, reached
+            # after t - 1 steps.
+            family = BoundingSphereFamily(cloud)
             observer = lambda state, grad: radius_trace.append(
-                (state.t, math.sqrt(farthest_sq_distance(cloud, state.x_current)[0]))
+                (state.t - 1, math.sqrt(family.values_at(state.y_current).max()))
             )
         res = solve_meb(cloud, MebConfig(epsilon), progress=progress,
                         iterate_observer=observer)
@@ -285,7 +288,7 @@ def cmd_bench(args) -> int:
                 observed = None
                 if radius_trace:
                     target = (1.0 + eps) * exact_radius
-                    hits = [t for t, radius in radius_trace if radius <= target]
+                    hits = [steps for steps, radius in radius_trace if radius <= target]
                     observed = min(hits) if hits else None
                 over = None
                 if exact_radius and exact_radius > 0:

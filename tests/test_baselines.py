@@ -107,14 +107,33 @@ class TestBadoiuClarkson:
         assert result.radius <= 1.1 * exact
 
     def test_iterates_stay_in_convex_hull_1d(self):
-        # In 1-D, hull membership is an interval check at every step.
+        # In 1-D, hull membership is an interval check; the run planned for
+        # k steps returns the k-th iterate, so every iterate up to 29 is seen.
         cloud = PointCloud(np.array([[0.0], [1.0], [4.0]]))
-        center = cloud.points[0].copy()
         for k in range(1, 30):
+            result = badoiu_clarkson(cloud, min(1.0, (k - 0.5) ** -0.5))
+            assert result.iterations == k
+            assert 0.0 <= result.center[0] <= 4.0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("distribution", ["gaussian", "sphere_surface", "clustered"])
+    def test_steps_match_the_direct_farthest_point(self, distribution, offset):
+        # Each step's farthest index comes from the centred-GEMV kernel; a
+        # loop on the direct ||c_i - x||^2 must take the same steps.  (An
+        # exact tie, such as at the centre of a 1-D cloud of +-1 points, may
+        # break either way; these clouds have none.)
+        cloud = random_point_cloud(7, 1000, 3, distribution)
+        cloud = PointCloud(cloud.points + offset)
+        result = badoiu_clarkson(cloud, 0.1)
+        center = cloud.points[0].copy()
+        for k in range(1, result.iterations + 1):
             diffs = cloud.points - center
             idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
             center = center + (cloud.points[idx] - center) / (k + 1)
-            assert 0.0 - 1e-12 <= center[0] <= 4.0 + 1e-12
+        diffs = cloud.points - center
+        assert result.iterations == 100
+        assert result.center.tobytes() == center.tobytes()
+        assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 
     def test_epsilon_validation(self):
         cloud = PointCloud(np.array([[0.0], [1.0]]))

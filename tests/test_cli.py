@@ -328,6 +328,18 @@ class TestBenchCommand:
                 assert row["stop_reason"] is row["certified_radius_lower"] is None
                 assert row["certified_ratio"] is None
 
+    def test_first_hit_reads_the_evaluated_points(self, tmp_path):
+        # The returned center is the best evaluated y_t, so a solve within
+        # (1+eps) R has hit the target by its last step.
+        path = tmp_path / "bench.json"
+        assert cli.main(["bench", "--n", "2000", "--dim", "5", "--distribution", "clustered",
+                         "--epsilons", "0.01,0.001", "--algorithms", "smooth",
+                         "--output", str(path)]) == 0
+        for row in json.loads(path.read_text())["rows"]:
+            assert row["radius_over_exact"] <= 1.0 + row["epsilon"]
+            assert row["observed_to_target"] is not None
+            assert row["observed_to_target"] <= row["iterations"]
+
     def test_csv_format(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",
                        "--epsilons", "0.2,0.1", "--algorithms", "coreset",
