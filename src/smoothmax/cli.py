@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -60,9 +62,10 @@ def parse_points_csv(path: str) -> PointCloud:
     numeric; a UTF-8 byte-order mark is dropped before it.  All rows must
     share the same column count of finite values, and the cloud must fit
     ``PointCloud``'s overflow guard.
-    The rows are converted in one NumPy call, which reads each token as
-    ``float`` does; only a failed conversion is scanned for its line and
-    column.
+    The rows are converted in one ``np.loadtxt`` pass, which reads plain
+    decimal tokens only: a digit-group underscore or a non-ASCII digit,
+    which ``float`` would accept, is a parse error.  Only a failed
+    conversion is scanned for its line and column.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -73,46 +76,65 @@ def parse_points_csv(path: str) -> PointCloud:
     if not lines:
         raise EmptyInputError(f"{path}: no points found")
     start = 0 if _is_number(lines[0].split(",")[0]) else 1
-    rows = [line.split(",") for line in lines[start:]]
+    rows = lines[start:]
     if not rows:
         raise EmptyInputError(f"{path}: no points found")
-    try:
-        points = np.array(rows, dtype=float)  # ragged rows raise here too
-    except ValueError:
-        points = None
-    if points is None or not np.isfinite(points).all():
+    width = rows[0].count(",") + 1
+    points = _read_rows(rows, width)
+    if points is None:
         # The file's own line numbers, blank lines included.
         linenos = [k for k, line in enumerate(text.splitlines(), start=1) if line.strip()]
-        _raise_first_bad_row(path, rows, linenos[start:])
+        _raise_first_bad_row(path, rows, width, linenos[start:])
     try:
         return PointCloud(points)
     except ContractViolationError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _raise_first_bad_row(path: str, rows: list[list[str]], linenos: list[int]) -> None:
-    """Raise InputFormatError for the first row, in file order, with a
-    column count unlike the first row's or a token that is not a finite
-    number; ``linenos`` holds each row's line number in the file."""
-    width = len(rows[0])
-    for lineno, tokens in zip(linenos, rows):
-        if len(tokens) != width:
+def _read_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """The nonblank lines ``rows`` as a (len(rows), width) array of finite
+    values, or None when any row has another column count or a token that
+    does not convert to a finite number."""
+    try:
+        points = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:
+        return None
+    if points.shape != (len(rows), width) or not np.isfinite(points).all():
+        return None
+    return points
+
+
+def _raise_first_bad_row(path: str, rows: list[str], width: int, linenos: list[int]) -> None:
+    """Raise InputFormatError for the first row, in file order, that
+    ``_read_rows`` rejects; ``linenos`` holds each row's line number in the
+    file.  The row is found by halving, so the scan converts about as many
+    rows as the failed pass did."""
+    lo, hi = 0, len(rows)  # rows[:lo] read; a bad row lies in rows[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _read_rows(rows[lo:mid], width) is None:
+            hi = mid
+        else:
+            lo = mid
+    lineno = linenos[lo]
+    tokens = rows[lo].split(",")
+    if len(tokens) != width:
+        raise InputFormatError(
+            f"{path}: line {lineno} has {len(tokens)} columns, expected {width}",
+            line=lineno,
+        )
+    for col, token in enumerate(tokens, start=1):
+        if not token.strip() or _read_rows([token], 1) is None:
             raise InputFormatError(
-                f"{path}: line {lineno} has {len(tokens)} columns, expected {width}",
+                f"{path}: {token.strip()!r} at line {lineno}, column {col} is not a "
+                f"finite decimal number",
                 line=lineno,
+                column=col,
             )
-        for col, token in enumerate(tokens, start=1):
-            try:
-                value = float(token)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"{path}: non-finite value {token.strip()!r} at line {lineno}, "
-                    f"column {col}",
-                    line=lineno,
-                    column=col,
-                )
+    # Each token reads alone, but the row does not: name the line only.
+    raise InputFormatError(f"{path}: line {lineno} is not {width} finite numbers",
+                           line=lineno)
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -383,7 +405,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: ``parse_args`` returns a new namespace each time, and no caller
+    changes the parser."""
     parser = argparse.ArgumentParser(
         prog="smoothmax",
         description="Smoothed min-max solver for minimal bounding spheres",

@@ -14,6 +14,7 @@ from smoothmax.errors import (
     EvaluationError,
     InputFormatError,
 )
+from smoothmax.testkit import random_point_cloud
 
 
 def run_cli(*args, **kwargs):
@@ -86,6 +87,49 @@ class TestParsePointsCsv:
             parse_points_csv(str(path))
         assert (err.value.line, err.value.column) == (line, column)
         assert f"line {line}" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n \t \n3,4\n",  # a whitespace-only line between rows
+        "1,2\r\n3,4\r\n",
+        "1,2\r3,4\r",
+        "1,2\u20283,4\n",  # U+2028 LINE SEPARATOR
+    ])
+    def test_line_breaks_and_blank_lines(self, tmp_path, text):
+        path = tmp_path / "l.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        np.testing.assert_array_equal(parse_points_csv(str(path)).points, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("1,2\n1_0,3\n", 2, 1),  # a digit-group underscore, which float reads as 10
+        ("1,2\n3,\uff14\n", 2, 2),  # a full-width digit, which float reads as 4
+        ("\uff11,2\n3,4\n", 1, 1),  # float reads it as a number, so not a header
+        ("1,2\n\n3,4,\n", 3, None),  # a trailing comma adds an empty column
+        ("1,2\n3, \n", 2, 2),  # a blank token
+    ])
+    def test_tokens_the_converter_rejects(self, tmp_path, text, line, column):
+        path = tmp_path / "u.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputFormatError) as err:
+            parse_points_csv(str(path))
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_first_bad_row_in_a_long_file(self, tmp_path):
+        rows = [f"{k},{k + 0.5}" for k in range(1000)]
+        rows[700] = "700,inf"
+        rows[900] = "900,oops"
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputFormatError) as err:
+            parse_points_csv(str(path))
+        assert (err.value.line, err.value.column) == (702, 2)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("distribution", ["gaussian", "clustered"])
+    def test_repr_written_cloud_reads_back_exactly(self, tmp_path, distribution, offset):
+        points = random_point_cloud(7, 300, 4, distribution).points + offset
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(",".join(map(repr, row)) for row in points.tolist()) + "\n")
+        np.testing.assert_array_equal(parse_points_csv(str(path)).points, points)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -308,6 +352,21 @@ class TestSolveCommand:
         b = json.loads(run_cli(*args).stdout)
         a.pop("wall_time_ms"), b.pop("wall_time_ms")
         assert a == b
+
+    def test_one_parser_carries_no_state(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("0,0\n1,0\n0,3\n")
+        args = ["solve", "--input", str(path), "--algorithm", "smooth",
+                "--epsilon", "0.1", "--seed", "3"]
+        assert cli.main([*args, "--verify"]) == 0
+        assert "exact_radius" in json.loads(capsys.readouterr().out)
+        assert cli.main(args) == 0
+        second = json.loads(capsys.readouterr().out)
+        fresh = json.loads(run_cli(*args).stdout)
+        assert "exact_radius" not in second
+        second.pop("wall_time_ms"), fresh.pop("wall_time_ms")
+        assert second == fresh
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestBenchCommand:
