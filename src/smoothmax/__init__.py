@@ -22,7 +22,6 @@ from .agd import (
 from .baselines import ExactMebResult, badoiu_clarkson, welzl_exact
 from .core import (
     condition_number,
-    hessian_eig_bounds,
     smooth_gradient,
     smooth_hessian,
     smooth_value,
@@ -48,7 +47,6 @@ __all__ = [
     "softmax_weights",
     "smooth_gradient",
     "smooth_hessian",
-    "hessian_eig_bounds",
     "condition_number",
     "OptimizerConfig",
     "OptimizerState",

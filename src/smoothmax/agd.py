@@ -14,7 +14,7 @@ online epsilon-halving scheduler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,7 +80,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizerState:
     """Iterate pair (x_t, y_t) and the counter t, as an iterate observer
-    sees them; run_to_gap itself carries the bare arrays."""
+    sees them; run_rounds itself carries the bare arrays."""
 
     x_current: np.ndarray
     y_current: np.ndarray
@@ -229,7 +229,10 @@ class Round(NamedTuple):
     n = 1, where any smoother is exact).  ``planned`` is the a-priori count and
     ``cap`` the smaller of it and the override.  ``epsilon`` is the absolute
     gap, and ``relative_epsilon``, when set, the relative stop (see
-    ``OptimizerConfig``).  ``distance`` is D, and ``regret`` log(n) / s."""
+    ``OptimizerConfig``).  ``distance`` is D, and ``regret`` log(n) / s.
+    ``strong_convexity`` holds the l_i when they differ (None when uniform):
+    each pass's model curvature is then sum_i p_i l_i, one n-dot, and L_s
+    otherwise."""
 
     params: SmoothingParams
     s: float
@@ -243,13 +246,12 @@ class Round(NamedTuple):
     relative_epsilon: float | None
     distance: float
     regret: float
+    strong_convexity: np.ndarray | None
 
 
-# Called as round_end(x_best, f_best, lb_best, steps, stop_reason) when a
-# round of ``run_rounds`` stops, with its lowest max and where it was found,
-# its best lower bound, its step count and why it stopped.  It returns the
-# next round, or None to end the solve.
-RoundEnd = Callable[[np.ndarray, float, float, int, str], "Round | None"]
+# Called as round_end(report) when a round of ``run_rounds`` stops, with the
+# round's ``SolveReport``.  It returns the next round, or None to end the solve.
+RoundEnd = Callable[[SolveReport], "Round | None"]
 
 
 def plan_round(
@@ -261,13 +263,17 @@ def plan_round(
     max_smoothness: float,
     max_iterations_override: int | None = None,
     relative_epsilon: float | None = None,
+    strong_convexity: np.ndarray | None = None,
 ) -> Round:
     """Pick s for the absolute gap ``epsilon`` and derive a round's constants.
 
     The epsilon budget is split evenly between smoothing regret and
     optimization gap; both halves are baked into the a-priori iteration
-    count, which caps the round (as does a smaller override).  U_s = s G^2
-    + max_i u_i, as ``core.hessian_eig_bounds`` gives it.
+    count, which caps the round (as does a smaller override).  The Hessian
+    of f_s is s Cov_p(grad f_i) + E_p[hess f_i] (``core.smooth_hessian``),
+    so L_s = min_i l_i and U_s = s G^2 + max_i u_i, with G^2 a bound on the
+    top eigenvalue of Cov_p(grad f_i) (``DomainConstants``).
+    ``strong_convexity``, the l_i when they differ, goes to the round as is.
     """
     if n == 1:
         # Already smooth: s = 0, zero regret.  A pass over one component is
@@ -289,7 +295,7 @@ def plan_round(
         )
     cap = planned if max_iterations_override is None else min(planned, max_iterations_override)
     return Round(params, s, L_s, U_s, kappa_s, G_s, planned, cap, epsilon, relative_epsilon,
-                 distance, regret)
+                 distance, regret, strong_convexity)
 
 
 def run_rounds(
@@ -297,13 +303,13 @@ def run_rounds(
     x1: np.ndarray,
     first: Round,
     round_end: RoundEnd | None = None,
-    strong_convexity: np.ndarray | None = None,
     progress: ProgressCallback | None = None,
     iterate_observer: IterateObserver | None = None,
 ) -> SolveReport:
     """The accelerated step loop: a sequence of rounds from x1, each stepping
-    until its gap is certified or its steps run out; ``round_end`` plans the
-    round after each (none: ``first`` is the only round).
+    until its gap is certified or its steps run out; ``round_end`` gets each
+    round's ``SolveReport`` and plans the round after it (none: ``first`` is
+    the only round).
 
     Each step makes one pass at the new y.  It gives the next gradient, the
     ``progress`` value, the true max at y, and that pass's lower model of the
@@ -333,12 +339,11 @@ def run_rounds(
     A new round restarts the momentum at ``x_best``.  Its first pass there
     evaluates no values: the shifted values s (f_i - f_best) kept from the
     pass that found ``x_best`` are rescaled to the new s (``shifted_pass``).
-    ``strong_convexity`` holds the l_i when they differ; each pass's model
-    curvature is then sum_i p_i l_i, one n-dot, and L_s otherwise.
 
     The observers see one step counter t across both sequences and the
-    rounds, from 2 to the total steps + 1.  The report is the last round's;
-    its ``U_s`` and ``kappa_s`` are the a-priori values.
+    rounds, from 2 to the total steps + 1.  A round's report has the
+    certificate min(max(0, f_best - lb_best), the a-priori bound), and its
+    a-priori ``U_s`` and ``kappa_s``; the last round's is returned.
     """
     rnd, offset = first, 0
     weights = np.empty(family.n)  # the exp buffer of every pass
@@ -348,6 +353,7 @@ def run_rounds(
     shifted_s = rnd.params.s  # the smoother shifted_best is scaled by
     while True:
         params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.cap
+        strong_convexity = rnd.strong_convexity
         if rnd.relative_epsilon is None:
             lb_scale, target = 1.0, rnd.epsilon
         else:
@@ -412,31 +418,40 @@ def run_rounds(
                 shifted_best, shifted_s = values, params.s
             a_priori = gap_bound(cap, L_s, rnd.kappa_s, rnd.distance,
                                  rnd.G_s * rnd.distance) + rnd.regret
-        steps = t - 1
-        following = None if round_end is None else round_end(
-            x_best, f_best, lb_best, steps, stop_reason)
+        report = SolveReport(
+            x_final=x_best,
+            iterations_run=t - 1,
+            planned_iterations=rnd.planned,
+            s=rnd.s,
+            L_s=L_s,
+            U_s=U_s,
+            kappa_s=rnd.kappa_s,
+            g_s=rnd.G_s,
+            f_final=f_best,
+            gap_certificate=min(max(0.0, f_best - lb_best), a_priori),
+            lower_bound=lb_best,
+            stop_reason=stop_reason,
+        )
+        following = None if round_end is None else round_end(report)
         if following is None:
-            break
-        rnd, offset = following, offset + steps
+            return report
+        rnd, offset = following, offset + report.iterations_run
         shifted_best *= rnd.params.s / shifted_s
         shifted_s = rnd.params.s
         _, grad, _, total, _, mean_value, _ = shifted_pass(
             family, rnd.params, x_best, shifted_best, f_best, out=weights)
-    certificate = min(max(0.0, f_best - lb_best), a_priori)
-    return SolveReport(
-        x_final=x_best,
-        iterations_run=steps,
-        planned_iterations=rnd.planned,
-        s=rnd.s,
-        L_s=L_s,
-        U_s=U_s,
-        kappa_s=rnd.kappa_s,
-        g_s=rnd.G_s,
-        f_final=f_best,
-        gap_certificate=certificate,
-        lower_bound=lb_best,
-        stop_reason=stop_reason,
-    )
+
+
+def _plan(n: int, constants: DomainConstants, config: OptimizerConfig,
+          epsilon: float) -> Round:
+    """``plan_round`` for ``constants`` and ``config`` at the absolute gap
+    ``epsilon``."""
+    strong = None
+    if not constants.uniform_strong_convexity:
+        strong = constants.per_component_strong_convexity
+    return plan_round(n, epsilon, config.initial_distance_bound, constants.gradient_norm_bound,
+                      constants.min_strong_convexity, constants.max_smoothness,
+                      config.max_iterations_override, config.relative_epsilon, strong)
 
 
 def run_to_gap(
@@ -448,21 +463,8 @@ def run_to_gap(
 ) -> SolveReport:
     """Full smoothed solve: pick s, derive constants (``plan_round``), step
     until the gap is certified (``run_rounds``, one round)."""
-    first = plan_round(
-        family.n,
-        config.epsilon,
-        config.initial_distance_bound,
-        constants.gradient_norm_bound,
-        constants.min_strong_convexity,
-        constants.max_smoothness,
-        config.max_iterations_override,
-        config.relative_epsilon,
-    )
-    strong = None
-    if not constants.uniform_strong_convexity:
-        strong = constants.per_component_strong_convexity
-    return run_rounds(family, config.x1, first, strong_convexity=strong, progress=progress,
-                      iterate_observer=iterate_observer)
+    return run_rounds(family, config.x1, _plan(family.n, constants, config, config.epsilon),
+                      progress=progress, iterate_observer=iterate_observer)
 
 
 def run_online(
@@ -473,20 +475,25 @@ def run_online(
     config: OptimizerConfig,
     progress: ProgressCallback | None = None,
 ) -> list[SolveReport]:
-    """Epsilon-halving restarts: round k targets epsilon_0 / 2^k.
-
-    Each round warm-starts from the previous round's final iterate; the
-    caller's distance bound is kept, which remains valid under warm starts.
-    ``progress`` sees each round's own step counter, which restarts at 2.
+    """Epsilon-halving restarts: round k targets epsilon_0 / 2^k under
+    ``constants_provider(epsilon_0 / 2^k)``, and ``config`` gives the rest
+    (its ``epsilon`` is not read).  One ``run_rounds`` loop from
+    ``config.x1``: each round restarts the momentum at the best point so
+    far, the previous round's ``x_final``; the caller's distance bound is
+    kept, which remains valid under warm starts.  Returns the report of
+    each round; ``progress`` sees one step counter across the rounds.
     """
     if not epsilon_0 > 0 or rounds < 1:
         raise ContractViolationError("need epsilon_0 > 0 and rounds >= 1")
     reports: list[SolveReport] = []
-    x_start = config.x1
-    for k in range(rounds):
-        eps_k = epsilon_0 / 2 ** k
-        round_config = replace(config, epsilon=eps_k, x1=x_start)
-        report = run_to_gap(family, constants_provider(eps_k), round_config, progress=progress)
+
+    def round_end(report: SolveReport) -> Round | None:
         reports.append(report)
-        x_start = report.x_final
+        if len(reports) == rounds:
+            return None
+        eps_k = epsilon_0 / 2 ** len(reports)
+        return _plan(family.n, constants_provider(eps_k), config, eps_k)
+
+    run_rounds(family, config.x1, _plan(family.n, constants_provider(epsilon_0), config,
+                                        epsilon_0), round_end, progress=progress)
     return reports

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationError, ContractViolationError
-from .families import ComponentFamily, DomainConstants, SmoothingParams
+from .families import ComponentFamily, SmoothingParams
 
 
 # Shifted exponents are floored here: exp(-700) ~ 1e-304 is a normal double
@@ -128,18 +128,6 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
         mean_hess += weights[i] * family.hessian_at(i, x)
     hess = params.s * cov + mean_hess
     return 0.5 * (hess + hess.T)  # symmetrize away roundoff
-
-
-def hessian_eig_bounds(constants: DomainConstants, params: SmoothingParams) -> tuple[float, float]:
-    """Eigenvalue bracket of the smooth Hessian on the working set.
-
-    The Hessian is s Cov_p(grad f_i) + E_p[hess f_i] (``smooth_hessian``),
-    so L_s = min_i l_i and U_s = s G^2 + max_i u_i, with G^2 a bound on
-    the top eigenvalue of Cov_p(grad f_i) (``DomainConstants``).
-    """
-    L_s = constants.min_strong_convexity
-    U_s = params.s * constants.gradient_norm_bound ** 2 + constants.max_smoothness
-    return L_s, U_s
 
 
 def condition_number(L_s: float, U_s: float) -> float:

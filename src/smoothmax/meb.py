@@ -256,14 +256,14 @@ def solve_meb(
                           2.0 * math.sqrt(f_top), 2.0, 2.0,
                           required_iterations_meb(round_gap, n), round_gap)
 
-    def round_end(x_best, f_best, lb_best, round_steps, stop_reason):
+    def round_end(report: SolveReport):
         nonlocal lb, steps, round_gap
-        steps += round_steps
-        lb = max(lb, lb_best)
+        steps += report.iterations_run
+        lb = max(lb, report.lower_bound)
         if round_gap == eps_rel:
             return None
         round_gap = max(eps_rel, round_gap / ROUND_GAP_RATIO)
-        return plan(f_best)
+        return plan(report.f_final)
 
     report = run_rounds(family, x1, plan(f1), round_end, progress=progress,
                         iterate_observer=iterate_observer)

@@ -556,6 +556,61 @@ class TestRunOnline:
         with pytest.raises(ContractViolationError):
             run_online(fam, lambda eps: constants, 0.1, 0, config)
 
+    @pytest.mark.parametrize("case", ["symmetric_pair", "seed_9", "unequal_curvatures"])
+    def test_rounds_equal_chained_run_to_gap(self, case):
+        # Each round is run_to_gap at its gap from the previous x_final, bit
+        # for bit: the start pass of a round re-weights the values kept at
+        # x_best, which the doubled smoother rescales exactly.  The provider's
+        # G grows with eps, so each round plans under its own constants.
+        if case == "symmetric_pair":
+            fam, x1, distance, radius = symmetric_pair(), np.array([0.6]), 1.0, 3.0
+        elif case == "seed_9":
+            fam, x1, distance, radius = (RandomQuadraticFamily.from_seed(9, n=8, dim=2),
+                                         np.zeros(2), 4.0, 6.0)
+        else:
+            base, curvatures = ill_conditioned(np.random.default_rng(3), 2, 8)
+            fam, x1, distance, radius = (RandomQuadraticFamily(base, curvatures),
+                                         np.zeros(base.shape[1]), 3.0, 4.0)
+        base_constants = fam.true_constants(domain_radius=radius)
+        # Only the symmetric pair has equal curvatures; the others take the
+        # per-component path of each round.
+        assert base_constants.uniform_strong_convexity == (case == "symmetric_pair")
+
+        def provider(eps):
+            return DomainConstants(base_constants.per_component_strong_convexity,
+                                   base_constants.per_component_smoothness,
+                                   base_constants.gradient_norm_bound * (1.0 + eps))
+
+        config = OptimizerConfig(epsilon=0.8, x1=x1, initial_distance_bound=distance)
+        reports = run_online(fam, provider, 0.8, 4, config)
+        assert len(reports) == 4
+        x = x1
+        for k, report in enumerate(reports):
+            eps = 0.8 / 2 ** k
+            chained = run_to_gap(fam, provider(eps), replace(config, epsilon=eps, x1=x))
+            assert np.array_equal(report.x_final, chained.x_final)
+            assert (report.iterations_run, report.f_final, report.lower_bound,
+                    report.gap_certificate) == (chained.iterations_run, chained.f_final,
+                                                chained.lower_bound, chained.gap_certificate)
+            assert report.g_s == provider(eps).gradient_norm_bound
+            x = chained.x_final
+
+    def test_one_step_counter_and_one_start_pass(self):
+        # One run_rounds loop: one point check and one values pass at x1,
+        # then one pass per step of every round, and progress counts the
+        # steps across the rounds.
+        fam = CountingFamily(RandomQuadraticFamily.from_seed(9, n=8, dim=2))
+        constants = fam.inner.true_constants(domain_radius=6.0)
+        config = OptimizerConfig(epsilon=0.8, x1=np.zeros(2), initial_distance_bound=4.0)
+        ts = []
+        reports = run_online(fam, lambda eps: constants, 0.8, 4, config,
+                             progress=lambda t, value, grad_norm: ts.append(t))
+        assert all(r.stop_reason == "certified" for r in reports)
+        total = sum(r.iterations_run for r in reports)
+        assert fam.passes == total + 1
+        assert fam.checks == 1
+        assert ts == list(range(2, total + 2))
+
 
 class TestOnePassPerIteration:
     def setup_method(self):

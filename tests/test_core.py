@@ -8,7 +8,6 @@ from smoothmax import (
     DomainConstants,
     SmoothingParams,
     condition_number,
-    hessian_eig_bounds,
     smooth_gradient,
     smooth_hessian,
     smooth_value,
@@ -21,6 +20,7 @@ from smoothmax.errors import (
     SmoothmaxError,
     UnsupportedCapabilityError,
 )
+from smoothmax.agd import plan_round
 from smoothmax.core import component_values, shifted_pass, smooth_pass
 from smoothmax.families import ComponentFamily
 from smoothmax.testkit import (
@@ -164,20 +164,30 @@ class TestSmoothHessian:
             smooth_hessian(fam, SmoothingParams(1.0), np.zeros(1))
 
 
+def round_at(constants: DomainConstants, s: float):
+    """The round ``plan_round`` plans for ``constants`` at the gap whose
+    smoother is s, 2 log(n) / s."""
+    n = constants.per_component_strong_convexity.size
+    rnd = plan_round(n, 2.0 * math.log(n) / s, 1.0, constants.gradient_norm_bound,
+                     constants.min_strong_convexity, constants.max_smoothness)
+    assert rnd.s == s
+    return rnd
+
+
 class TestBoundsAndConditioning:
     def test_eig_bounds_uniform_constants(self):
-        constants = DomainConstants.uniform(5, 2.0, 2.0, 10.0)
-        assert hessian_eig_bounds(constants, SmoothingParams(1.0)) == (2.0, 102.0)
+        rnd = round_at(DomainConstants.uniform(5, 2.0, 2.0, 10.0), 1.0)
+        assert (rnd.L_s, rnd.U_s) == (2.0, 102.0)
 
     def test_eig_bounds_vanishing_smoother(self):
-        constants = DomainConstants.uniform(3, 1.0, 1.0, 1.0)
-        L, U = hessian_eig_bounds(constants, SmoothingParams(1e-9))
-        assert L == 1.0
-        assert U == pytest.approx(1.0 + 1e-9)
+        rnd = round_at(DomainConstants.uniform(3, 1.0, 1.0, 1.0), 1e-9)
+        assert rnd.L_s == 1.0
+        assert rnd.U_s == pytest.approx(1.0 + 1e-9)
 
     def test_eig_bounds_mixed_constants(self):
         constants = DomainConstants(np.array([1.0, 3.0]), np.array([2.0, 5.0]), 2.0)
-        assert hessian_eig_bounds(constants, SmoothingParams(3.0)) == (1.0, 17.0)
+        rnd = round_at(constants, 3.0)
+        assert (rnd.L_s, rnd.U_s) == (1.0, 17.0)
 
     @pytest.mark.parametrize("L,U,expected", [(2.0, 2.0, 1.0), (2.0, 102.0, 51.0), (1.0, 17.0, 17.0)])
     def test_condition_number(self, L, U, expected):
@@ -290,11 +300,10 @@ def test_hessian_eigenvalues_within_lemma_bounds():
         rng = np.random.default_rng(seed)
         fam = RandomQuadraticFamily.from_seed(seed, n=5, dim=4)
         x = rng.standard_normal(4)
-        params = SmoothingParams(3.0)
         constants = DomainConstants(
             2.0 * fam.curvatures, 2.0 * fam.curvatures, fam.pointwise_gradient_bound(x)
         )
-        L, U = hessian_eig_bounds(constants, params)
-        eigs = np.linalg.eigvalsh(smooth_hessian(fam, params, x))
-        assert np.all(eigs >= L - 1e-6)
-        assert np.all(eigs <= U + 1e-6)
+        rnd = round_at(constants, 3.0)
+        eigs = np.linalg.eigvalsh(smooth_hessian(fam, rnd.params, x))
+        assert np.all(eigs >= rnd.L_s - 1e-6)
+        assert np.all(eigs <= rnd.U_s + 1e-6)

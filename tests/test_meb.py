@@ -373,9 +373,9 @@ def test_certified_ratio_is_none_without_a_positive_lower_radius():
 
 class RoundRecorder:
     """Wraps ``meb.run_rounds``: records each round ``solve_meb`` plans
-    (``rounds``) and how it ended (``ends``: x_best, f_best, lb_best, steps,
-    stop_reason).  With ``uncertifiable``, every round runs with a relative
-    stop of 1e-12, which no round can prove, so each one reaches its cap."""
+    (``rounds``) and the ``SolveReport`` it ended with (``ends``).  With
+    ``uncertifiable``, every round runs with a relative stop of 1e-12, which
+    no round can prove, so each one reaches its cap."""
 
     def __init__(self, monkeypatch, uncertifiable: bool):
         self.rounds, self.ends = [], []
@@ -385,9 +385,9 @@ class RoundRecorder:
             return rnd._replace(relative_epsilon=1e-12) if uncertifiable else rnd
 
         def recording_run_rounds(family, x1, first, round_end, **observers):
-            def recording_round_end(*end):
-                self.ends.append(end)
-                following = round_end(*end)
+            def recording_round_end(report):
+                self.ends.append(report)
+                following = round_end(report)
                 if following is None:
                     return None
                 self.rounds.append(following)
@@ -424,14 +424,14 @@ class TestContinuation:
             1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
         ]
         assert len(ends) == len(rounds)
-        assert all(steps == 4 for _, _, _, steps, _ in ends)
-        assert all(stop == ("planned" if r.planned <= 2 else "override")
-                   for r, (_, _, _, _, stop) in zip(rounds, ends))
+        assert all(end.iterations_run == 4 for end in ends)
+        assert all(end.stop_reason == ("planned" if r.planned <= 2 else "override")
+                   for r, end in zip(rounds, ends))
         assert result.iterations == 4 * len(rounds)
         assert result.planned_iterations == 2
         f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
         lb = f1 / 4.0
-        for k, (rnd, (_, _, lb_best, _, _)) in enumerate(zip(rounds, ends)):
+        for k, (rnd, end) in enumerate(zip(rounds, ends)):
             e = rnd.relative_epsilon
             assert rnd.epsilon == pytest.approx((2.0 * e + e * e) * lb, rel=1e-12)
             assert rnd.cap == 2
@@ -439,18 +439,14 @@ class TestContinuation:
                 # The round's first step is taken from the previous round's
                 # x_final, with the gradient there under the new smoother.
                 x_first, grad = states[4 * k]
-                assert np.array_equal(x_first, ends[k - 1][0] - grad / rnd.U_s)
-            lb = max(lb, lb_best)
+                assert np.array_equal(x_first, ends[k - 1].x_final - grad / rnd.U_s)
+            lb = max(lb, end.lower_bound)
         exact = welzl_exact(cloud).radius
         dists = np.linalg.norm(cloud.points - result.center, axis=1)
         assert np.max(dists) <= result.radius * (1.0 + 1e-9)
         assert result.certified_radius_lower == math.sqrt(lb)
         assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
-        report = result.solve_report
-        x_best, f_best, lb_best, steps, stop = ends[-1]
-        assert report.x_final is x_best
-        assert (report.f_final, report.lower_bound, report.iterations_run, report.stop_reason) \
-            == (f_best, lb_best, steps, stop)
+        assert result.solve_report is ends[-1]
 
     @pytest.mark.parametrize("kind,offset", [("gaussian", 0.0), ("clustered", 1e6),
                                              ("sphere_surface", 1e8)])
@@ -463,12 +459,12 @@ class TestContinuation:
         exact = welzl_exact(base).radius
         result = solve_meb(PointCloud(base.points + offset), MebConfig(0.01))
         assert len(recorder.ends) == len(recorder.rounds)
-        for rnd, (_, f_best, _, steps, stop) in zip(recorder.rounds, recorder.ends):
-            assert stop == "planned"
-            assert steps == 2 * rnd.cap and rnd.planned == rnd.cap
+        for rnd, end in zip(recorder.rounds, recorder.ends):
+            assert end.stop_reason == "planned"
+            assert end.iterations_run == 2 * rnd.cap and rnd.planned == rnd.cap
             assert rnd.planned < required_iterations_meb(rnd.relative_epsilon, base.n)
-            assert math.sqrt(f_best) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
-        assert result.iterations == sum(steps for _, _, _, steps, _ in recorder.ends)
+            assert math.sqrt(end.f_final) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
+        assert result.iterations == sum(end.iterations_run for end in recorder.ends)
         assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("uncertifiable", [False, True], ids=["certified", "capped"])
@@ -491,7 +487,7 @@ class TestContinuation:
         recorder = RoundRecorder(monkeypatch, uncertifiable)
         result = solve_meb(random_point_cloud(6, 150, 4, "gaussian"), MebConfig(0.01))
         rounds = len(recorder.ends)
-        capped = sum(stop != "certified" for _, _, _, _, stop in recorder.ends)
+        capped = sum(end.stop_reason != "certified" for end in recorder.ends)
         assert rounds == len(recorder.rounds) > 1
         assert capped == (rounds if uncertifiable else 0)
         assert calls["values_at"] == 1 + result.iterations + capped
