@@ -23,7 +23,7 @@ from smoothmax import (
     smoother_for_gap,
     softmax_weights,
 )
-from smoothmax.agd import LowerModel, lower_bound, momentum_for
+from smoothmax.agd import SECANT_SAFETY, STEP_GROWTH, LowerModel, lower_bound, momentum_for
 from smoothmax.core import smooth_pass
 from smoothmax.errors import (
     ConfigurationError,
@@ -483,10 +483,31 @@ class TestFallback:
 GENERIC_SIZES = tuple((round(2 + 38 * k / 23), 2 + k % 7) for k in range(24))
 
 
+class TestAdaptiveSequence:
+    def test_first_secant_is_not_growth_capped(self):
+        # After the first step at 1/U_s, the next step is at the first secant
+        # alone (theta_0 = +inf): U_2 = min(U_s, max(L_s, 8 ||g2 - g1|| /
+        # ||y2 - y1||)), far below the growth cap U_s / STEP_GROWTH here.
+        fam = RandomQuadraticFamily.from_seed(7, n=6, dim=3)
+        config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5), initial_distance_bound=3.0)
+        states = []
+        report = run_to_gap(fam, fam.true_constants(domain_radius=5.0), config,
+                            iterate_observer=lambda state, grad: states.append(state))
+        assert report.stop_reason == "certified"
+        params = SmoothingParams(report.s)
+        y1, y2 = config.x1, states[0].y_current
+        g1, g2 = smooth_gradient(fam, params, y1), smooth_gradient(fam, params, y2)
+        secant = SECANT_SAFETY * np.linalg.norm(g2 - g1) / np.linalg.norm(y2 - y1)
+        U_2 = min(report.U_s, max(report.L_s, secant))
+        assert U_2 < report.U_s / STEP_GROWTH
+        np.testing.assert_allclose(states[1].x_current, y2 - g2 / U_2, rtol=1e-12)
+
+
 class TestAdaptiveStepCounts:
     """Step totals of certified generic solves on fixed seeds, a guard on the
-    adaptive sequence's gain: within 1.25x of the 5181 and 8721 steps they
-    take with it.  The fixed sequence alone took 23434 and 213256."""
+    adaptive sequence's gain: within 1.25x of the 3757 and 6690 steps they
+    take with it (5181 and 8721 with the first secant growth-capped too).
+    The fixed sequence alone took 23434 and 213256."""
 
     def test_benchmark_families(self):
         steps = 0
@@ -499,7 +520,7 @@ class TestAdaptiveStepCounts:
                 report = run_to_gap(fam, fam.true_constants(domain_radius=6.0), config)
                 assert report.stop_reason == "certified"
                 steps += report.iterations_run
-        assert steps <= 1.25 * 5181
+        assert steps <= 1.25 * 3757
 
     def test_ill_conditioned_families(self):
         steps = 0
@@ -512,7 +533,7 @@ class TestAdaptiveStepCounts:
                 report = run_to_gap(fam, fam.true_constants(domain_radius=4.0), config)
                 assert report.stop_reason == "certified"
                 steps += report.iterations_run
-        assert steps <= 1.25 * 8721
+        assert steps <= 1.25 * 6690
 
 
 class TestRunOnline:

@@ -337,10 +337,11 @@ def test_certified_solves_prove_their_own_ratio(kind, seed, offset, eps):
     if result.solve_report.stop_reason == "certified":
         assert result.radius <= (1.0 + eps) * lower * (1.0 + 1e-12)
     else:
-        # The last round ran its full cap: the smaller of run_to_gap's own
-        # a-priori count and the paper's.
+        # The last round ran its cap of adaptive steps, then of fixed ones: the
+        # cap is the smaller of the round's own a-priori count and the paper's.
         report = result.solve_report
-        assert report.iterations_run == min(report.planned_iterations, result.planned_iterations)
+        assert report.iterations_run == 2 * min(report.planned_iterations,
+                                                result.planned_iterations)
 
 
 @settings(max_examples=40, deadline=None)
