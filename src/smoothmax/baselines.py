@@ -1,5 +1,5 @@
-"""Reference algorithms: exact MEB (randomized incremental with
-move-to-front) and the farthest-point core-set baseline."""
+"""Reference algorithms: exact MEB (Gärtner's pivoting around Welzl's
+move-to-front recursion) and the farthest-point core-set baseline."""
 
 from __future__ import annotations
 
@@ -9,7 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agd import MAX_PLANNED_ITERATIONS
-from .errors import ConfigurationError, ContractViolationError, UnsupportedDimensionError
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    SmoothmaxError,
+    UnsupportedDimensionError,
+)
 from .meb import BoundingSphereFamily, MebResult, PointCloud, farthest_sq_distance
 
 WELZL_MAX_DIM = 12
@@ -71,7 +76,17 @@ def _welzl_mtf(
 def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
     """Exact minimal enclosing ball; deterministic given the seed.
 
-    The seed only fixes the processing order; the optimum itself is unique.
+    Pivoting (Gärtner, "Fast and robust smallest enclosing balls", 1999):
+    each pass takes every squared distance to the current centre on the raw
+    coordinates and picks the farthest point; if it lies outside, the ball
+    is recomputed by the move-to-front recursion over the pivots found so
+    far with that point on the boundary, and the point becomes the first
+    pivot.  A pivot lies outside a ball holding every earlier pivot, so none
+    repeats and there are at most n passes; the loop only ends on a pass
+    that finds all n points inside.
+
+    The seed picks the first pivot; the radius is unique, but on
+    cospherical clouds the returned support may depend on it.
     Dimensions above 12 are refused (recursion constant grows too fast);
     use the core-set baseline at a tiny epsilon as a reference instead.
     """
@@ -80,9 +95,24 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
             f"welzl_exact supports dim <= {WELZL_MAX_DIM}, got {cloud.dim}; "
             "use badoiu_clarkson at a small epsilon as a near-exact reference"
         )
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(cloud.n))
-    center, r2, support = _welzl_mtf(cloud.points, order, [])
+    pts = cloud.points
+    first = int(np.random.default_rng(seed).integers(cloud.n))
+    center, r2, support = pts[first].copy(), 0.0, [first]
+    pivots = [first]
+    diff = np.empty_like(pts)
+    sq = np.empty(cloud.n)
+    for _ in range(cloud.n):
+        np.subtract(pts, center, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=sq)
+        k = int(sq.argmax())
+        if sq[k] <= r2 * (1.0 + _CONTAINS_SLACK):
+            break
+        center, r2, support = _welzl_mtf(pts, list(pivots), [k])
+        pivots.insert(0, k)
+    else:
+        raise SmoothmaxError(
+            f"welzl_exact found no enclosing ball within {cloud.n} pivot passes"
+        )
     return ExactMebResult(
         center=center,
         radius=math.sqrt(max(r2, 0.0)),

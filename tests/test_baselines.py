@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothmax import PointCloud, badoiu_clarkson, welzl_exact
-from smoothmax.baselines import _circumball
+from smoothmax import baselines
+from smoothmax.baselines import _circumball, _welzl_mtf
 from smoothmax.errors import (
     ConfigurationError,
     ContractViolationError,
+    SmoothmaxError,
     UnsupportedDimensionError,
 )
-from smoothmax.testkit import random_point_cloud
+from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
 
 def brute_force_meb(points: np.ndarray) -> float:
@@ -83,6 +86,74 @@ class TestWelzlExact:
         result = welzl_exact(cloud, seed=0)
         np.testing.assert_allclose(result.center, [1.0, 0.0], atol=1e-12)
         assert result.radius == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # a square with every corner repeated, in scrambled order
+            [[0, 0], [1, 1], [1, 0], [0, 0], [0, 1], [1, 1], [1, 0], [0, 1]],
+            # a regular hexagon: all six points on the one circle
+            [[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)],
+            # collinear points in the plane, with duplicates
+            [[3 + t, -1 + 2 * t] for t in (0.0, 2.5, 0.0, 1.0, 4.0, 2.5, 4.0)],
+        ],
+        ids=["square-repeated-corners", "hexagon", "collinear-duplicates"],
+    )
+    def test_degenerate_clouds_match_exhaustive_search(self, points, seed):
+        cloud = PointCloud(np.array(points, dtype=float))
+        exact = welzl_exact(cloud, seed=seed)
+        assert exact.radius == pytest.approx(brute_force_meb(cloud.points), rel=1e-9)
+        dists = np.linalg.norm(cloud.points - exact.center, axis=1)
+        assert np.max(dists) <= exact.radius * (1.0 + 1e-9)
+
+    def test_cospherical_support_may_differ_but_radius_may_not(self):
+        # The seed picks the first pivot, so on a cospherical cloud two seeds
+        # may return different supports; each must lie on both balls.
+        cloud = random_point_cloud(3, 500, 5, "sphere_surface")
+        a = welzl_exact(cloud, seed=0)
+        b = welzl_exact(cloud, seed=7)
+        assert a.support != b.support
+        assert a.radius == pytest.approx(b.radius, rel=1e-12)
+        for idx in a.support + b.support:
+            for ball in (a, b):
+                dist = np.linalg.norm(cloud.points[idx] - ball.center)
+                assert dist == pytest.approx(ball.radius, rel=1e-7)
+
+    def test_pass_count_is_bounded(self, monkeypatch):
+        # A slack of -1 counts no point as inside, so no pass can end the
+        # loop; it must stop after n passes instead of returning a ball.
+        monkeypatch.setattr(baselines, "_CONTAINS_SLACK", -1.0)
+        with pytest.raises(SmoothmaxError, match="5 pivot passes"):
+            welzl_exact(random_point_cloud(0, 5, 2, "gaussian"), seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    cloud_seed=st.integers(min_value=0, max_value=10_000),
+    order_seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=2, max_value=300),
+    dim=st.integers(min_value=1, max_value=6),
+    offset=st.sampled_from([0.0, 1e6, 1e8]),
+    duplicate=st.booleans(),
+)
+def test_pivoting_matches_the_plain_recursion(
+    distribution, cloud_seed, order_seed, n, dim, offset, duplicate
+):
+    points = random_point_cloud(cloud_seed, n, dim, distribution).points + offset
+    if duplicate:  # repeat a third of the rows, after the originals
+        points = np.concatenate([points, points[: max(1, n // 3)]])
+    exact = welzl_exact(PointCloud(points), seed=order_seed)
+    _, r2, _ = _welzl_mtf(points, list(range(points.shape[0])), [])
+    # Both centres are rounded to the grid of the shifted coordinates, which
+    # moves a distance to them by up to about sqrt(d) ulp of the offset.
+    rounding = math.sqrt(dim) * np.spacing(2.0 * offset)
+    assert exact.radius == pytest.approx(math.sqrt(r2), rel=1e-12, abs=rounding)
+    dists = np.linalg.norm(points - exact.center, axis=1)
+    assert np.max(dists) <= exact.radius * (1.0 + 1e-9)
+    for idx in exact.support:
+        assert dists[idx] == pytest.approx(exact.radius, rel=1e-7, abs=rounding)
 
 
 class TestBadoiuClarkson:
