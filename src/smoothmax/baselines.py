@@ -128,10 +128,11 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
 
     Each step finds its farthest point with the smooth solver's O(nd)
-    kernel, ``BoundingSphereFamily.values_at`` (one GEMV on the centred
-    cloud), so the two solvers' wall times compare like with like.  The
-    returned radius is taken on the raw coordinates, so it encloses every
-    point exactly as computed.
+    kernel, ``BoundingSphereFamily.values_at``: one GEMV on the centred
+    cloud, stored coordinate-major as [P^T; 1] so that at small d the GEMV
+    runs over rows of length n, not n short dot products.  The two solvers'
+    wall times thus compare like with like.  The returned radius is taken
+    on the raw coordinates, so it encloses every point exactly as computed.
     """
     if not 0 < relative_epsilon <= 1:
         raise ContractViolationError(

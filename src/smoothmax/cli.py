@@ -274,6 +274,13 @@ def _log_log_slope(rows: list[dict], key: str) -> float | None:
     return float(np.polyfit(np.log(inv_eps), np.log(counts), 1)[0])
 
 
+def _too_large(args) -> int:
+    """Report flag sizes whose arrays cannot be allocated: a usage error."""
+    print(f"error: --n {args.n} and --dim {args.dim} need more memory than is available",
+          file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_bench(args) -> int:
     try:
         epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
@@ -292,10 +299,13 @@ def cmd_bench(args) -> int:
         print("error: need --n >= 1 and --dim >= 1", file=sys.stderr)
         return EXIT_USAGE
 
-    cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
     exact_radius = None
-    if cloud.dim <= WELZL_MAX_DIM:
-        exact_radius = welzl_exact(cloud, seed=args.seed).radius
+    try:
+        cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
+        if cloud.dim <= WELZL_MAX_DIM:
+            exact_radius = welzl_exact(cloud, seed=args.seed).radius
+    except MemoryError:
+        return _too_large(args)
 
     rows = []
     try:
@@ -322,6 +332,8 @@ def cmd_bench(args) -> int:
                     "planned_iterations": result["planned_iterations"],
                     "observed_to_target": observed,
                     "wall_time_ms": result["wall_time_ms"],
+                    "us_per_step": (result["wall_time_ms"] * 1e3 / result["iterations"]
+                                    if result["iterations"] else None),
                     "radius": result["radius"],
                     "radius_over_exact": over,
                     "stop_reason": result.get("stop_reason"),
@@ -396,6 +408,8 @@ def cmd_gradcheck(args) -> int:
     except SmoothmaxError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        return _too_large(args)
     print(f"max relative gradient error: {worst_grad:.3e}")
     print(f"max relative hessian error:  {worst_hess:.3e}")
     if not (worst_grad <= 1e-5 and worst_hess <= 1e-4):  # a nan error fails

@@ -115,17 +115,26 @@ class MebResult:
 class BoundingSphereFamily(ComponentFamily):
     """f_i(x) = ||x - c_i||^2; the batch paths are one GEMV each on the cloud
     centred once on its centroid m (P = C - m, which keeps far-offset clouds
-    accurate): ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2."""
+    accurate): ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2.
+
+    The centred cloud is stored coordinate-major, as the C-contiguous
+    (d+1) x n array [P^T; 1]: at small d a row-major GEMV is n dot products
+    of length d, the shape BLAS handles worst, while this layout makes both
+    GEMVs run over rows of length n.  ``centred`` is the n x d view P of its
+    first d rows, not a second copy."""
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
         self.n = cloud.n
         self.dim = cloud.dim
         self.centroid = centroid_init(cloud)
-        # [P | 1]: one GEMV gives both w^T P and sum(w) for combined_gradient.
-        self._centred_ones = np.hstack([cloud.points - self.centroid, np.ones((cloud.n, 1))])
-        self.centred = self._centred_ones[:, :-1]
-        self.centred_sq = np.einsum("ij,ij->i", self.centred, self.centred)
+        # [P^T; 1]: one GEMV gives both P^T w and sum(w) for combined_gradient.
+        self._centred_t = np.empty((cloud.dim + 1, cloud.n))
+        centred_t = self._centred_t[:-1]
+        np.subtract(cloud.points.T, self.centroid[:, None], out=centred_t)
+        self._centred_t[-1] = 1.0
+        self.centred = centred_t.T
+        self.centred_sq = np.einsum("ij,ij->j", centred_t, centred_t)
 
     def value_at(self, i: int, x: np.ndarray) -> float:
         """Scalar f_i(x): the reference the batch-path tests compare against;
@@ -142,7 +151,7 @@ class BoundingSphereFamily(ComponentFamily):
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
         x_c = x - self.centroid
-        values = self.centred @ (-2.0 * x_c)  # a new array, updated in place
+        values = (-2.0 * x_c) @ self._centred_t[:-1]  # a new array, updated in place
         values += self.centred_sq
         values += x_c @ x_c
         return values
@@ -151,7 +160,7 @@ class BoundingSphereFamily(ComponentFamily):
         return 2.0 * (x - self.cloud.points)
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        weighted = weights @ self._centred_ones
+        weighted = self._centred_t @ weights
         return 2.0 * (weighted[-1] * (x - self.centroid) - weighted[:-1])
 
 

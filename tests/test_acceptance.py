@@ -298,7 +298,8 @@ def test_criterion_10_determinism(tmp_path):
     np.savetxt(pts, np.random.default_rng(0).standard_normal((30, 3)), delimiter=",")
 
     def strip_wall_time(text: str) -> str:
-        return re.sub(r'"wall_time_ms": [0-9.eE+-]+', '"wall_time_ms": X', text)
+        # bench's us_per_step is wall_time_ms per step, so it is a timing too.
+        return re.sub(r'"(wall_time_ms|us_per_step)": [0-9.eE+-]+', r'"\1": X', text)
 
     solve_args = [sys.executable, "-m", "smoothmax.cli", "solve", "--input", str(pts),
                   "--algorithm", "smooth", "--epsilon", "0.05", "--seed", "7"]
@@ -311,5 +312,5 @@ def test_criterion_10_determinism(tmp_path):
             failures.append((label, "exit", a.returncode, b.returncode))
         elif strip_wall_time(a.stdout) != strip_wall_time(b.stdout):
             failures.append((label, "output-mismatch"))
-    report(10, "byte-identical JSON across repeated runs (modulo wall_time_ms)",
+    report(10, "byte-identical JSON across repeated runs (modulo wall_time_ms, us_per_step)",
            failures, time.perf_counter() - start)

@@ -192,19 +192,21 @@ class TestBadoiuClarkson:
         # Each step's farthest index comes from the centred-GEMV kernel; a
         # loop on the direct ||c_i - x||^2 must take the same steps.  (An
         # exact tie, such as at the centre of a 1-D cloud of +-1 points, may
-        # break either way; these clouds have none.)
-        cloud = random_point_cloud(7, 1000, 3, distribution)
-        cloud = PointCloud(cloud.points + offset)
-        result = badoiu_clarkson(cloud, 0.1)
-        center = cloud.points[0].copy()
-        for k in range(1, result.iterations + 1):
+        # break either way; these clouds have none.)  At d = 8 the GEMV sums
+        # over more coordinates, in another order than the direct loop.
+        for n, d in ((1000, 3), (3000, 8)):
+            cloud = random_point_cloud(7, n, d, distribution)
+            cloud = PointCloud(cloud.points + offset)
+            result = badoiu_clarkson(cloud, 0.1)
+            center = cloud.points[0].copy()
+            for k in range(1, result.iterations + 1):
+                diffs = cloud.points - center
+                idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
+                center = center + (cloud.points[idx] - center) / (k + 1)
             diffs = cloud.points - center
-            idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
-            center = center + (cloud.points[idx] - center) / (k + 1)
-        diffs = cloud.points - center
-        assert result.iterations == 100
-        assert result.center.tobytes() == center.tobytes()
-        assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
+            assert result.iterations == 100
+            assert result.center.tobytes() == center.tobytes(), (n, d)
+            assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 
     def test_epsilon_validation(self):
         cloud = PointCloud(np.array([[0.0], [1.0]]))

@@ -379,6 +379,7 @@ class TestBenchCommand:
         assert len(report["rows"]) == 4
         for row in report["rows"]:
             assert row["radius_over_exact"] >= 1.0 - 1e-9
+            assert row["us_per_step"] == row["wall_time_ms"] * 1e3 / row["iterations"]
             if row["algorithm"] == "smooth":
                 assert row["observed_to_target"] is not None
                 assert row["stop_reason"] == "certified"
@@ -439,6 +440,7 @@ class TestBenchCommand:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert all(row["iterations"] == 0 for row in report["rows"])
+        assert all(row["us_per_step"] is None for row in report["rows"])
         for row in report["rows"]:
             if row["algorithm"] == "smooth":
                 assert (row["stop_reason"], row["certified_ratio"]) == ("certified", None)
@@ -459,6 +461,18 @@ class TestBenchCommand:
                        "--epsilons", "0.1", "--algorithms", "smooth")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_unallocatable_cloud_exit_2(self, monkeypatch, capsys):
+        def unallocatable(seed, n, dim, distribution):
+            raise MemoryError(f"cannot allocate a {n}x{dim} cloud")
+
+        monkeypatch.setattr(cli, "random_point_cloud", unallocatable)
+        assert cli.main(["bench", "--n", "100000000000", "--dim", "2", "--epsilons", "0.1",
+                         "--algorithms", "smooth"]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --n 100000000000 and --dim 2 need more memory than is "
+                       "available\n")
 
     def test_bad_algorithm_exit_2(self):
         proc = run_cli("bench", "--n", "10", "--dim", "2",
@@ -525,6 +539,19 @@ class TestGradcheckCommand:
                             lambda family, params, x: np.full(family.dim, np.nan))
         assert cli.main(["gradcheck", "--trials", "2"]) == cli.EXIT_TOLERANCE == 5
         assert "max relative gradient error: nan" in capsys.readouterr().out
+
+    def test_unallocatable_family_exit_2(self, monkeypatch, capsys):
+        class Unallocatable:
+            @staticmethod
+            def from_seed(seed, n, dim):
+                raise MemoryError(f"cannot allocate a {n}x{dim} family")
+
+        monkeypatch.setattr(cli, "RandomQuadraticFamily", Unallocatable)
+        assert cli.main(["gradcheck", "--n", "100000000000", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --n 100000000000 and --dim 4 need more memory than is "
+                       "available\n")
 
     def test_library_error_exit_4(self, monkeypatch, capsys):
         def failing_gradient(family, params, x):

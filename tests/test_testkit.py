@@ -122,20 +122,25 @@ class TestRandomQuadraticFamily:
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
     @pytest.mark.parametrize("kind", ["bounding_sphere", "quadratic"])
     def test_batch_paths_match_scalar_loop_far_from_origin(self, kind, offset):
+        # Besides 5x3, the edges of the GEMV kernels: one point, one
+        # coordinate, a long thin cloud and a Fortran-ordered point array.
         rng = np.random.default_rng(7)
-        centers = rng.standard_normal((5, 3)) + offset
-        if kind == "bounding_sphere":
-            fam = BoundingSphereFamily(PointCloud(centers))
-        else:
-            fam = RandomQuadraticFamily(centers, rng.uniform(0.5, 2.0, size=5))
-        x = offset + rng.standard_normal(3)
-        values = fam.values_at(x)
-        scalar = np.array([fam.value_at(i, x) for i in range(fam.n)])
-        np.testing.assert_allclose(values, scalar, rtol=0, atol=1e-12 * np.max(scalar))
-        grad_scale = max(np.linalg.norm(fam.gradient_at(i, x)) for i in range(fam.n))
-        for weights in (rng.dirichlet(np.ones(5)), rng.uniform(0.1, 3.0, size=5)):
-            loop = sum(weights[i] * fam.gradient_at(i, x) for i in range(fam.n))
-            np.testing.assert_allclose(
-                fam.combined_gradient(x, weights), loop,
-                rtol=0, atol=1e-12 * np.sum(weights) * grad_scale,
-            )
+        for n, d, order in ((5, 3, "C"), (1, 3, "C"), (5, 1, "C"), (2000, 2, "C"), (5, 3, "F")):
+            shape = f"{n}x{d} {order}-ordered"
+            centers = np.asarray(rng.standard_normal((n, d)) + offset, order=order)
+            if kind == "bounding_sphere":
+                fam = BoundingSphereFamily(PointCloud(centers))
+            else:
+                fam = RandomQuadraticFamily(centers, rng.uniform(0.5, 2.0, size=n))
+            x = offset + rng.standard_normal(d)
+            values = fam.values_at(x)
+            scalar = np.array([fam.value_at(i, x) for i in range(fam.n)])
+            np.testing.assert_allclose(values, scalar, rtol=0, atol=1e-12 * np.max(scalar),
+                                       err_msg=shape)
+            grad_scale = max(np.linalg.norm(fam.gradient_at(i, x)) for i in range(fam.n))
+            for weights in (rng.dirichlet(np.ones(n)), rng.uniform(0.1, 3.0, size=n)):
+                loop = sum(weights[i] * fam.gradient_at(i, x) for i in range(fam.n))
+                np.testing.assert_allclose(
+                    fam.combined_gradient(x, weights), loop,
+                    rtol=0, atol=1e-12 * np.sum(weights) * grad_scale, err_msg=shape,
+                )
