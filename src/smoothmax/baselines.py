@@ -128,17 +128,20 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
 
     Each step finds its farthest point with the smooth solver's O(nd)
-    kernel, ``BoundingSphereFamily.values_at``: one GEMV on the centred
-    cloud, stored coordinate-major as [P^T; 1] so that at small d the GEMV
-    runs over rows of length n, not n short dot products.  The two solvers'
-    wall times thus compare like with like.  The returned radius is taken
-    on the raw coordinates, so it encloses every point exactly as computed.
+    kernel, ``BoundingSphereFamily.farthest``: one GEMV on the family's
+    coordinate-major table of the centred cloud and its squared norms, with
+    no O(n) pass after it.  The two solvers' wall times thus compare like
+    with like.  The centre moves in place, through one reused d-vector, by
+    the same three IEEE operations as ``c + (c_i - c) / (k + 1)``.  The
+    returned radius is taken on the raw coordinates, so it encloses every
+    point exactly as computed.
     """
     if not 0 < relative_epsilon <= 1:
         raise ContractViolationError(
             f"relative_epsilon must be in (0, 1], got {relative_epsilon}"
         )
-    center = cloud.points[0].copy()
+    points = cloud.points
+    center = points[0].copy()
     iterations = 0
     if cloud.n > 1:
         # Any eps below 2^-16 plans 2^32 steps, so its square is never formed.
@@ -148,9 +151,11 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
                 f"core-set count at eps={relative_epsilon} exceeds {MAX_PLANNED_ITERATIONS}"
             )
         family = BoundingSphereFamily(cloud)
+        step = np.empty(cloud.dim)
         for k in range(1, iterations + 1):
-            idx = int(family.values_at(center).argmax())
-            center = center + (cloud.points[idx] - center) / (k + 1)
+            np.subtract(points[family.farthest(center)], center, out=step)
+            step /= k + 1
+            center += step
 
     f_final, _ = farthest_sq_distance(cloud, center)
     return MebResult(

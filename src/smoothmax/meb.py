@@ -113,28 +113,30 @@ class MebResult:
 
 
 class BoundingSphereFamily(ComponentFamily):
-    """f_i(x) = ||x - c_i||^2; the batch paths are one GEMV each on the cloud
-    centred once on its centroid m (P = C - m, which keeps far-offset clouds
-    accurate): ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2.
+    """f_i(x) = ||x - c_i||^2, on the cloud centred once on its centroid m
+    (P = C - m, which keeps far-offset clouds accurate):
+    ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2.
 
-    The centred cloud is stored coordinate-major, as the C-contiguous
-    (d+1) x n array [P^T; 1]: at small d a row-major GEMV is n dot products
-    of length d, the shape BLAS handles worst, while this layout makes both
-    GEMVs run over rows of length n.  ``centred`` is the n x d view P of its
-    first d rows, not a second copy."""
+    The family keeps one C-contiguous (d+2) x n table
+    T = [||P||^2; -2 P^T; 1], filled in place.  With x~ = x - m, each batch
+    query is then one GEMV over rows of length n (at small d, n dot products
+    of length d are the shape BLAS handles worst), with no O(n) pass after
+    it: ``values_at`` is [1, x~, x~ . x~] @ T, ``farthest`` the argmax of
+    [1, x~] @ T[:-1] (||x~||^2 is the same for every i, so it is dropped),
+    and ``combined_gradient`` reads -2 P^T w and sum(w) from T[1:] @ w.
+    ``centred_sq``, the squared norms ||P_i||^2, is a view of row 0."""
 
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
         self.n = cloud.n
         self.dim = cloud.dim
         self.centroid = centroid_init(cloud)
-        # [P^T; 1]: one GEMV gives both P^T w and sum(w) for combined_gradient.
-        self._centred_t = np.empty((cloud.dim + 1, cloud.n))
-        centred_t = self._centred_t[:-1]
+        self._table = np.empty((cloud.dim + 2, cloud.n))
+        centred_t = self._table[1:-1]
         np.subtract(cloud.points.T, self.centroid[:, None], out=centred_t)
-        self._centred_t[-1] = 1.0
-        self.centred = centred_t.T
-        self.centred_sq = np.einsum("ij,ij->j", centred_t, centred_t)
+        self.centred_sq = np.einsum("ij,ij->j", centred_t, centred_t, out=self._table[0])
+        centred_t *= -2.0  # exact: a power of two
+        self._table[-1] = 1.0
 
     def value_at(self, i: int, x: np.ndarray) -> float:
         """Scalar f_i(x): the reference the batch-path tests compare against;
@@ -150,18 +152,27 @@ class BoundingSphereFamily(ComponentFamily):
         return 2.0 * np.eye(self.dim)
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
-        x_c = x - self.centroid
-        values = (-2.0 * x_c) @ self._centred_t[:-1]  # a new array, updated in place
-        values += self.centred_sq
-        values += x_c @ x_c
-        return values
+        query = np.empty(self.dim + 2)
+        query[0] = 1.0
+        x_c = np.subtract(x, self.centroid, out=query[1:-1])
+        query[-1] = x_c @ x_c
+        return query @ self._table
+
+    def farthest(self, x: np.ndarray) -> int:
+        """An index i maximising ||x - c_i||^2 (on an exact tie, any of them)."""
+        query = np.empty(self.dim + 1)
+        query[0] = 1.0
+        np.subtract(x, self.centroid, out=query[1:])
+        return int((query @ self._table[:-1]).argmax())
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - self.cloud.points)
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        weighted = self._centred_t @ weights
-        return 2.0 * (weighted[-1] * (x - self.centroid) - weighted[:-1])
+        # [-2 P^T w; sum(w)]: scaling by 2 is exact, so this is bit for bit
+        # 2 (sum(w) x~ - P^T w).
+        weighted = self._table[1:] @ weights
+        return (2.0 * weighted[-1]) * (x - self.centroid) + weighted[:-1]
 
 
 def centroid_init(cloud: PointCloud) -> np.ndarray:

@@ -360,7 +360,7 @@ class TestLowerModel:
             weights_sum += t * p
             weight += t
             p_bar = weights_sum / weight
-            centre = p_bar @ family.centred
+            centre = p_bar @ (cloud.points - family.centroid)
             assert averaged == pytest.approx(
                 p_bar @ family.centred_sq - centre @ centre, rel=1e-9)
         # The solve keeps the highest of the per-pass and the averaged bounds.

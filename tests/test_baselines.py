@@ -193,18 +193,23 @@ class TestBadoiuClarkson:
         # loop on the direct ||c_i - x||^2 must take the same steps.  (An
         # exact tie, such as at the centre of a 1-D cloud of +-1 points, may
         # break either way; these clouds have none.)  At d = 8 the GEMV sums
-        # over more coordinates, in another order than the direct loop.
-        for n, d in ((1000, 3), (3000, 8)):
+        # over more coordinates, in another order than the direct loop.  The
+        # 1112-step run at eps 0.03 guards the in-place centre update over a
+        # long run; the input cloud must come back untouched and unaliased.
+        for n, d, eps, steps in ((1000, 3, 0.1, 100), (3000, 8, 0.1, 100), (1000, 3, 0.03, 1112)):
             cloud = random_point_cloud(7, n, d, distribution)
             cloud = PointCloud(cloud.points + offset)
-            result = badoiu_clarkson(cloud, 0.1)
+            before = cloud.points.tobytes()
+            result = badoiu_clarkson(cloud, eps)
+            assert cloud.points.tobytes() == before, (n, d)
+            assert not np.shares_memory(result.center, cloud.points), (n, d)
             center = cloud.points[0].copy()
             for k in range(1, result.iterations + 1):
                 diffs = cloud.points - center
                 idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
                 center = center + (cloud.points[idx] - center) / (k + 1)
             diffs = cloud.points - center
-            assert result.iterations == 100
+            assert result.iterations == steps
             assert result.center.tobytes() == center.tobytes(), (n, d)
             assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 

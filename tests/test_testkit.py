@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothmax import BoundingSphereFamily, PointCloud, welzl_exact
+from smoothmax import BoundingSphereFamily, PointCloud, farthest_sq_distance, welzl_exact
 from smoothmax.errors import ContractViolationError
 from smoothmax.testkit import (
     RandomQuadraticFamily,
@@ -137,6 +137,10 @@ class TestRandomQuadraticFamily:
             scalar = np.array([fam.value_at(i, x) for i in range(fam.n)])
             np.testing.assert_allclose(values, scalar, rtol=0, atol=1e-12 * np.max(scalar),
                                        err_msg=shape)
+            if kind == "bounding_sphere":
+                # At the centroid only the squared norms tell the points apart.
+                for query in (x, fam.centroid):
+                    assert fam.farthest(query) == farthest_sq_distance(fam.cloud, query)[1], shape
             grad_scale = max(np.linalg.norm(fam.gradient_at(i, x)) for i in range(fam.n))
             for weights in (rng.dirichlet(np.ones(n)), rng.uniform(0.1, 3.0, size=n)):
                 loop = sum(weights[i] * fam.gradient_at(i, x) for i in range(fam.n))
