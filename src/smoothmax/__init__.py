@@ -10,7 +10,6 @@ and is checked against an exact Welzl oracle and a core-set baseline.
 
 from .agd import (
     OptimizerConfig,
-    OptimizerState,
     SolveReport,
     agd_step,
     gap_bound,
@@ -49,7 +48,6 @@ __all__ = [
     "smooth_hessian",
     "condition_number",
     "OptimizerConfig",
-    "OptimizerState",
     "SolveReport",
     "smoother_for_gap",
     "agd_step",

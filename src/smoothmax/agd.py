@@ -47,45 +47,26 @@ STEP_GROWTH = math.sqrt(2.0)
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
-# ``iterate_observer(state, grad f_s(y_{t-1}))``, which sees the iterate pair
-# in an ``OptimizerState`` built only for it.
+# ``iterate_observer(t, x_t, y_t, grad f_s(y_{t-1}))``.
 ProgressCallback = Callable[[int, float, float], None]
-IterateObserver = Callable[["OptimizerState", np.ndarray], None]
+IterateObserver = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """``epsilon`` is the absolute gap the smoother and the a-priori count are
-    built for.  With ``relative_epsilon`` set, a solve is certified once
-    f_best <= (1 + relative_epsilon)^2 lb_best instead of on the absolute gap:
-    the stop for a nonnegative objective that is a squared radius."""
+    built for; a solve is certified once its proven gap is below it."""
 
     epsilon: float
     x1: np.ndarray
     initial_distance_bound: float
-    max_iterations_override: int | None = None
-    relative_epsilon: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
         if not self.epsilon > 0:
             raise ContractViolationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.relative_epsilon is not None and not self.relative_epsilon > 0:
-            raise ContractViolationError("relative_epsilon must be positive")
         if not self.initial_distance_bound > 0:
             raise ContractViolationError("initial_distance_bound must be positive")
-        if self.max_iterations_override is not None and self.max_iterations_override < 1:
-            raise ContractViolationError("max_iterations_override must be >= 1")
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    """Iterate pair (x_t, y_t) and the counter t, as an iterate observer
-    sees them; run_rounds itself carries the bare arrays."""
-
-    x_current: np.ndarray
-    y_current: np.ndarray
-    t: int
 
 
 @dataclass(frozen=True)
@@ -95,9 +76,8 @@ class SolveReport:
     ``x_final`` is the evaluated point with the lowest true max ``f_final``;
     ``lower_bound`` is the best certified lower bound on f*, and
     ``gap_certificate`` bounds ``f_final - f*``.  ``stop_reason`` is
-    ``"certified"`` (the bound proved the gap), ``"planned"`` (the a-priori
-    count ran out) or ``"override"`` (``max_iterations_override`` ran out
-    below the a-priori count).
+    ``"certified"`` (the bound proved the gap) or ``"planned"`` (the
+    a-priori count ran out).
     """
 
     x_final: np.ndarray
@@ -227,10 +207,12 @@ def required_iterations_general(
 class Round(NamedTuple):
     """The scalars of one round of ``run_rounds``, as ``plan_round`` derives
     them.  ``params`` drives the passes; ``s`` is the reported smoother (0 for
-    n = 1, where any smoother is exact).  ``planned`` is the a-priori count and
-    ``cap`` the smaller of it and the override.  ``epsilon`` is the absolute
-    gap, and ``relative_epsilon``, when set, the relative stop (see
-    ``OptimizerConfig``).  ``distance`` is D, and ``regret`` log(n) / s.
+    n = 1, where any smoother is exact).  ``planned`` is the a-priori count,
+    the round's cap.  ``epsilon`` is the absolute gap.  With
+    ``relative_epsilon`` set, the round is certified once f_best <= (1 +
+    relative_epsilon)^2 lb_best instead of on the absolute gap: the stop for
+    a nonnegative objective that is a squared radius.  ``distance`` is D,
+    and ``regret`` log(n) / s.
     ``strong_convexity`` holds the l_i when they differ (None when uniform):
     each pass's model curvature is then sum_i p_i l_i, one n-dot, and L_s
     otherwise."""
@@ -242,7 +224,6 @@ class Round(NamedTuple):
     kappa_s: float
     G_s: float
     planned: int
-    cap: int
     epsilon: float
     relative_epsilon: float | None
     distance: float
@@ -262,7 +243,6 @@ def plan_round(
     G_s: float,
     min_strong_convexity: float,
     max_smoothness: float,
-    max_iterations_override: int | None = None,
     relative_epsilon: float | None = None,
     strong_convexity: np.ndarray | None = None,
 ) -> Round:
@@ -270,8 +250,8 @@ def plan_round(
 
     The epsilon budget is split evenly between smoothing regret and
     optimization gap; both halves are baked into the a-priori iteration
-    count, which caps the round (as does a smaller override).  The Hessian
-    of f_s is s Cov_p(grad f_i) + E_p[hess f_i] (``core.smooth_hessian``),
+    count, which caps the round.  The Hessian of f_s is
+    s Cov_p(grad f_i) + E_p[hess f_i] (``core.smooth_hessian``),
     so L_s = min_i l_i and U_s = s G^2 + max_i u_i, with G^2 a bound on the
     top eigenvalue of Cov_p(grad f_i) (``DomainConstants``).
     ``strong_convexity``, the l_i when they differ, goes to the round as is.
@@ -294,8 +274,7 @@ def plan_round(
             f"planned iteration count {planned} exceeds {MAX_PLANNED_ITERATIONS}; "
             "relax epsilon or supply tighter constants"
         )
-    cap = planned if max_iterations_override is None else min(planned, max_iterations_override)
-    return Round(params, s, L_s, U_s, kappa_s, G_s, planned, cap, epsilon, relative_epsilon,
+    return Round(params, s, L_s, U_s, kappa_s, G_s, planned, epsilon, relative_epsilon,
                  distance, regret, strong_convexity)
 
 
@@ -321,7 +300,7 @@ def run_rounds(
     |f_best|, or, with ``relative_epsilon`` set, once f_best - (1 +
     relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN |f_best|.
 
-    A round first runs an adaptive sequence of up to ``cap`` steps.  Its
+    A round first runs an adaptive sequence of up to ``planned`` steps.  Its
     first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
     SECANT_SAFETY ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
     U_{t-1} / STEP_GROWTH)) from consecutive pass points (kept when they
@@ -331,13 +310,13 @@ def run_rounds(
     the first secant alone.  A step with grad f_s(y_{t-1}) . (x_t -
     x_{t-1}) > 0 restarts the momentum: its pass is at y_t = x_t.  The
     bounds do not depend on the step sizes, so every pass still certifies.
-    If the adaptive sequence has not certified after ``cap`` steps, the
+    If the adaptive sequence has not certified after ``planned`` steps, the
     round runs the fixed sequence (U_s and ``momentum_for(kappa_s)``, no
-    restart) from its start point for ``cap`` more steps, reusing the start
+    restart) from its start point for ``planned`` more steps, reusing the start
     pass's gradient; ``x_best``, ``f_best``, ``lb_best`` and the averaged
     model, anchored at the last pass point, carry over.  At its end, one
     values pass at x_T adds it as a candidate, and the certificate is the
-    smaller of the proven gap and the a-priori bound after ``cap`` steps.
+    smaller of the proven gap and the a-priori bound after ``planned`` steps.
 
     A new round restarts the momentum at ``x_best``.  Its first pass there
     evaluates no values: the shifted values s (f_i - f_best) kept from the
@@ -355,7 +334,7 @@ def run_rounds(
         family, rnd.params, x_best, out=weights)
     shifted_s = rnd.params.s  # the smoother shifted_best is scaled by
     while True:
-        params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.cap
+        params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.planned
         strong_convexity = rnd.strong_convexity
         if rnd.relative_epsilon is None:
             lb_scale, target = 1.0, rnd.epsilon
@@ -390,7 +369,7 @@ def run_rounds(
             if progress is not None:
                 progress(t + offset, value, math.sqrt(grad_sq_at_y))
             if iterate_observer is not None:
-                iterate_observer(OptimizerState(x, y, t + offset), grad_at_y)
+                iterate_observer(t + offset, x, y, grad_at_y)
             grad_sq = float(grad.dot(grad))
             if strong_convexity is not None:
                 curvature = float(weights.dot(strong_convexity)) / total
@@ -412,7 +391,7 @@ def run_rounds(
                 stop_reason, a_priori = "certified", math.inf
                 break
         else:
-            stop_reason = "planned" if cap == rnd.planned else "override"
+            stop_reason = "planned"
             # x_T of the fixed sequence is a candidate, so the a-priori bound
             # covers x_final too.  Finite: component_values raises on nan or +inf.
             values, top = component_values(family, x)
@@ -456,7 +435,7 @@ def _plan(n: int, constants: DomainConstants, config: OptimizerConfig,
         strong = constants.per_component_strong_convexity
     return plan_round(n, epsilon, config.initial_distance_bound, constants.gradient_norm_bound,
                       constants.min_strong_convexity, constants.max_smoothness,
-                      config.max_iterations_override, config.relative_epsilon, strong)
+                      strong_convexity=strong)
 
 
 def run_to_gap(

@@ -88,12 +88,13 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
     The seed picks the first pivot; the radius is unique, but on
     cospherical clouds the returned support may depend on it.
     Dimensions above 12 are refused (recursion constant grows too fast);
-    use the core-set baseline at a tiny epsilon as a reference instead.
+    use ``solve_meb`` instead, whose certified_radius_lower <= R <= radius
+    brackets R within a proven (1+eps).
     """
     if cloud.dim > WELZL_MAX_DIM:
         raise UnsupportedDimensionError(
             f"welzl_exact supports dim <= {WELZL_MAX_DIM}, got {cloud.dim}; "
-            "use badoiu_clarkson at a small epsilon as a near-exact reference"
+            "use solve_meb, whose certified radius bounds bracket R within (1+eps)"
         )
     pts = cloud.points
     first = int(np.random.default_rng(seed).integers(cloud.n))

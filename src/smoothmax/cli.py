@@ -170,8 +170,8 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
             # The returned center is the best evaluated point, a y_t, reached
             # after t - 1 steps.
             family = BoundingSphereFamily(cloud)
-            observer = lambda state, grad: radius_trace.append(
-                (state.t - 1, math.sqrt(family.values_at(state.y_current).max()))
+            observer = lambda t, x, y, grad: radius_trace.append(
+                (t - 1, math.sqrt(family.values_at(y).max()))
             )
         res = solve_meb(cloud, MebConfig(epsilon), progress=progress,
                         iterate_observer=observer)

@@ -235,10 +235,12 @@ def solve_meb(
     eigenvalue is at most 4 E_p ||c_i - x*||^2 <= 4 R^2 <= 4 f_top (x* the
     exact centre): the smoothness is U_s = 4 s f_top + 2.  At the start
     point, ||grad f_s|| = 2 ||x - E_p c_i|| <= 2 sqrt(f_top), so G also
-    bounds the initial gap by G D.  A round's cap is the smaller of
-    its own count under these bounds (``plan_round``) and the paper's
-    single-shot count for e_k (``required_iterations_meb``), so the last
-    round never runs longer than ``planned_iterations``.  A round stops
+    bounds the initial gap by G D.  A round's cap is its own count under
+    these bounds (``plan_round``).  The count grows as lb falls and f_top
+    rises, so it is largest at lb = f(x1) / 4 and f_top = f(x1) = D^2, where
+    it is below the paper's single-shot count for e_k
+    (``required_iterations_meb``): the last round never runs longer than
+    ``planned_iterations``.  A round stops
     once its own lower bound on R^2 proves f_best <= (1+e_k)^2 times it
     (``Round.relative_epsilon``); a coarse round that reaches its
     cap still holds its (1+e_k) guarantee.  ``certified_radius_lower`` is
@@ -273,8 +275,7 @@ def solve_meb(
     def plan(f_top: float):
         # f_top, the max at the round's start point, is at least R^2.
         return plan_round(n, (2.0 * round_gap + round_gap ** 2) * lb, distance,
-                          2.0 * math.sqrt(f_top), 2.0, 2.0,
-                          required_iterations_meb(round_gap, n), round_gap)
+                          2.0 * math.sqrt(f_top), 2.0, 2.0, round_gap)
 
     def round_end(report: SolveReport):
         nonlocal lb, steps, round_gap

@@ -214,8 +214,7 @@ def test_criterion_7_runtime_gradient_bounds():
         records = []
         result = solve_meb(
             cloud, MebConfig(0.05),
-            iterate_observer=lambda st, g: records.append((st.x_current.copy(),
-                                                           st.y_current.copy())),
+            iterate_observer=lambda t, x, y, g: records.append((x.copy(), y.copy())),
         )
         if result.solve_report is None:
             continue

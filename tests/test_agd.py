@@ -23,7 +23,16 @@ from smoothmax import (
     smoother_for_gap,
     softmax_weights,
 )
-from smoothmax.agd import SECANT_SAFETY, STEP_GROWTH, LowerModel, lower_bound, momentum_for
+from smoothmax.agd import (
+    SECANT_SAFETY,
+    STEP_GROWTH,
+    LowerModel,
+    _plan,
+    lower_bound,
+    momentum_for,
+    plan_round,
+    run_rounds,
+)
 from smoothmax.core import smooth_pass
 from smoothmax.errors import (
     ConfigurationError,
@@ -73,6 +82,15 @@ class CountingFamily(BatchOnlyFamily):
     def values_at(self, x):
         self.passes += 1
         return super().values_at(x)
+
+
+def capped_solve(family, constants, config, cap, relative_epsilon=None, **observers):
+    """run_to_gap's round for ``config``, run with its cap lowered to ``cap``
+    and, when ``relative_epsilon`` is given, its stop made relative.
+    Returns the round as planned and the report."""
+    rnd = _plan(family.n, constants, config, config.epsilon)
+    capped = rnd._replace(planned=min(rnd.planned, cap), relative_epsilon=relative_epsilon)
+    return rnd, run_rounds(family, config.x1, capped, **observers)
 
 
 class TestSmootherForGap:
@@ -133,7 +151,7 @@ class TestGradientFiniteness:
             ys = [config.x1]
             with pytest.raises(DivergenceError, match=f"non-finite gradient at iteration {at}$") as err:
                 run_to_gap(fam, inner.true_constants(domain_radius=6.0), config,
-                           iterate_observer=lambda state, grad: ys.append(state.y_current))
+                           iterate_observer=lambda t, x, y, grad: ys.append(y))
             # The pass at y_at gave the gradient; no step is taken from it.
             assert len(ys) == at
             assert err.value.iterate is ys[-1]
@@ -147,7 +165,7 @@ class TestGradientFiniteness:
         rows, xs = [], []
         with np.errstate(over="ignore"):  # the lower models square the huge slope
             report = run_to_gap(fam, constants, config, progress=lambda *row: rows.append(row),
-                                iterate_observer=lambda state, grad: xs.append(state.x_current))
+                                iterate_observer=lambda t, x, y, grad: xs.append(x))
         assert report.iterations_run == 2
         assert rows[0][0] == 2 and rows[0][2] == math.inf
         np.testing.assert_allclose(xs[0], [0.0, 3.0])
@@ -235,24 +253,21 @@ class TestRunToGap:
         config = OptimizerConfig(epsilon=0.05, x1=np.zeros(3), initial_distance_bound=3.0)
         iterates_a, iterates_b = [], []
         run_to_gap(fam, constants, config,
-                   iterate_observer=lambda st, g: iterates_a.append(st.x_current.copy()))
+                   iterate_observer=lambda t, x, y, g: iterates_a.append(x.copy()))
         run_to_gap(fam, constants, config,
-                   iterate_observer=lambda st, g: iterates_b.append(st.x_current.copy()))
+                   iterate_observer=lambda t, x, y, g: iterates_b.append(x.copy()))
         assert len(iterates_a) == len(iterates_b)
         for a, b in zip(iterates_a, iterates_b):
             assert np.array_equal(a, b)
 
-    def test_override_caps_iterations(self):
+    def test_cap_runs_both_sequences(self):
         fam = RandomQuadraticFamily.from_seed(1, n=4, dim=2)
         constants = fam.true_constants(domain_radius=5.0)
-        config = OptimizerConfig(
-            epsilon=0.001, x1=np.zeros(2), initial_distance_bound=3.0,
-            max_iterations_override=7,
-        )
-        report = run_to_gap(fam, constants, config)
+        config = OptimizerConfig(epsilon=0.001, x1=np.zeros(2), initial_distance_bound=3.0)
+        rnd, report = capped_solve(fam, constants, config, 7)
         assert report.iterations_run == 14
-        assert report.planned_iterations > 7
-        assert report.stop_reason == "override"
+        assert rnd.planned > 7 and report.planned_iterations == 7
+        assert report.stop_reason == "planned"
 
     def test_overflow_guard(self):
         fam = RandomQuadraticFamily.from_seed(1, n=4, dim=2)
@@ -273,9 +288,8 @@ class TestRunToGap:
         trace = []
         report = run_to_gap(
             fam, constants, config,
-            iterate_observer=lambda st, g: trace.append(
-                (st.t, smooth_value(fam, params, st.x_current),
-                 float(np.max(fam.values_at(st.x_current))))
+            iterate_observer=lambda t, x, y, g: trace.append(
+                (t, smooth_value(fam, params, x), float(np.max(fam.values_at(x))))
             ),
         )
         assert report.f_final - oracle_value <= report.gap_certificate + 1e-9
@@ -290,16 +304,20 @@ class TestRunToGap:
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     eps=st.sampled_from([0.1, 0.01]),
-    override=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+    cap=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
 )
-def test_lower_bound_and_certificate_are_sound(seed, eps, override):
+def test_lower_bound_and_certificate_are_sound(seed, eps, cap):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     inner = RandomQuadraticFamily.from_seed(seed, n=int(rng.integers(2, 9)), dim=dim)
     fam = CountingFamily(inner)
     config = OptimizerConfig(epsilon=eps, x1=rng.uniform(-1.0, 1.0, dim),
-                             initial_distance_bound=4.0, max_iterations_override=override)
-    report = run_to_gap(fam, inner.true_constants(domain_radius=6.0), config)
+                             initial_distance_bound=4.0)
+    constants = inner.true_constants(domain_radius=6.0)
+    if cap is None:
+        report = run_to_gap(fam, constants, config)
+    else:
+        _, report = capped_solve(fam, constants, config, cap)
     _, f_star = oracle_minimum(inner, [-3.0] * dim, [3.0] * dim,
                                resolution={1: 241, 2: 41}[dim])
     assert report.lower_bound <= f_star + 1e-9
@@ -311,9 +329,8 @@ def test_lower_bound_and_certificate_are_sound(seed, eps, override):
     if certified:
         assert report.gap_certificate <= eps
     else:
-        assert report.iterations_run == 2 * min(report.planned_iterations, override or math.inf)
-        cut = report.iterations_run < report.planned_iterations
-        assert report.stop_reason == ("override" if cut else "planned")
+        assert report.iterations_run == 2 * report.planned_iterations
+        assert report.stop_reason == "planned"
 
 
 def replay_passes(family, params, points, strong):
@@ -346,17 +363,15 @@ class TestLowerModel:
         f1 = float(family.centred_sq.max())
         gap = (2.0 * 0.01 + 0.01 ** 2) * f1 / 4.0
         # G = 2 sqrt(f(x1)), the gradient bound solve_meb gives a round from x1.
-        constants = DomainConstants.uniform(cloud.n, 2.0, 2.0, 2.0 * math.sqrt(f1))
-        config = OptimizerConfig(epsilon=gap, x1=centroid_init(cloud),
-                                 initial_distance_bound=math.sqrt(f1), relative_epsilon=0.01)
+        x1 = centroid_init(cloud)
         ys = []
-        report = run_to_gap(family, constants, config,
-                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+        report = run_rounds(family, x1, plan_round(cloud.n, gap, math.sqrt(f1), 2.0 * math.sqrt(f1),
+                                                   2.0, 2.0, 0.01),
+                            iterate_observer=lambda t, x, y, grad: ys.append(y))
         assert report.stop_reason == "certified"
         weights_sum, weight = np.zeros(cloud.n), 0
         for t, p, _, averaged, lb in replay_passes(family, SmoothingParams(report.s),
-                                                   [config.x1] + ys,
-                                                   np.full(cloud.n, 2.0)):
+                                                   [x1] + ys, np.full(cloud.n, 2.0)):
             weights_sum += t * p
             weight += t
             p_bar = weights_sum / weight
@@ -373,7 +388,7 @@ class TestLowerModel:
         config = OptimizerConfig(epsilon=0.05, x1=np.zeros(2), initial_distance_bound=4.0)
         ys = []
         report = run_to_gap(fam, constants, config,
-                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+                            iterate_observer=lambda t, x, y, grad: ys.append(y))
         for _, _, curvature, _, lb in replay_passes(fam, SmoothingParams(report.s),
                                                     [config.x1] + ys,
                                                     constants.per_component_strong_convexity):
@@ -388,7 +403,7 @@ def ill_conditioned(rng, max_dim, max_n):
     return base, np.exp(rng.uniform(math.log(0.1), math.log(10.0), n))
 
 
-def far_from_x1(seed, offset, eps, override=None, relative_epsilon=None):
+def far_from_x1(seed, offset, eps):
     """An ill-conditioned family whose centres sit ``offset`` away from
     x1 = 0, so the iterates travel that far; the gap is scaled with the
     squared travel, which keeps the step count independent of the offset.
@@ -401,8 +416,7 @@ def far_from_x1(seed, offset, eps, override=None, relative_epsilon=None):
     direction /= np.linalg.norm(direction)
     fam = RandomQuadraticFamily(base + offset * direction, curvatures)
     config = OptimizerConfig(epsilon=eps * (1.0 + offset) ** 2, x1=np.zeros(dim),
-                             initial_distance_bound=offset + 3.0,
-                             max_iterations_override=override, relative_epsilon=relative_epsilon)
+                             initial_distance_bound=offset + 3.0)
     _, f_star = oracle_minimum(RandomQuadraticFamily(base, curvatures), [-3.0] * dim,
                                [3.0] * dim, resolution={1: 241, 2: 41}[dim])
     return fam, config, fam.true_constants(domain_radius=2.0 * offset + 4.0), f_star
@@ -439,9 +453,9 @@ def test_bounds_stay_sound_through_the_fallback(seed, offset, eps, cap):
     # solve runs the adaptive sequence and then the fixed one for its cap.
     # The averaged model keeps its anchor at the last pass point across the
     # restart; an anchor moved to the start point gives bounds above f*.
-    fam, config, constants, f_star = far_from_x1(seed, offset, eps, cap, 1e-12)
-    report = run_to_gap(fam, constants, config)
-    assert report.iterations_run == 2 * min(report.planned_iterations, cap)
+    fam, config, constants, f_star = far_from_x1(seed, offset, eps)
+    rnd, report = capped_solve(fam, constants, config, cap, 1e-12)
+    assert report.iterations_run == 2 * min(rnd.planned, cap)
     slack = roundoff_slack(fam, config.x1, f_star)
     assert report.lower_bound <= f_star + slack
     assert report.f_final - f_star <= report.gap_certificate + slack
@@ -454,21 +468,22 @@ class TestFallback:
         # steps at 1/U_s with momentum_for(kappa_s), bit for bit.
         fam = RandomQuadraticFamily.from_seed(7, n=6, dim=3)
         cap, distance = 25, 3.0
-        config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5), initial_distance_bound=distance,
-                                 max_iterations_override=cap, relative_epsilon=1e-12)
+        config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5), initial_distance_bound=distance)
         states = []
-        report = run_to_gap(fam, fam.true_constants(domain_radius=5.0), config,
-                            iterate_observer=lambda state, grad: states.append(state))
-        assert (report.stop_reason, report.iterations_run) == ("override", 2 * cap)
-        assert [state.t for state in states] == list(range(2, 2 * cap + 2))
+        rnd, report = capped_solve(
+            fam, fam.true_constants(domain_radius=5.0), config, cap, 1e-12,
+            iterate_observer=lambda t, x, y, grad: states.append((t, x, y)))
+        assert rnd.planned > cap
+        assert (report.stop_reason, report.iterations_run) == ("planned", 2 * cap)
+        assert [t for t, _, _ in states] == list(range(2, 2 * cap + 2))
         params, momentum = SmoothingParams(report.s), momentum_for(report.kappa_s)
         x = y = config.x1
-        for state in states[cap:]:
+        for _, x_t, y_t in states[cap:]:
             x, y = agd_step(x, y, smooth_gradient(fam, params, y), report.U_s, momentum)
-            assert np.array_equal(state.x_current, x) and np.array_equal(state.y_current, y)
+            assert np.array_equal(x_t, x) and np.array_equal(y_t, y)
         # Both sequences take the same first step at 1/U_s, then part.
-        assert np.array_equal(states[0].x_current, states[cap].x_current)
-        assert not np.array_equal(states[cap - 1].x_current, x)
+        assert np.array_equal(states[0][1], states[cap][1])
+        assert not np.array_equal(states[cap - 1][1], x)
         # x_T is a candidate, and the certificate is the a-priori bound after
         # cap steps unless the proven gap is smaller.
         assert report.f_final <= float(np.max(fam.values_at(x)))
@@ -492,15 +507,15 @@ class TestAdaptiveSequence:
         config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5), initial_distance_bound=3.0)
         states = []
         report = run_to_gap(fam, fam.true_constants(domain_radius=5.0), config,
-                            iterate_observer=lambda state, grad: states.append(state))
+                            iterate_observer=lambda t, x, y, grad: states.append((x, y)))
         assert report.stop_reason == "certified"
         params = SmoothingParams(report.s)
-        y1, y2 = config.x1, states[0].y_current
+        y1, y2 = config.x1, states[0][1]
         g1, g2 = smooth_gradient(fam, params, y1), smooth_gradient(fam, params, y2)
         secant = SECANT_SAFETY * np.linalg.norm(g2 - g1) / np.linalg.norm(y2 - y1)
         U_2 = min(report.U_s, max(report.L_s, secant))
         assert U_2 < report.U_s / STEP_GROWTH
-        np.testing.assert_allclose(states[1].x_current, y2 - g2 / U_2, rtol=1e-12)
+        np.testing.assert_allclose(states[1][0], y2 - g2 / U_2, rtol=1e-12)
 
 
 class TestAdaptiveStepCounts:
@@ -653,10 +668,10 @@ class TestOnePassPerIteration:
         # One step short of that, the adaptive and the fixed sequence each
         # run the cap, and the cap adds the values pass at x_T.
         self.fam.passes = 0
-        capped = run_to_gap(self.fam, self.constants, replace(
-            self.config, max_iterations_override=report.iterations_run - 1))
+        _, capped = capped_solve(self.fam, self.constants, self.config,
+                                 report.iterations_run - 1)
         assert (capped.stop_reason, capped.iterations_run) == (
-            "override", 2 * (report.iterations_run - 1))
+            "planned", 2 * (report.iterations_run - 1))
         assert self.fam.passes == capped.iterations_run + 2
 
     def test_one_point_check_per_call(self):
@@ -672,9 +687,8 @@ class TestOnePassPerIteration:
         assert self.fam.checks == 1
         # At the cap, the values pass at x_T adds no check either.
         self.fam.checks = 0
-        capped = run_to_gap(self.fam, self.constants,
-                            replace(self.config, max_iterations_override=3))
-        assert capped.stop_reason == "override"
+        _, capped = capped_solve(self.fam, self.constants, self.config, 3)
+        assert (capped.stop_reason, capped.iterations_run) == ("planned", 6)
         assert self.fam.checks == 1
 
     def test_wrong_shape_x1_raises(self):
@@ -684,8 +698,8 @@ class TestOnePassPerIteration:
     def test_observers_see_the_public_values(self):
         rows, ys, grads = [], [self.config.x1], []
 
-        def observer(state, grad_at_y):
-            ys.append(state.y_current)
+        def observer(t, x, y, grad_at_y):
+            ys.append(y)
             grads.append(grad_at_y)
 
         report = run_to_gap(self.fam, self.constants, self.config,
@@ -705,7 +719,7 @@ class TestOnePassPerIteration:
         report = run_to_gap(
             self.fam, self.constants, self.config,
             progress=lambda t, value, grad_norm: events.append(("progress", t)),
-            iterate_observer=lambda state, grad: events.append(("observer", state.t)),
+            iterate_observer=lambda t, x, y, grad: events.append(("observer", t)),
         )
         assert events == [(kind, t) for t in range(2, report.iterations_run + 2)
                           for kind in ("progress", "observer")]
@@ -752,7 +766,7 @@ class TestBatchHookContract:
         rows, ys = [], [config.x1]
         report = run_to_gap(fam, constants, config,
                             progress=lambda *row: rows.append(row),
-                            iterate_observer=lambda state, grad: ys.append(state.y_current))
+                            iterate_observer=lambda t, x, y, grad: ys.append(y))
         assert (report.s, report.U_s) == (0.0, constants.max_smoothness)
         # One step from x1 lands on the centre, where the bound is exact.
         assert (report.stop_reason, report.iterations_run) == ("certified", 1)

@@ -78,7 +78,7 @@ class TestWelzlExact:
 
     def test_dimension_gate(self):
         cloud = PointCloud(np.zeros((3, 13)))
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(UnsupportedDimensionError, match="solve_meb"):
             welzl_exact(cloud, seed=0)
 
     def test_duplicated_points(self):

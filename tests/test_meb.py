@@ -15,7 +15,7 @@ from smoothmax import (
     solve_meb,
     welzl_exact,
 )
-from smoothmax import BoundingSphereFamily, SmoothingParams, badoiu_clarkson, core, meb
+from smoothmax import BoundingSphereFamily, SmoothingParams, agd, badoiu_clarkson, core, meb
 from smoothmax.errors import ConfigurationError, ContractViolationError
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
 
@@ -243,17 +243,17 @@ class TestSolveMeb:
         family = BoundingSphereFamily(cloud)
         records = []
 
-        def observer(state, grad_y):
-            records.append((state, grad_y))
+        def observer(t, x, y, grad_y):
+            records.append((x, y))
 
         result = solve_meb(cloud, MebConfig(0.05), iterate_observer=observer)
         s = result.solve_report.s
         eps = 2.0 * math.log(cloud.n) / s
         params = SmoothingParams(s)
         bound_core = math.sqrt(5.0 * exact ** 2 + 0.5 * eps)
-        for state, _ in records:
-            gx = np.linalg.norm(smooth_gradient(family, params, state.x_current))
-            gy = np.linalg.norm(smooth_gradient(family, params, state.y_current))
+        for x, y in records:
+            gx = np.linalg.norm(smooth_gradient(family, params, x))
+            gy = np.linalg.norm(smooth_gradient(family, params, y))
             assert gx <= 2.0 * bound_core + 1e-6
             assert gy <= 6.0 * bound_core + 1e-6
 
@@ -338,10 +338,10 @@ def test_certified_solves_prove_their_own_ratio(kind, seed, offset, eps):
         assert result.radius <= (1.0 + eps) * lower * (1.0 + 1e-12)
     else:
         # The last round ran its cap of adaptive steps, then of fixed ones: the
-        # cap is the smaller of the round's own a-priori count and the paper's.
+        # cap is the round's own a-priori count, below the paper's.
         report = result.solve_report
-        assert report.iterations_run == 2 * min(report.planned_iterations,
-                                                result.planned_iterations)
+        assert report.iterations_run == 2 * report.planned_iterations
+        assert report.planned_iterations < result.planned_iterations
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,14 +376,17 @@ class RoundRecorder:
     """Wraps ``meb.run_rounds``: records each round ``solve_meb`` plans
     (``rounds``) and the ``SolveReport`` it ended with (``ends``).  With
     ``uncertifiable``, every round runs with a relative stop of 1e-12, which
-    no round can prove, so each one reaches its cap."""
+    no round can prove, so each one reaches its cap; with ``cap``, every
+    round's cap is lowered to it."""
 
-    def __init__(self, monkeypatch, uncertifiable: bool):
+    def __init__(self, monkeypatch, uncertifiable: bool, cap: int | None = None):
         self.rounds, self.ends = [], []
         run_rounds = meb.run_rounds
 
         def forced(rnd):
-            return rnd._replace(relative_epsilon=1e-12) if uncertifiable else rnd
+            if uncertifiable:
+                rnd = rnd._replace(relative_epsilon=1e-12)
+            return rnd if cap is None else rnd._replace(planned=min(rnd.planned, cap))
 
         def recording_run_rounds(family, x1, first, round_end, **observers):
             def recording_round_end(report):
@@ -406,36 +409,32 @@ class TestContinuation:
         rows, states = [], []
         result = solve_meb(cloud, MebConfig(0.01),
                            progress=lambda t, value, grad_norm: rows.append(t),
-                           iterate_observer=lambda state, grad: states.append(state.t))
+                           iterate_observer=lambda t, x, y, grad: states.append(t))
         assert result.iterations > result.solve_report.iterations_run  # several rounds stepped
         assert rows == states == list(range(2, result.iterations + 2))
 
     def test_rounds_follow_the_schedule_and_the_proved_bound(self, monkeypatch):
         # With every cap at 2 steps and no round able to certify, every round
         # reaches its cap.
-        monkeypatch.setattr(meb, "required_iterations_meb", lambda eps, n: 2)
-        recorder = RoundRecorder(monkeypatch, uncertifiable=True)
+        recorder = RoundRecorder(monkeypatch, uncertifiable=True, cap=2)
         cloud = random_point_cloud(2, 200, 3, "clustered")
         states = []
         result = solve_meb(cloud, MebConfig(0.01),
-                           iterate_observer=lambda state, grad: states.append((state.x_current,
-                                                                               grad)))
+                           iterate_observer=lambda t, x, y, grad: states.append((x, grad)))
         rounds, ends = recorder.rounds, recorder.ends
         assert [r.relative_epsilon for r in rounds] == [
             1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
         ]
         assert len(ends) == len(rounds)
-        assert all(end.iterations_run == 4 for end in ends)
-        assert all(end.stop_reason == ("planned" if r.planned <= 2 else "override")
-                   for r, end in zip(rounds, ends))
+        assert all(end.iterations_run == 4 and end.planned_iterations == 2 for end in ends)
+        assert all(end.stop_reason == "planned" for end in ends)
         assert result.iterations == 4 * len(rounds)
-        assert result.planned_iterations == 2
+        assert result.planned_iterations == required_iterations_meb(0.01, cloud.n)
         f1 = float(np.max(np.sum((cloud.points - centroid_init(cloud)) ** 2, axis=1)))
         lb = f1 / 4.0
         for k, (rnd, end) in enumerate(zip(rounds, ends)):
             e = rnd.relative_epsilon
             assert rnd.epsilon == pytest.approx((2.0 * e + e * e) * lb, rel=1e-12)
-            assert rnd.cap == 2
             if k:
                 # The round's first step is taken from the previous round's
                 # x_final, with the gradient there under the new smoother.
@@ -462,11 +461,28 @@ class TestContinuation:
         assert len(recorder.ends) == len(recorder.rounds)
         for rnd, end in zip(recorder.rounds, recorder.ends):
             assert end.stop_reason == "planned"
-            assert end.iterations_run == 2 * rnd.cap and rnd.planned == rnd.cap
+            assert end.iterations_run == 2 * rnd.planned
             assert rnd.planned < required_iterations_meb(rnd.relative_epsilon, base.n)
             assert math.sqrt(end.f_final) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
         assert result.iterations == sum(end.iterations_run for end in recorder.ends)
         assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
+
+    def test_round_counts_stay_below_the_single_shot_count(self):
+        # A round's count grows as lb falls and f_top rises, so it is largest
+        # at the loosest inputs a round can see: lb = f(x1) / 4 and
+        # f_top = f(x1) = D^2 (here f(x1) = 1; the count is scale-free).
+        # There it stays below the paper's single-shot count for the round's
+        # gap, so the last round never runs past ``planned_iterations``; on
+        # this grid it is at most 0.22 times that count.
+        for k in range(89):
+            e = 2.0 ** (-k / 2)
+            for n in (2, 3, 10, 10 ** 3, 10 ** 6, 10 ** 9):
+                planned = agd.plan_round(n, (2.0 * e + e * e) / 4.0, 1.0, 2.0, 2.0, 2.0, e).planned
+                try:
+                    single_shot = required_iterations_meb(e, n)
+                except ConfigurationError:
+                    continue  # solve_meb refuses such a solve before its first round
+                assert planned < single_shot, (e, n)
 
     @pytest.mark.parametrize("uncertifiable", [False, True], ids=["certified", "capped"])
     def test_round_changes_make_no_values_pass(self, monkeypatch, uncertifiable):
