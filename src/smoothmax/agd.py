@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (  # smooth_gradient and smooth_value stay importable from here
+from .core import (  # component_values, smooth_gradient and smooth_value stay importable here
     component_values,
     condition_number,
     shifted_pass,
@@ -47,9 +47,10 @@ STEP_GROWTH = math.sqrt(2.0)
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
-# ``iterate_observer(t, x_t, y_t, grad f_s(y_{t-1}))``.
+# ``iterate_observer(t, x_t, y_t, f(y_t))``, f(y_t) the true max that the
+# step's pass computed.
 ProgressCallback = Callable[[int, float, float], None]
-IterateObserver = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+IterateObserver = Callable[[int, np.ndarray, np.ndarray, float], None]
 
 
 @dataclass(frozen=True)
@@ -314,9 +315,11 @@ def run_rounds(
     round runs the fixed sequence (U_s and ``momentum_for(kappa_s)``, no
     restart) from its start point for ``planned`` more steps, reusing the start
     pass's gradient; ``x_best``, ``f_best``, ``lb_best`` and the averaged
-    model, anchored at the last pass point, carry over.  At its end, one
-    values pass at x_T adds it as a candidate, and the certificate is the
-    smaller of the proven gap and the a-priori bound after ``planned`` steps.
+    model, anchored at the last pass point, carry over.  Its last step makes
+    its pass at y_T = x_T, as a restart does, so x_T is a candidate; if that
+    pass does not certify, the certificate is the smaller of the proven gap
+    and the a-priori bound after ``planned`` steps.  A round that reaches its
+    cap thus makes 2 ``planned`` passes, one per step.
 
     A new round restarts the momentum at ``x_best``.  Its first pass there
     evaluates no values: the shifted values s (f_i - f_best) kept from the
@@ -350,7 +353,8 @@ def run_rounds(
         model = LowerModel(mean_value, grad, curvature)
         lb_best = lower_bound(mean_value, grad_sq, curvature)
         U_t, momentum, adaptive = U_s, fixed_momentum, True
-        for t in range(2, 2 * cap + 2):  # step t - 1 -> t of this round
+        last = 2 * cap + 1
+        for t in range(2, last + 1):  # step t - 1 -> t of this round
             if t == cap + 2:  # the fixed sequence, from the round's start
                 x = y = start
                 grad, grad_sq = start_grad, start_grad_sq
@@ -362,14 +366,16 @@ def run_rounds(
                                       iterate=y)
             grad_at_y, grad_sq_at_y, x_previous = grad, grad_sq, x
             x, y = agd_step(x, y, grad_at_y, U_t, momentum)
-            if adaptive and float(grad_at_y.dot(x - x_previous)) > 0.0:
+            # The fixed sequence's last pass is at x_T, a candidate that the
+            # a-priori bound covers; y_T would look ahead to a step not taken.
+            if t == last or (adaptive and float(grad_at_y.dot(x - x_previous)) > 0.0):
                 y = x
             value, grad, _, total, max_value, mean_value, shifted = smooth_pass(
                 family, params, y, out=weights)
             if progress is not None:
                 progress(t + offset, value, math.sqrt(grad_sq_at_y))
             if iterate_observer is not None:
-                iterate_observer(t + offset, x, y, grad_at_y)
+                iterate_observer(t + offset, x, y, max_value)
             grad_sq = float(grad.dot(grad))
             if strong_convexity is not None:
                 curvature = float(weights.dot(strong_convexity)) / total
@@ -392,14 +398,6 @@ def run_rounds(
                 break
         else:
             stop_reason = "planned"
-            # x_T of the fixed sequence is a candidate, so the a-priori bound
-            # covers x_final too.  Finite: component_values raises on nan or +inf.
-            values, top = component_values(family, x)
-            if values[top] < f_best:
-                x_best, f_best = x, float(values[top])
-                values -= f_best
-                values *= params.s
-                shifted_best, shifted_s = values, params.s
             a_priori = gap_bound(cap, L_s, rnd.kappa_s, rnd.distance,
                                  rnd.G_s * rnd.distance) + rnd.regret
         report = SolveReport(

@@ -22,7 +22,7 @@ from . import core
 from .baselines import WELZL_MAX_DIM, badoiu_clarkson, welzl_exact
 from .errors import ContractViolationError, EmptyInputError, InputFormatError, SmoothmaxError
 from .families import SmoothingParams
-from .meb import BoundingSphereFamily, MebConfig, PointCloud, solve_meb
+from .meb import MebConfig, PointCloud, solve_meb
 from .testkit import (
     DISTRIBUTIONS,
     finite_diff_gradient,
@@ -168,11 +168,8 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
         observer = None
         if radius_trace is not None:
             # The returned center is the best evaluated point, a y_t, reached
-            # after t - 1 steps.
-            family = BoundingSphereFamily(cloud)
-            observer = lambda t, x, y, grad: radius_trace.append(
-                (t - 1, math.sqrt(family.values_at(y).max()))
-            )
+            # after t - 1 steps; f is the squared radius of the ball about it.
+            observer = lambda t, x, y, f: radius_trace.append((t - 1, math.sqrt(f)))
         res = solve_meb(cloud, MebConfig(epsilon), progress=progress,
                         iterate_observer=observer)
         center, radius = res.center, res.radius
@@ -343,6 +340,8 @@ def cmd_bench(args) -> int:
     except SmoothmaxError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        return _too_large(args)
 
     slopes = {}
     for algorithm in algorithms:

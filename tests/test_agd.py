@@ -323,10 +323,9 @@ def test_lower_bound_and_certificate_are_sound(seed, eps, cap):
     assert report.lower_bound <= f_star + 1e-9
     assert report.f_final - f_star <= report.gap_certificate + 1e-9
     assert report.f_final == float(np.max(inner.values_at(report.x_final)))
-    # The pass at x1, one per step, and the values pass at x_T at the cap.
-    certified = report.stop_reason == "certified"
-    assert fam.passes == report.iterations_run + 1 + (not certified)
-    if certified:
+    # The pass at x1 and one per step; at the cap the last one is at x_T.
+    assert fam.passes == report.iterations_run + 1
+    if report.stop_reason == "certified":
         assert report.gap_certificate <= eps
     else:
         assert report.iterations_run == 2 * report.planned_iterations
@@ -472,15 +471,18 @@ class TestFallback:
         states = []
         rnd, report = capped_solve(
             fam, fam.true_constants(domain_radius=5.0), config, cap, 1e-12,
-            iterate_observer=lambda t, x, y, grad: states.append((t, x, y)))
+            iterate_observer=lambda t, x, y, f: states.append((t, x, y)))
         assert rnd.planned > cap
         assert (report.stop_reason, report.iterations_run) == ("planned", 2 * cap)
         assert [t for t, _, _ in states] == list(range(2, 2 * cap + 2))
         params, momentum = SmoothingParams(report.s), momentum_for(report.kappa_s)
         x = y = config.x1
-        for _, x_t, y_t in states[cap:]:
+        for _, x_t, y_t in states[cap:-1]:
             x, y = agd_step(x, y, smooth_gradient(fam, params, y), report.U_s, momentum)
             assert np.array_equal(x_t, x) and np.array_equal(y_t, y)
+        # The last step lands on x_T as before and makes its pass there.
+        x, _ = agd_step(x, y, smooth_gradient(fam, params, y), report.U_s, momentum)
+        assert np.array_equal(states[-1][1], x) and np.array_equal(states[-1][2], x)
         # Both sequences take the same first step at 1/U_s, then part.
         assert np.array_equal(states[0][1], states[cap][1])
         assert not np.array_equal(states[cap - 1][1], x)
@@ -666,13 +668,13 @@ class TestOnePassPerIteration:
         assert observed.iterations_run == report.iterations_run
         assert self.fam.passes == report.iterations_run + 1
         # One step short of that, the adaptive and the fixed sequence each
-        # run the cap, and the cap adds the values pass at x_T.
+        # run the cap, and the last step's own pass is the one at x_T.
         self.fam.passes = 0
         _, capped = capped_solve(self.fam, self.constants, self.config,
                                  report.iterations_run - 1)
         assert (capped.stop_reason, capped.iterations_run) == (
             "planned", 2 * (report.iterations_run - 1))
-        assert self.fam.passes == capped.iterations_run + 2
+        assert self.fam.passes == capped.iterations_run + 1
 
     def test_one_point_check_per_call(self):
         params = SmoothingParams(2.0)
@@ -696,23 +698,23 @@ class TestOnePassPerIteration:
             run_to_gap(self.fam, self.constants, replace(self.config, x1=np.zeros(2)))
 
     def test_observers_see_the_public_values(self):
-        rows, ys, grads = [], [self.config.x1], []
+        rows, ys, maxima = [], [self.config.x1], []
 
-        def observer(t, x, y, grad_at_y):
+        def observer(t, x, y, f):
             ys.append(y)
-            grads.append(grad_at_y)
+            maxima.append(f)
 
         report = run_to_gap(self.fam, self.constants, self.config,
                             progress=lambda *row: rows.append(row),
                             iterate_observer=observer)
-        assert len(rows) == report.iterations_run == len(grads)
+        assert len(rows) == report.iterations_run == len(maxima)
         params = SmoothingParams(report.s)
         for k, (t, value, grad_norm) in enumerate(rows):
             expected_grad = smooth_gradient(self.fam.inner, params, ys[k])
             assert t == k + 2
             assert value == smooth_value(self.fam.inner, params, ys[k + 1])
             assert grad_norm == float(np.linalg.norm(expected_grad))
-            assert np.array_equal(grads[k], expected_grad)
+            assert maxima[k] == float(np.max(self.fam.inner.values_at(ys[k + 1])))
 
     def test_progress_precedes_observer(self):
         events = []

@@ -144,13 +144,28 @@ class TestParsePointsCsv:
             parse_points_csv(str(path))
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, smoothmax.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
+def test_cli_import_leaves_scipy_unloaded(two_point_file):
+    # SciPy is a test dependency only: neither the import nor any command
+    # loads it.
+    script = (
+        "import os, sys, smoothmax.cli as cli\n"
+        "print('scipy' in sys.modules)\n"
+        "path, out = sys.argv[1], os.devnull\n"
+        "codes = [\n"
+        "    cli.main(['solve', '--input', path, '--algorithm', 'smooth', '--epsilon', '0.1',\n"
+        "              '--verify', '--output', out]),\n"
+        "    cli.main(['solve', '--input', path, '--algorithm', 'coreset', '--epsilon', '0.1',\n"
+        "              '--output', out]),\n"
+        "    cli.main(['bench', '--n', '50', '--dim', '2', '--epsilons', '0.1',\n"
+        "              '--algorithms', 'smooth,coreset,exact', '--output', out]),\n"
+        "    cli.main(['gradcheck', '--trials', '2']),\n"
+        "]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
     )
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+    proc = subprocess.run([sys.executable, "-c", script, str(two_point_file)],
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, lines[0], lines[-1]) == (0, "False", "[0, 0, 0, 0] False")
 
 
 @pytest.mark.parametrize("command", [
@@ -473,6 +488,19 @@ class TestBenchCommand:
         assert out == ""
         assert err == ("error: --n 100000000000 and --dim 2 need more memory than is "
                        "available\n")
+
+    @pytest.mark.parametrize("algorithm", ["smooth", "coreset"])
+    def test_unallocatable_solve_exit_2(self, monkeypatch, capsys, algorithm):
+        def unallocatable(cloud, config, **observers):
+            raise MemoryError(f"cannot allocate a table for {cloud.n} points")
+
+        monkeypatch.setattr(cli, "solve_meb", unallocatable)
+        monkeypatch.setattr(cli, "badoiu_clarkson", unallocatable)
+        assert cli.main(["bench", "--n", "20", "--dim", "2", "--epsilons", "0.1",
+                         "--algorithms", algorithm]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --n 20 and --dim 2 need more memory than is available\n"
 
     def test_bad_algorithm_exit_2(self):
         proc = run_cli("bench", "--n", "10", "--dim", "2",

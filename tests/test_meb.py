@@ -413,14 +413,36 @@ class TestContinuation:
         assert result.iterations > result.solve_report.iterations_run  # several rounds stepped
         assert rows == states == list(range(2, result.iterations + 2))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_observers_see_the_max_at_each_pass_point(self, offset):
+        # The fourth observer argument is the true max of the step's pass,
+        # bit for bit the one a fresh family evaluates at y_t: bench's
+        # observed_to_target reads the radius from it.
+        cloud = PointCloud(random_point_cloud(8, 300, 4, "gaussian").points + offset)
+        family = BoundingSphereFamily(cloud)
+        states = []
+        result = solve_meb(cloud, MebConfig(0.01),
+                           iterate_observer=lambda t, x, y, f: states.append((y, f)))
+        assert result.iterations > result.solve_report.iterations_run  # several rounds stepped
+        assert len(states) == result.iterations
+        for y, f in states:
+            assert f == family.values_at(y).max()
+
     def test_rounds_follow_the_schedule_and_the_proved_bound(self, monkeypatch):
         # With every cap at 2 steps and no round able to certify, every round
         # reaches its cap.
         recorder = RoundRecorder(monkeypatch, uncertifiable=True, cap=2)
+        grads, agd_step = [], agd.agd_step
+
+        def recording_agd_step(x, y, grad, U_s, momentum):
+            grads.append(grad)
+            return agd_step(x, y, grad, U_s, momentum)
+
+        monkeypatch.setattr(agd, "agd_step", recording_agd_step)
         cloud = random_point_cloud(2, 200, 3, "clustered")
         states = []
         result = solve_meb(cloud, MebConfig(0.01),
-                           iterate_observer=lambda t, x, y, grad: states.append((x, grad)))
+                           iterate_observer=lambda t, x, y, f: states.append(x))
         rounds, ends = recorder.rounds, recorder.ends
         assert [r.relative_epsilon for r in rounds] == [
             1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
@@ -438,7 +460,7 @@ class TestContinuation:
             if k:
                 # The round's first step is taken from the previous round's
                 # x_final, with the gradient there under the new smoother.
-                x_first, grad = states[4 * k]
+                x_first, grad = states[4 * k], grads[4 * k]
                 assert np.array_equal(x_first, ends[k - 1].x_final - grad / rnd.U_s)
             lb = max(lb, end.lower_bound)
         exact = welzl_exact(cloud).radius
@@ -486,9 +508,9 @@ class TestContinuation:
 
     @pytest.mark.parametrize("uncertifiable", [False, True], ids=["certified", "capped"])
     def test_round_changes_make_no_values_pass(self, monkeypatch, uncertifiable):
-        # Each step makes one values pass and one gradient.  A round change
-        # makes one gradient, from the values kept at x_best, and no values
-        # pass; a round that reaches its cap makes one values pass at x_T.
+        # Each step makes one values pass and one gradient, a round that
+        # reaches its cap included.  A round change makes one gradient, from
+        # the values kept at x_best, and no values pass.
         calls = {"values_at": 0, "combined_gradient": 0}
 
         class CountingFamily(BoundingSphereFamily):
@@ -507,7 +529,7 @@ class TestContinuation:
         capped = sum(end.stop_reason != "certified" for end in recorder.ends)
         assert rounds == len(recorder.rounds) > 1
         assert capped == (rounds if uncertifiable else 0)
-        assert calls["values_at"] == 1 + result.iterations + capped
+        assert calls["values_at"] == 1 + result.iterations
         assert calls["combined_gradient"] == rounds + result.iterations
 
     def test_relative_epsilon_one_is_one_round(self):
