@@ -1,8 +1,8 @@
 """Command-line front end: point-cloud ingestion, solver invocation, and the
 iteration-scaling benchmark harness.
 
-Exit codes: 0 success, 2 bad flags, 3 input parse errors, 4 solver errors,
-5 gradcheck tolerance failure.
+Exit codes: 0 success, 2 bad flags, 3 input parse errors or an input too
+large for memory, 4 solver errors, 5 gradcheck tolerance failure.
 """
 
 from __future__ import annotations
@@ -214,6 +214,12 @@ def _write_trace(rows: list, fh) -> None:
     writer.writerows(rows)
 
 
+def _input_too_large(args) -> int:
+    """Report a solve input whose arrays cannot be allocated: an input error."""
+    print(f"error: {args.input} needs more memory than is available", file=sys.stderr)
+    return EXIT_PARSE
+
+
 def cmd_solve(args) -> int:
     if args.algorithm in ("smooth", "coreset") and args.epsilon is None:
         print("error: --epsilon is required for smooth and coreset", file=sys.stderr)
@@ -233,6 +239,8 @@ def cmd_solve(args) -> int:
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        return _input_too_large(args)
 
     trace_rows: list | None = [] if args.trace else None
     try:
@@ -247,6 +255,8 @@ def cmd_solve(args) -> int:
     except SmoothmaxError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError:
+        return _input_too_large(args)
 
     try:
         if args.trace == "-":
@@ -311,9 +321,7 @@ def cmd_bench(args) -> int:
                 radius_trace: list | None = (
                     [] if (algorithm == "smooth" and exact_radius is not None) else None
                 )
-                # The observed solve is the untimed warm-up; the plain one is timed.
-                _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
-                result = _solve_once(cloud, algorithm, eps, args.seed)
+                result = _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
                 observed = None
                 if radius_trace:
                     target = (1.0 + eps) * exact_radius

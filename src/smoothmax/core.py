@@ -114,8 +114,8 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
     """s * Cov_p(grad f_i) + E_p[hess f_i]; verification-grade path.
 
     Requires the family's verification capability (``gradients_at`` and
-    ``hessian_at``).  The covariance is
-    E_p[g g^T] - E_p[g] E_p[g]^T over the softmax weights.
+    ``combined_hessian``, which gives E_p[hess f_i] in one call).  The
+    covariance is E_p[g g^T] - E_p[g] E_p[g]^T over the softmax weights.
     """
     x = family.check_point(x)
     weights = softmax_weights(family, params, x)
@@ -123,10 +123,7 @@ def smooth_hessian(family: ComponentFamily, params: SmoothingParams, x: np.ndarr
     mean_grad = weights @ grads
     second_moment = (grads * weights[:, None]).T @ grads
     cov = second_moment - np.outer(mean_grad, mean_grad)
-    mean_hess = np.zeros((family.dim, family.dim))
-    for i in range(family.n):
-        mean_hess += weights[i] * family.hessian_at(i, x)
-    hess = params.s * cov + mean_hess
+    hess = params.s * cov + family.combined_hessian(x, weights)
     return 0.5 * (hess + hess.T)  # symmetrize away roundoff
 
 

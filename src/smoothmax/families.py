@@ -20,9 +20,10 @@ class ComponentFamily(ABC):
 
     The abstract contract is the two batch hooks, one per side of the
     LogSumExp smoothing: every f_i(x) for the max, and the weighted gradient
-    sum.  Both must be pure.  ``gradients_at`` and ``hessian_at`` are an
-    optional verification capability, needed only by ``core.smooth_hessian``;
-    unless overridden they raise ``UnsupportedCapabilityError``.
+    sum.  Both must be pure.  ``gradients_at`` and ``combined_hessian``, an
+    optional verification capability needed only by ``core.smooth_hessian``,
+    are batch hooks too; unless overridden they raise
+    ``UnsupportedCapabilityError``.
     """
 
     n: int
@@ -44,8 +45,8 @@ class ComponentFamily(ABC):
             f"{type(self).__name__} does not expose component gradients"
         )
 
-    def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Hessian of f_i at x, shape (dim, dim)."""
+    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights[i] hess f_i(x), shape (dim, dim), for any weights."""
         raise UnsupportedCapabilityError(
             f"{type(self).__name__} does not expose component Hessians"
         )

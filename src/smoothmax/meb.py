@@ -144,13 +144,6 @@ class BoundingSphereFamily(ComponentFamily):
         diff = np.asarray(x, dtype=float) - self.cloud.points[i]
         return float(diff @ diff)
 
-    def gradient_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Scalar grad f_i(x), the test reference for ``combined_gradient``."""
-        return 2.0 * (np.asarray(x, dtype=float) - self.cloud.points[i])
-
-    def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        return 2.0 * np.eye(self.dim)
-
     def values_at(self, x: np.ndarray) -> np.ndarray:
         query = np.empty(self.dim + 2)
         query[0] = 1.0
@@ -167,6 +160,9 @@ class BoundingSphereFamily(ComponentFamily):
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - self.cloud.points)
+
+    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return (2.0 * float(np.sum(weights))) * np.eye(self.dim)
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # [-2 P^T w; sum(w)]: scaling by 2 is exact, so this is bit for bit

@@ -151,13 +151,6 @@ class RandomQuadraticFamily(ComponentFamily):
         diff = np.asarray(x, dtype=float) - self.centers[i]
         return float(self.curvatures[i] * (diff @ diff))
 
-    def gradient_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Scalar grad f_i(x), the test reference for ``combined_gradient``."""
-        return 2.0 * self.curvatures[i] * (np.asarray(x, dtype=float) - self.centers[i])
-
-    def hessian_at(self, i: int, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.curvatures[i] * np.eye(self.dim)
-
     def values_at(self, x: np.ndarray) -> np.ndarray:
         diffs = self.centers - x
         return self.curvatures * np.einsum("ij,ij->i", diffs, diffs)
@@ -167,6 +160,9 @@ class RandomQuadraticFamily(ComponentFamily):
 
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return 2.0 * ((weights * self.curvatures) @ (x - self.centers))
+
+    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return (2.0 * float(weights @ self.curvatures)) * np.eye(self.dim)
 
     def true_constants(self, domain_radius: float) -> DomainConstants:
         """Exact constants on the ball ||x|| <= domain_radius.

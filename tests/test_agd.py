@@ -217,6 +217,24 @@ class TestRequiredIterations:
             assert all(b >= a for a, b in zip(values, values[1:])), position
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: OptimizerConfig(epsilon=0.0, x1=np.zeros(1), initial_distance_bound=1.0),
+     "epsilon must be positive"),
+    (lambda: OptimizerConfig(epsilon=0.1, x1=np.zeros(1), initial_distance_bound=math.nan),
+     "initial_distance_bound must be positive"),
+    (lambda: smoother_for_gap(0.0, 2), "epsilon > 0"),
+    (lambda: smoother_for_gap(0.1, 0), "n >= 1"),
+    (lambda: gap_bound(0, 1.0, 1.0, 1.0, 0.0), "out of range"),
+    (lambda: gap_bound(1, 1.0, 0.5, 1.0, 0.0), "out of range"),
+    (lambda: required_iterations_general(0.1, 2, 1.0, 1.0, 1.0, 0.0), "must be positive"),
+    (lambda: required_iterations_general(0.1, 0, 1.0, 1.0, 1.0, 1.0), "n >= 1"),
+], ids=["config_epsilon", "config_distance", "smoother_epsilon", "smoother_n", "gap_t",
+        "gap_kappa", "iterations_distance", "iterations_n"])
+def test_public_input_checks_raise_contract_violations(call, match):
+    with pytest.raises(ContractViolationError, match=match):
+        call()
+
+
 class TestRunToGap:
     def test_single_quadratic_exact_in_one_step(self):
         fam = RandomQuadraticFamily(np.array([[2.0, -1.0]]), np.array([1.0]))
@@ -749,7 +767,7 @@ class TestBatchHookContract:
         with pytest.raises(UnsupportedCapabilityError):
             fam.gradients_at(np.zeros(2))
         with pytest.raises(UnsupportedCapabilityError):
-            fam.hessian_at(0, np.zeros(2))
+            fam.combined_hessian(np.zeros(2), np.ones(3))
 
     @pytest.mark.parametrize("missing", ["values_at", "combined_gradient"])
     def test_missing_hook_fails_on_construction(self, missing):

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import subprocess
@@ -339,6 +340,19 @@ class TestSolveCommand:
             cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
                       "--epsilon", "0.1"])
 
+    @pytest.mark.parametrize("stage", ["parse_points_csv", "solve_meb", "welzl_exact"])
+    def test_unallocatable_input_exit_3(self, two_point_file, monkeypatch, capsys, stage):
+        # Reading, solving and --verify each run out of memory in turn.
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("cannot allocate the cloud")
+
+        monkeypatch.setattr(cli, stage, unallocatable)
+        assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                         "--epsilon", "0.1", "--verify"]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {two_point_file} needs more memory than is available\n"
+
     def test_missing_file_exit_3(self):
         proc = run_cli("solve", "--input", "/nonexistent.csv", "--algorithm", "exact")
         assert proc.returncode == 3
@@ -414,6 +428,24 @@ class TestBenchCommand:
             assert row["radius_over_exact"] <= 1.0 + row["epsilon"]
             assert row["observed_to_target"] is not None
             assert row["observed_to_target"] <= row["iterations"]
+
+    def test_one_solve_per_row(self, monkeypatch, tmp_path):
+        # Each (algorithm, eps) row is one solve; exact rows add to the one
+        # Welzl reference radius.
+        calls = collections.Counter()
+        for name in ("solve_meb", "badoiu_clarkson", "welzl_exact"):
+            def counted(*args, _name=name, _solver=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        path = tmp_path / "bench.json"
+        assert cli.main(["bench", "--n", "40", "--dim", "2", "--epsilons", "0.2,0.1",
+                         "--algorithms", "smooth,coreset,exact", "--output", str(path)]) == 0
+        assert calls == {"solve_meb": 2, "badoiu_clarkson": 2, "welzl_exact": 2 + 1}
+        for row in json.loads(path.read_text())["rows"]:
+            if row["algorithm"] == "smooth":
+                assert row["observed_to_target"] is not None
 
     def test_csv_format(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",

@@ -207,6 +207,15 @@ class TestBoundsAndConditioning:
         with pytest.raises(SmoothmaxError):
             build()
 
+    @pytest.mark.parametrize("lo, hi", [
+        (np.ones(2), np.ones(3)),
+        (np.ones((1, 2)), np.ones((1, 2))),
+        (np.ones(0), np.ones(0)),
+    ], ids=["unequal_lengths", "two_dimensional", "empty"])
+    def test_constant_vectors_must_be_one_dimensional_of_equal_length(self, lo, hi):
+        with pytest.raises(DimensionMismatchError, match="1-D and of equal length"):
+            DomainConstants(lo, hi, 1.0)
+
     def test_condition_number_contract(self):
         with pytest.raises(ContractViolationError):
             condition_number(0.0, 1.0)

@@ -122,6 +122,21 @@ class TestFarthestSqDistance:
         assert idx == int(np.argmax(brute))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: farthest_sq_distance(cloud_of([0.0, 0.0], [1.0, 1.0]), np.zeros(3)),
+     "query point has shape"),
+    (lambda: farthest_sq_distance(cloud_of([0.0, 0.0]), np.zeros((1, 2))),
+     "query point has shape"),
+    (lambda: required_iterations_meb(0.0, 3), "relative_epsilon"),
+    (lambda: required_iterations_meb(1.5, 3), "relative_epsilon"),
+    (lambda: required_iterations_meb(0.1, 0), "n >= 1"),
+], ids=["farthest_dim", "farthest_rank", "iterations_zero_eps", "iterations_large_eps",
+        "iterations_n"])
+def test_public_input_checks_raise_contract_violations(call, match):
+    with pytest.raises(ContractViolationError, match=match):
+        call()
+
+
 class TestRequiredIterationsMeb:
     def test_golden_value(self):
         assert required_iterations_meb(1.0, 2) == 28

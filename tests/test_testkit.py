@@ -116,7 +116,7 @@ class TestRandomQuadraticFamily:
         for i in range(fam.n):
             assert values[i] == pytest.approx(fam.value_at(i, x), rel=1e-14)
         weights = np.random.default_rng(1).dirichlet(np.ones(5))
-        direct = sum(weights[i] * fam.gradient_at(i, x) for i in range(5))
+        direct = sum(weights[i] * grad for i, grad in enumerate(fam.gradients_at(x)))
         np.testing.assert_allclose(fam.combined_gradient(x, weights), direct, atol=1e-13)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
@@ -141,9 +141,10 @@ class TestRandomQuadraticFamily:
                 # At the centroid only the squared norms tell the points apart.
                 for query in (x, fam.centroid):
                     assert fam.farthest(query) == farthest_sq_distance(fam.cloud, query)[1], shape
-            grad_scale = max(np.linalg.norm(fam.gradient_at(i, x)) for i in range(fam.n))
+            grads = fam.gradients_at(x)
+            grad_scale = max(np.linalg.norm(grad) for grad in grads)
             for weights in (rng.dirichlet(np.ones(n)), rng.uniform(0.1, 3.0, size=n)):
-                loop = sum(weights[i] * fam.gradient_at(i, x) for i in range(fam.n))
+                loop = sum(weights[i] * grads[i] for i in range(fam.n))
                 np.testing.assert_allclose(
                     fam.combined_gradient(x, weights), loop,
                     rtol=0, atol=1e-12 * np.sum(weights) * grad_scale, err_msg=shape,
