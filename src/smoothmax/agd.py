@@ -19,7 +19,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (  # component_values, smooth_gradient and smooth_value stay importable here
+# component_values, smooth_gradient and smooth_value stay bound here because
+# perfbench/tracing.py wraps them at this module; tests/test_bench_lookups.py
+# checks that every name it wraps is defined where it looks it up.
+from .core import (
     component_values,
     condition_number,
     shifted_pass,

@@ -1,8 +1,9 @@
 """Command-line front end: point-cloud ingestion, solver invocation, and the
 iteration-scaling benchmark harness.
 
-Exit codes: 0 success, 2 bad flags, 3 input parse errors or an input too
-large for memory, 4 solver errors, 5 gradcheck tolerance failure.
+Exit codes, mapped in ``main``: 0 success, 2 bad flags (flag sizes too
+large for memory, an unwritable output), 3 input parse errors or an input
+too large for memory, 4 solver errors, 5 gradcheck tolerance failure.
 """
 
 from __future__ import annotations
@@ -138,12 +139,14 @@ def _raise_first_bad_row(path: str, rows: list[str], width: int, linenos: list[i
 
 
 def _emit(payload: str, output: str | None) -> None:
+    """Write ``payload`` to standard output (``output`` None or "-") or to
+    the file ``output``, whose bytes are the payload's as given."""
     if output is None or output == "-":
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w") as fh:
+        with open(output, "w", newline="") as fh:
             fh.write(payload)
 
 
@@ -208,18 +211,6 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
     return result
 
 
-def _write_trace(rows: list, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
-    writer.writerows(rows)
-
-
-def _input_too_large(args) -> int:
-    """Report a solve input whose arrays cannot be allocated: an input error."""
-    print(f"error: {args.input} needs more memory than is available", file=sys.stderr)
-    return EXIT_PARSE
-
-
 def cmd_solve(args) -> int:
     if args.algorithm in ("smooth", "coreset") and args.epsilon is None:
         print("error: --epsilon is required for smooth and coreset", file=sys.stderr)
@@ -239,35 +230,23 @@ def cmd_solve(args) -> int:
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MemoryError:
-        return _input_too_large(args)
 
     trace_rows: list | None = [] if args.trace else None
-    try:
-        result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed,
-                             trace_rows=trace_rows)
-        if args.verify and cloud.dim <= WELZL_MAX_DIM:
-            exact_radius = welzl_exact(cloud, seed=args.seed).radius
-            result["exact_radius"] = float(exact_radius)
-            result["radius_over_exact"] = (
-                float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
-            )
-    except SmoothmaxError as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MemoryError:
-        return _input_too_large(args)
-
-    try:
-        if args.trace == "-":
-            _write_trace(trace_rows, sys.stdout)
-        elif trace_rows is not None:
-            with open(args.trace, "w", newline="") as fh:
-                _write_trace(trace_rows, fh)
-        _emit(json.dumps(result, indent=2), args.output)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed,
+                         trace_rows=trace_rows)
+    if args.verify and cloud.dim <= WELZL_MAX_DIM:
+        exact_radius = welzl_exact(cloud, seed=args.seed).radius
+        result["exact_radius"] = float(exact_radius)
+        result["radius_over_exact"] = (
+            float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
+        )
+    if trace_rows is not None:
+        trace = io.StringIO()
+        writer = csv.writer(trace)
+        writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
+        writer.writerows(trace_rows)
+        _emit(trace.getvalue(), args.trace)
+    _emit(json.dumps(result, indent=2), args.output)
     return EXIT_OK
 
 
@@ -279,13 +258,6 @@ def _log_log_slope(rows: list[dict], key: str) -> float | None:
     if len(set(inv_eps)) < 2 or min(counts) <= 0:
         return None
     return float(np.polyfit(np.log(inv_eps), np.log(counts), 1)[0])
-
-
-def _too_large(args) -> int:
-    """Report flag sizes whose arrays cannot be allocated: a usage error."""
-    print(f"error: --n {args.n} and --dim {args.dim} need more memory than is available",
-          file=sys.stderr)
-    return EXIT_USAGE
 
 
 def cmd_bench(args) -> int:
@@ -307,49 +279,40 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
 
     exact_radius = None
-    try:
-        cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
-        if cloud.dim <= WELZL_MAX_DIM:
-            exact_radius = welzl_exact(cloud, seed=args.seed).radius
-    except MemoryError:
-        return _too_large(args)
+    cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
+    if cloud.dim <= WELZL_MAX_DIM:
+        exact_radius = welzl_exact(cloud, seed=args.seed).radius
 
     rows = []
-    try:
-        for algorithm in algorithms:
-            for eps in epsilons:
-                radius_trace: list | None = (
-                    [] if (algorithm == "smooth" and exact_radius is not None) else None
-                )
-                result = _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
-                observed = None
-                if radius_trace:
-                    target = (1.0 + eps) * exact_radius
-                    hits = [steps for steps, radius in radius_trace if radius <= target]
-                    observed = min(hits) if hits else None
-                over = None
-                if exact_radius and exact_radius > 0:
-                    over = result["radius"] / exact_radius
-                rows.append({
-                    "algorithm": algorithm,
-                    "epsilon": eps,
-                    "iterations": result["iterations"],
-                    "planned_iterations": result["planned_iterations"],
-                    "observed_to_target": observed,
-                    "wall_time_ms": result["wall_time_ms"],
-                    "us_per_step": (result["wall_time_ms"] * 1e3 / result["iterations"]
-                                    if result["iterations"] else None),
-                    "radius": result["radius"],
-                    "radius_over_exact": over,
-                    "stop_reason": result.get("stop_reason"),
-                    "certified_radius_lower": result.get("certified_radius_lower"),
-                    "certified_ratio": result.get("certified_ratio"),
-                })
-    except SmoothmaxError as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MemoryError:
-        return _too_large(args)
+    for algorithm in algorithms:
+        for eps in epsilons:
+            radius_trace: list | None = (
+                [] if (algorithm == "smooth" and exact_radius is not None) else None
+            )
+            result = _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
+            observed = None
+            if radius_trace:
+                target = (1.0 + eps) * exact_radius
+                hits = [steps for steps, radius in radius_trace if radius <= target]
+                observed = min(hits) if hits else None
+            over = None
+            if exact_radius and exact_radius > 0:
+                over = result["radius"] / exact_radius
+            rows.append({
+                "algorithm": algorithm,
+                "epsilon": eps,
+                "iterations": result["iterations"],
+                "planned_iterations": result["planned_iterations"],
+                "observed_to_target": observed,
+                "wall_time_ms": result["wall_time_ms"],
+                "us_per_step": (result["wall_time_ms"] * 1e3 / result["iterations"]
+                                if result["iterations"] else None),
+                "radius": result["radius"],
+                "radius_over_exact": over,
+                "stop_reason": result.get("stop_reason"),
+                "certified_radius_lower": result.get("certified_radius_lower"),
+                "certified_ratio": result.get("certified_ratio"),
+            })
 
     slopes = {}
     for algorithm in algorithms:
@@ -377,11 +340,7 @@ def cmd_bench(args) -> int:
                 "" if row[key] is None else str(row[key]) for key in header
             ))
         payload = "\n".join(lines) + "\n"
-    try:
-        _emit(payload, args.output)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -395,28 +354,20 @@ def cmd_gradcheck(args) -> int:
     worst_grad = 0.0
     worst_hess = 0.0
     worst_case = None
-    try:
-        for trial in range(args.trials):
-            family = RandomQuadraticFamily.from_seed(args.seed + trial, args.n, args.dim)
-            x = rng.standard_normal(args.dim)
-            grad = core.smooth_gradient(family, params, x)
-            fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
-            grad_err = np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6)
-            hess = core.smooth_hessian(family, params, x)
-            fd_hess = finite_diff_jacobian(
-                lambda p: core.smooth_gradient(family, params, p), x
-            )
-            hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
-            if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
-                worst_case = (trial, x)
-            # np.maximum keeps a nan, which the builtin max may drop.
-            worst_grad = float(np.maximum(worst_grad, grad_err))
-            worst_hess = float(np.maximum(worst_hess, hess_err))
-    except SmoothmaxError as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MemoryError:
-        return _too_large(args)
+    for trial in range(args.trials):
+        family = RandomQuadraticFamily.from_seed(args.seed + trial, args.n, args.dim)
+        x = rng.standard_normal(args.dim)
+        grad = core.smooth_gradient(family, params, x)
+        fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
+        grad_err = np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6)
+        hess = core.smooth_hessian(family, params, x)
+        fd_hess = finite_diff_jacobian(lambda p: core.smooth_gradient(family, params, p), x)
+        hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
+        if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
+            worst_case = (trial, x)
+        # np.maximum keeps a nan, which the builtin max may drop.
+        worst_grad = float(np.maximum(worst_grad, grad_err))
+        worst_hess = float(np.maximum(worst_hess, hess_err))
     print(f"max relative gradient error: {worst_grad:.3e}")
     print(f"max relative hessian error:  {worst_hess:.3e}")
     if not (worst_grad <= 1e-5 and worst_hess <= 1e-4):  # a nan error fails
@@ -477,8 +428,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map each failure it raises to one ``error:`` line
+    and its exit code.  A program fault keeps its traceback (exit 1)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SmoothmaxError as exc:
+        print(f"error: solver failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError:
+        if args.command == "solve":
+            print(f"error: {args.input} needs more memory than is available",
+                  file=sys.stderr)
+            return EXIT_PARSE
+        print(f"error: --n {args.n} and --dim {args.dim} need more memory than is available",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # cmd_solve maps a failed read; this is a failed write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

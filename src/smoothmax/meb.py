@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agd import (  # run_to_gap stays importable from here
+# run_to_gap stays bound here because perfbench/tracing.py wraps it at this
+# module; tests/test_bench_lookups.py checks that every name it wraps is
+# defined where it looks it up.
+from .agd import (
     MAX_PLANNED_ITERATIONS,
     IterateObserver,
     ProgressCallback,

@@ -138,10 +138,9 @@ class RandomQuadraticFamily(ComponentFamily):
         dim: int,
         curv_min: float = 0.5,
         curv_max: float = 2.0,
-        center_scale: float = 1.0,
     ) -> "RandomQuadraticFamily":
         rng = np.random.default_rng(seed)
-        centers = center_scale * rng.standard_normal((n, dim))
+        centers = rng.standard_normal((n, dim))
         curvatures = rng.uniform(curv_min, curv_max, size=n)
         return RandomQuadraticFamily(centers, curvatures)
 

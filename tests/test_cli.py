@@ -229,6 +229,22 @@ class TestSolveCommand:
         assert len(rows) == result["iterations"] + 1
         assert not (tmp_path / "-").exists()
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_trace_keeps_the_csv_line_endings(self, two_point_file, tmp_path, to_file):
+        # Bytes, not text: a text read would turn each \r\n into \n.
+        trace = tmp_path / "trace.csv"
+        args = [sys.executable, "-m", "smoothmax.cli", "solve", "--input", two_point_file,
+                "--algorithm", "smooth", "--epsilon", "0.1",
+                "--trace", str(trace) if to_file else "-",
+                "--output", str(tmp_path / "result.json")]
+        proc = subprocess.run(args, capture_output=True)
+        assert proc.returncode == 0
+        data = trace.read_bytes() if to_file else proc.stdout
+        lines = data.split(b"\r\n")
+        assert lines[0] == b"t,smooth_value_y,grad_norm_y"
+        assert len(lines) > 2 and lines[-1] == b""  # every row ends in \r\n
+        assert all(b"\n" not in line and b"\r" not in line for line in lines)
+
     @pytest.mark.parametrize("output", [["--output", "-"], []])
     def test_trace_and_result_both_on_standard_output_exit_2(self, two_point_file, tmp_path,
                                                              output):
@@ -349,6 +365,17 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, stage, unallocatable)
         assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
                          "--epsilon", "0.1", "--verify"]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {two_point_file} needs more memory than is available\n"
+
+    def test_result_too_large_to_write_exit_3(self, two_point_file, monkeypatch, capsys):
+        def unwritable(payload, output):
+            raise MemoryError("cannot allocate the result")
+
+        monkeypatch.setattr(cli, "_emit", unwritable)
+        assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                         "--epsilon", "0.1"]) == cli.EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {two_point_file} needs more memory than is available\n"
@@ -533,6 +560,17 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: --n 20 and --dim 2 need more memory than is available\n"
+
+    def test_reference_radius_failure_exit_4(self, monkeypatch, capsys):
+        def failing_reference(cloud, seed=0):
+            raise EvaluationError("circumball solve returned a non-finite center")
+
+        monkeypatch.setattr(cli, "welzl_exact", failing_reference)
+        assert cli.main(["bench", "--n", "20", "--dim", "2", "--epsilons", "0.1",
+                         "--algorithms", "smooth"]) == cli.EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: solver failed: circumball solve returned a non-finite center\n"
 
     def test_bad_algorithm_exit_2(self):
         proc = run_cli("bench", "--n", "10", "--dim", "2",
