@@ -1,5 +1,6 @@
 """Reference algorithms: exact MEB (Gärtner's pivoting around Welzl's
-move-to-front recursion) and the farthest-point core-set baseline."""
+move-to-front recursion, with each ball built incrementally on a push/pop
+stack of boundary points) and the farthest-point core-set baseline."""
 
 from __future__ import annotations
 
@@ -31,46 +32,74 @@ class ExactMebResult:
     support: tuple[int, ...]
 
 
-def _circumball(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest sphere through all given points (their circumsphere within
-    the affine hull).  Uses least squares so degenerate/affinely dependent
-    boundary sets fall back to the subspace circumcenter."""
-    base = points[0]
-    if points.shape[0] == 1:
-        return base.copy(), 0.0
-    v = points[1:] - base  # k x d
-    gram = v @ v.T
-    rhs = 0.5 * np.einsum("ij,ij->i", v, v)
-    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    center = base + coeffs @ v
-    diff = points - center
-    r2 = float(np.max(np.einsum("ij,ij->i", diff, diff)))
-    return center, r2
+class _Boundary:
+    """Gärtner's push/pop stack of boundary points ("Fast and robust
+    smallest enclosing balls", ESA 1999).
 
+    ``rel`` holds the candidate points as offsets from the first boundary
+    point q0, which is its row 0 and the bottom of the stack.  With m points
+    on the stack, ``c[m-1]`` and ``r2[m-1]`` are the centre (relative to q0)
+    and squared radius of the smallest ball through them, and ``u[:m-1]`` an
+    orthonormal basis of their offsets from q0.  A push projects its offset
+    off that basis and moves the centre along what is left, in O(d m) and
+    without a linear solve; a pop only drops the top point.
+    """
 
-def _welzl_mtf(
-    pts: np.ndarray, order: list[int], boundary: list[int]
-) -> tuple[np.ndarray | None, float, list[int]]:
-    if boundary:
-        center, r2 = _circumball(pts[boundary])
-    else:
-        center, r2 = None, -1.0
-    support = list(boundary)
-    if len(boundary) == pts.shape[1] + 1:
-        return center, r2, support
-    i = 0
-    while i < len(order):
-        j = order[i]
-        inside = False
-        if center is not None:
-            diff = pts[j] - center
-            inside = float(diff @ diff) <= r2 * (1.0 + _CONTAINS_SLACK)
-        if not inside:
-            center, r2, support = _welzl_mtf(pts, order[:i], boundary + [j])
-            order.pop(i)
-            order.insert(0, j)
-        i += 1
-    return center, r2, support
+    def __init__(self, rel: np.ndarray):
+        dim = rel.shape[1]
+        self.rel = rel
+        self.u = np.empty((dim, dim))
+        self.c = np.zeros((dim + 1, dim))
+        self.r2 = np.zeros(dim + 1)
+        self.stack = [0]
+        # The ball of the latest successful push: its level and its points.
+        self.level = 0
+        self.support = (0,)
+
+    def outside(self, j: int) -> bool:
+        diff = self.rel[j] - self.c[self.level]
+        return float(diff @ diff) > self.r2[self.level] * (1.0 + _CONTAINS_SLACK)
+
+    def push(self, j: int) -> bool:
+        """Put row j on the boundary; its ball becomes the latest.  Refused
+        (False, the stack unchanged) when the offset of row j from q0 lies
+        in the span of the stack's offsets, to 1e-12 of its length: a
+        repeated point, or one in the stack's affine hull, which only
+        roundoff can put outside the latest ball."""
+        m = len(self.stack)
+        q = self.rel[j]
+        u = self.u[: m - 1]
+        v = q - (u @ q) @ u
+        vv = float(v @ v)
+        if vv <= 1e-24 * float(q @ q):
+            return False
+        # v is orthogonal to the stack's offsets, so c + f v stays as far from
+        # each stack point (r2 + f^2 vv); f = excess / (2 vv) puts p there too.
+        diff = q - self.c[m - 1]
+        excess = float(diff @ diff) - self.r2[m - 1]
+        f = excess / (2.0 * vv)
+        np.add(self.c[m - 1], f * v, out=self.c[m])
+        self.r2[m] = self.r2[m - 1] + 0.5 * excess * f
+        np.divide(v, math.sqrt(vv), out=self.u[m - 1])
+        self.stack.append(j)
+        self.level = m
+        self.support = tuple(self.stack)
+        return True
+
+    def move_to_front(self, order: list[int], end: int) -> None:
+        """Welzl's move-to-front recursion over ``order[:end]`` with the
+        stack's points on the boundary: a point outside the latest ball is
+        pushed, the points before it are recursed over, the push is popped,
+        and the point moves to the front of ``order``.  The latest ball then
+        encloses ``order[:end]``."""
+        if len(self.stack) == self.rel.shape[1] + 1:
+            return
+        for i in range(end):
+            j = order[i]
+            if self.outside(j) and self.push(j):
+                self.move_to_front(order, i)
+                self.stack.pop()
+                order.insert(0, order.pop(i))
 
 
 def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
@@ -84,6 +113,12 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
     pivot.  A pivot lies outside a ball holding every earlier pivot, so none
     repeats and there are at most n passes; the loop only ends on a pass
     that finds all n points inside.
+
+    The recursion keeps its boundary on a ``_Boundary`` stack relative to
+    the new pivot: each push moves the previous ball's centre in O(d k),
+    with no linear solve, and a point in the affine hull of the boundary is
+    not pushed.  The pass then forms the centre in raw coordinates once and
+    takes the squared radius as its largest squared distance to the support.
 
     The seed picks the first pivot; the radius is unique, but on
     cospherical clouds the returned support may depend on it.
@@ -108,7 +143,14 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
         k = int(sq.argmax())
         if sq[k] <= r2 * (1.0 + _CONTAINS_SLACK):
             break
-        center, r2, support = _welzl_mtf(pts, list(pivots), [k])
+        rows = [k] + pivots
+        boundary = _Boundary(pts[rows] - pts[k])
+        boundary.move_to_front(list(range(1, len(rows))), len(pivots))
+        center = pts[k] + boundary.c[boundary.level]
+        support = [rows[i] for i in boundary.support]
+        # The radius is taken on the raw coordinates, from the rounded centre.
+        on = pts[support] - center
+        r2 = float(np.max(np.einsum("ij,ij->i", on, on)))
         pivots.insert(0, k)
     else:
         raise SmoothmaxError(

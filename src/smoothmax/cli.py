@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -138,16 +139,29 @@ def _raise_first_bad_row(path: str, rows: list[str], width: int, linenos: list[i
                            line=lineno)
 
 
-def _emit(payload: str, output: str | None) -> None:
-    """Write ``payload`` to standard output (``output`` None or "-") or to
-    the file ``output``, whose bytes are the payload's as given."""
-    if output is None or output == "-":
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(output, "w", newline="") as fh:
-            fh.write(payload)
+def _emit(*writes: tuple[str, str | None]) -> None:
+    """Write each ``(payload, output)`` pair, in order, to standard output
+    (``output`` None or "-") or to the file ``output``, whose bytes are the
+    payload's as given.  Every file is opened before any payload is written:
+    when one cannot be opened, those opened before it are removed and
+    nothing is written."""
+    files = []
+    try:
+        for _, output in writes:
+            files.append(None if output in (None, "-") else open(output, "w", newline=""))
+    except OSError:
+        for fh in filter(None, files):
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for (payload, _), fh in zip(writes, files):
+        if fh is None:
+            sys.stdout.write(payload)
+            if not payload.endswith("\n"):
+                sys.stdout.write("\n")
+        else:
+            with fh:
+                fh.write(payload)
 
 
 def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: int,
@@ -225,6 +239,12 @@ def cmd_solve(args) -> int:
         print("error: --trace - and the JSON result cannot both go to standard output; "
               "give --output a file", file=sys.stderr)
         return EXIT_USAGE
+    # Both files are open at once while they are written, so one file for
+    # both would hold the JSON over the start of the trace.
+    if (args.trace not in (None, "-") and args.output not in (None, "-")
+            and os.path.realpath(args.trace) == os.path.realpath(args.output)):
+        print("error: --trace and --output name the same file", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cloud = parse_points_csv(args.input)
     except (InputFormatError, OSError) as exc:
@@ -235,18 +255,22 @@ def cmd_solve(args) -> int:
     result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed,
                          trace_rows=trace_rows)
     if args.verify and cloud.dim <= WELZL_MAX_DIM:
-        exact_radius = welzl_exact(cloud, seed=args.seed).radius
+        # An exact solve is its own reference: same oracle, same seed.
+        exact_radius = (result["radius"] if args.algorithm == "exact"
+                        else welzl_exact(cloud, seed=args.seed).radius)
         result["exact_radius"] = float(exact_radius)
         result["radius_over_exact"] = (
             float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
         )
+    writes = []
     if trace_rows is not None:
         trace = io.StringIO()
         writer = csv.writer(trace)
         writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
         writer.writerows(trace_rows)
-        _emit(trace.getvalue(), args.trace)
-    _emit(json.dumps(result, indent=2), args.output)
+        writes.append((trace.getvalue(), args.trace))
+    writes.append((json.dumps(result, indent=2), args.output))
+    _emit(*writes)
     return EXIT_OK
 
 
@@ -340,7 +364,7 @@ def cmd_bench(args) -> int:
                 "" if row[key] is None else str(row[key]) for key in header
             ))
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.output)
+    _emit((payload, args.output))
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smoothmax import PointCloud, badoiu_clarkson, welzl_exact
 from smoothmax import baselines
-from smoothmax.baselines import _circumball, _welzl_mtf
+from smoothmax.baselines import WELZL_MAX_DIM
 from smoothmax.errors import (
     ConfigurationError,
     ContractViolationError,
@@ -15,6 +15,60 @@ from smoothmax.errors import (
     UnsupportedDimensionError,
 )
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
+
+
+# The oracle's independent reference: each ball is solved from scratch by
+# least squares, where welzl_exact builds it point by point with Gärtner's
+# push/pop stack, and the recursion runs over the whole cloud, where
+# welzl_exact pivots.  It shares no code with welzl_exact.
+_CONTAINS_SLACK = 1e-10
+
+
+def _circumball(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Smallest sphere through all given points (their circumsphere within
+    the affine hull).  Uses least squares so degenerate/affinely dependent
+    boundary sets fall back to the subspace circumcenter."""
+    base = points[0]
+    if points.shape[0] == 1:
+        return base.copy(), 0.0
+    v = points[1:] - base  # k x d
+    gram = v @ v.T
+    rhs = 0.5 * np.einsum("ij,ij->i", v, v)
+    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    center = base + coeffs @ v
+    diff = points - center
+    r2 = float(np.max(np.einsum("ij,ij->i", diff, diff)))
+    return center, r2
+
+
+def _welzl_mtf(
+    pts: np.ndarray, order: list[int], boundary: list[int]
+) -> tuple[np.ndarray | None, float, list[int]]:
+    if boundary:
+        center, r2 = _circumball(pts[boundary])
+    else:
+        center, r2 = None, -1.0
+    support = list(boundary)
+    if len(boundary) == pts.shape[1] + 1:
+        return center, r2, support
+    i = 0
+    while i < len(order):
+        j = order[i]
+        inside = False
+        if center is not None:
+            diff = pts[j] - center
+            inside = float(diff @ diff) <= r2 * (1.0 + _CONTAINS_SLACK)
+        if not inside:
+            center, r2, support = _welzl_mtf(pts, order[:i], boundary + [j])
+            order.pop(i)
+            order.insert(0, j)
+        i += 1
+    return center, r2, support
+
+
+def reference_radius(points: np.ndarray) -> float:
+    _, r2, _ = _welzl_mtf(points, list(range(points.shape[0])), [])
+    return math.sqrt(r2)
 
 
 def brute_force_meb(points: np.ndarray) -> float:
@@ -134,26 +188,105 @@ class TestWelzlExact:
     cloud_seed=st.integers(min_value=0, max_value=10_000),
     order_seed=st.integers(min_value=0, max_value=10_000),
     n=st.integers(min_value=2, max_value=300),
-    dim=st.integers(min_value=1, max_value=6),
+    dim=st.integers(min_value=1, max_value=WELZL_MAX_DIM),
     offset=st.sampled_from([0.0, 1e6, 1e8]),
     duplicate=st.booleans(),
 )
 def test_pivoting_matches_the_plain_recursion(
     distribution, cloud_seed, order_seed, n, dim, offset, duplicate
 ):
+    n = min(n, 1800 // dim)  # the plain recursion's cost grows fast with d
     points = random_point_cloud(cloud_seed, n, dim, distribution).points + offset
     if duplicate:  # repeat a third of the rows, after the originals
         points = np.concatenate([points, points[: max(1, n // 3)]])
-    exact = welzl_exact(PointCloud(points), seed=order_seed)
-    _, r2, _ = _welzl_mtf(points, list(range(points.shape[0])), [])
+    assert_matches_the_reference(points, welzl_exact(PointCloud(points), seed=order_seed),
+                                 offset)
+
+
+def assert_matches_the_reference(points, exact, offset):
+    """The radius matches the plain recursion's, every point lies in the
+    ball and every support point on it."""
     # Both centres are rounded to the grid of the shifted coordinates, which
     # moves a distance to them by up to about sqrt(d) ulp of the offset.
-    rounding = math.sqrt(dim) * np.spacing(2.0 * offset)
-    assert exact.radius == pytest.approx(math.sqrt(r2), rel=1e-12, abs=rounding)
+    rounding = math.sqrt(points.shape[1]) * np.spacing(2.0 * offset)
+    assert exact.radius == pytest.approx(reference_radius(points), rel=1e-12, abs=rounding)
     dists = np.linalg.norm(points - exact.center, axis=1)
     assert np.max(dists) <= exact.radius * (1.0 + 1e-9)
     for idx in exact.support:
         assert dists[idx] == pytest.approx(exact.radius, rel=1e-7, abs=rounding)
+
+
+def flat_cloud(seed: int, n: int, k: int, d: int, offset: float, noise: float) -> np.ndarray:
+    """n points on a randomly rotated and shifted k-flat in R^d and the
+    first third of them again, then Gaussian noise of scale ``noise`` and
+    ``offset`` added to every coordinate."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    points = rng.standard_normal((n, k)) @ rotation[:k] + rng.standard_normal(d)
+    points = np.concatenate([points, points[: n // 3]])
+    return points + noise * rng.standard_normal(points.shape) + offset
+
+
+class TestDegeneratePushes:
+    """Boundary points in the affine hull of those already pushed: a push
+    of such a point is refused and the recursion skips it."""
+
+    def test_push_in_the_affine_hull_is_refused(self):
+        # Offsets from q0, which is row 0: after row 1, rows 2 and 3 lie on
+        # the line through q0 and row 1 (row 3 within 1e-13 of it), and row
+        # 4 repeats q0; only row 5, off that line, may join the boundary.
+        boundary = baselines._Boundary(np.array(
+            [[0, 0, 0], [2, 0, 0], [5, 0, 0], [3, 1e-13, 0], [0, 0, 0], [1, 1, 0]],
+            dtype=float,
+        ))
+        assert boundary.push(1)
+        assert not any(boundary.push(j) for j in (2, 3, 4))
+        assert boundary.stack == [0, 1] and boundary.support == (0, 1)
+        assert boundary.push(5)
+        assert boundary.support == (0, 1, 5)
+        np.testing.assert_allclose(boundary.c[boundary.level], [1, 0, 0], atol=1e-15)
+        assert boundary.r2[boundary.level] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("k, d", [(1, 2), (1, 5), (2, 3), (3, 8), (6, 12), (11, 12)])
+    def test_points_on_a_flat_match_the_reference(self, k, d, offset, noise):
+        points = flat_cloud(k * 100 + d, 90, k, d, offset, noise)
+        for seed in range(3):
+            assert_matches_the_reference(points, welzl_exact(PointCloud(points), seed=seed),
+                                         offset)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    @pytest.mark.parametrize("k, d", [(1, 3), (2, 4), (3, 7), (4, 9)])
+    def test_points_on_a_flat_match_exhaustive_search(self, k, d, noise):
+        points = flat_cloud(k * 100 + d, 8, k, d, 0.0, noise)
+        exact = welzl_exact(PointCloud(points), seed=k)
+        assert exact.radius == pytest.approx(brute_force_meb(points), rel=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, WELZL_MAX_DIM + 1))
+    def test_regular_simplex(self, n):
+        # e_1, ..., e_n: the ball is centred at their mean, at distance
+        # sqrt((n - 1) / n) from each, and all n are its support.
+        points = np.eye(n)
+        for seed in range(n):
+            exact = welzl_exact(PointCloud(points), seed=seed)
+            assert exact.radius == pytest.approx(math.sqrt((n - 1) / n), rel=1e-12, abs=0)
+            np.testing.assert_allclose(exact.center, np.full(n, 1.0 / n), rtol=0, atol=1e-15)
+            assert exact.support == tuple(range(n))
+
+    def test_cospherical_cloud_in_twelve_dimensions(self):
+        cloud = random_point_cloud(0, 5000, 12, "sphere_surface")
+        assert_matches_the_reference(cloud.points, welzl_exact(cloud, seed=0), 0.0)
+
+    def test_no_linear_solve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("welzl_exact called a linear solver")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        for points in (random_point_cloud(1, 500, 12, "sphere_surface").points,
+                       flat_cloud(3, 40, 2, 6, 1e6, 1e-13), np.eye(5)):
+            welzl_exact(PointCloud(points), seed=0)
 
 
 class TestBadoiuClarkson:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from smoothmax import cli
+from smoothmax import cli, welzl_exact
 from smoothmax.cli import parse_points_csv
 from smoothmax.errors import (
     DivergenceError,
@@ -370,7 +370,7 @@ class TestSolveCommand:
         assert err == f"error: {two_point_file} needs more memory than is available\n"
 
     def test_result_too_large_to_write_exit_3(self, two_point_file, monkeypatch, capsys):
-        def unwritable(payload, output):
+        def unwritable(*writes):
             raise MemoryError("cannot allocate the result")
 
         monkeypatch.setattr(cli, "_emit", unwritable)
@@ -400,6 +400,55 @@ class TestSolveCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and bad in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unwritable", ["--output", "--trace"])
+    def test_unwritable_output_leaves_no_other_file(self, two_point_file, tmp_path, capsys,
+                                                    unwritable):
+        # Both files are opened before either is written, so a failed open
+        # of one leaves neither behind.
+        paths = {"--output": tmp_path / "r.json", "--trace": tmp_path / "t.csv"}
+        args = ["solve", "--input", two_point_file, "--algorithm", "smooth", "--epsilon", "0.1"]
+        for flag, path in paths.items():
+            args += [flag, str(tmp_path / "missing-dir" / "out" if flag == unwritable else path)]
+        assert cli.main(args) == cli.EXIT_USAGE
+        assert not any(path.exists() for path in paths.values())
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write output: ")
+
+    def test_trace_and_result_in_one_file_exit_2(self, two_point_file, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                         "--epsilon", "0.1", "--trace", "r.json", "--output", "./r.json"]
+                        ) == cli.EXIT_USAGE
+        assert not (tmp_path / "r.json").exists()
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --trace and --output name the same file\n"
+
+    def test_unwritable_result_writes_no_trace_to_standard_output(self, two_point_file,
+                                                                  tmp_path, capsys):
+        bad = str(tmp_path / "missing-dir" / "r.json")
+        assert cli.main(["solve", "--input", two_point_file, "--algorithm", "smooth",
+                         "--epsilon", "0.1", "--trace", "-", "--output", bad]
+                        ) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write output: ")
+
+    def test_exact_verify_calls_the_oracle_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(cloud, seed):
+            calls.append(seed)
+            return welzl_exact(cloud, seed=seed)
+
+        monkeypatch.setattr(cli, "welzl_exact", counted)
+        path = tmp_path / "p.csv"
+        path.write_text("0,0\n1,0\n0,3\n")
+        assert cli.main(["solve", "--input", str(path), "--algorithm", "exact",
+                         "--seed", "4", "--verify"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert calls == [4]
+        assert out["exact_radius"] == out["radius"] and out["radius_over_exact"] == 1.0
 
     def test_determinism_modulo_wall_time(self, two_point_file):
         args = ("solve", "--input", two_point_file, "--algorithm", "smooth",
