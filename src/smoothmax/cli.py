@@ -254,7 +254,11 @@ def cmd_solve(args) -> int:
     trace_rows: list | None = [] if args.trace else None
     result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed,
                          trace_rows=trace_rows)
-    if args.verify and cloud.dim <= WELZL_MAX_DIM:
+    if args.verify and cloud.dim > WELZL_MAX_DIM:
+        print(f"note: --verify computed no exact radius: the exact oracle takes "
+              f"d <= {WELZL_MAX_DIM}, this cloud has d = {cloud.dim}", file=sys.stderr)
+        result["exact_radius"] = result["radius_over_exact"] = None
+    elif args.verify:
         # An exact solve is its own reference: same oracle, same seed.
         exact_radius = (result["radius"] if args.algorithm == "exact"
                         else welzl_exact(cloud, seed=args.seed).radius)

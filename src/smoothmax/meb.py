@@ -124,9 +124,10 @@ class BoundingSphereFamily(ComponentFamily):
     T = [||P||^2; -2 P^T; 1], filled in place.  With x~ = x - m, each batch
     query is then one GEMV over rows of length n (at small d, n dot products
     of length d are the shape BLAS handles worst), with no O(n) pass after
-    it: ``values_at`` is [1, x~, x~ . x~] @ T, ``farthest`` the argmax of
-    [1, x~] @ T[:-1] (||x~||^2 is the same for every i, so it is dropped),
-    and ``combined_gradient`` reads -2 P^T w and sum(w) from T[1:] @ w.
+    it: ``values_at`` is [1, x~, x~ . x~] @ T, ``scores_into`` writes
+    s [1, x~] @ T[:-1] for a scale s > 0 (||x~||^2 is the same for every i,
+    so it is dropped, and the argmax is a farthest point), and
+    ``combined_gradient`` reads -2 P^T w and sum(w) from T[1:] @ w.
     ``centred_sq``, the squared norms ||P_i||^2, is a view of row 0."""
 
     def __init__(self, cloud: PointCloud):
@@ -140,6 +141,13 @@ class BoundingSphereFamily(ComponentFamily):
         self.centred_sq = np.einsum("ij,ij->j", centred_t, centred_t, out=self._table[0])
         centred_t *= -2.0  # exact: a power of two
         self._table[-1] = 1.0
+        # scores_into's query and the views it reads, made once: the core set
+        # calls it at each step that finds its cache full, and at 2000 x 5 a
+        # fresh vector and three slices took ~0.6 of a ~6.5 us step (shared
+        # 2-core host).
+        self._query = np.empty(cloud.dim + 1)
+        self._query_tail = self._query[1:]
+        self._score_rows = self._table[:-1]
 
     def value_at(self, i: int, x: np.ndarray) -> float:
         """Scalar f_i(x): the reference the batch-path tests compare against;
@@ -154,12 +162,19 @@ class BoundingSphereFamily(ComponentFamily):
         query[-1] = x_c @ x_c
         return query @ self._table
 
-    def farthest(self, x: np.ndarray) -> int:
-        """An index i maximising ||x - c_i||^2 (on an exact tie, any of them)."""
-        query = np.empty(self.dim + 1)
-        query[0] = 1.0
-        np.subtract(x, self.centroid, out=query[1:])
-        return int((query @ self._table[:-1]).argmax())
+    def scores_into(self, x: np.ndarray, out: np.ndarray, scale: float = 1.0) -> None:
+        """Write scale (||P_i||^2 - 2 P_i . x~) for every i into ``out``: the
+        squared distances ||x - c_i||^2 less their common ||x~||^2, so for
+        scale > 0 an argmax is a farthest point.  The score is affine in x~,
+        which lets a caller add up the scores of single points instead of
+        querying each new x.  One GEMV, with the query scaled before it.  The
+        query is a vector the family keeps, so two threads must not call
+        this on one family at once."""
+        tail = self._query_tail
+        self._query[0] = scale
+        np.subtract(x, self.centroid, out=tail)
+        np.multiply(tail, scale, out=tail)
+        np.matmul(self._query, self._score_rows, out=out)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - self.cloud.points)

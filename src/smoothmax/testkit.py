@@ -115,6 +115,35 @@ def random_point_cloud(seed: int, n: int, dim: int, distribution: str = "gaussia
     return PointCloud(pts)
 
 
+def _rotated(points: np.ndarray, seed: int | None, offset: float) -> PointCloud:
+    """points times a Haar-random orthogonal matrix drawn from the seed (none
+    when the seed is None), then offset added to every coordinate."""
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((points.shape[1],) * 2))
+        points = points @ (q * np.sign(np.diag(r)))
+    return PointCloud(points + offset)
+
+
+def regular_simplex(seed: int | None, n: int, offset: float = 1e6) -> tuple[PointCloud, float]:
+    """The unit vectors e_1 ... e_n of R^n, rotated and offset as in
+    ``_rotated``, and their exact minimal radius sqrt((n - 1) / n): the ball
+    is centred at their mean, and all n points are its support."""
+    if n < 1:
+        raise ContractViolationError("need n >= 1")
+    return _rotated(np.eye(n), seed, offset), float(np.sqrt((n - 1) / n))
+
+
+def cross_polytope(seed: int | None, dim: int, offset: float = 1e6) -> tuple[PointCloud, float]:
+    """The 2 dim points +-e_i of R^dim, rotated and offset as in ``_rotated``,
+    and their exact minimal radius 1: the unit ball about their mean, with
+    all 2 dim points its support."""
+    if dim < 1:
+        raise ContractViolationError("need dim >= 1")
+    eye = np.eye(dim)
+    return _rotated(np.concatenate([eye, -eye]), seed, offset), 1.0
+
+
 class RandomQuadraticFamily(ComponentFamily):
     """f_i(x) = curvature_i * ||x - center_i||^2 with constants known exactly
     by construction (l_i = u_i = 2 curvature_i)."""

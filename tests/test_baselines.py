@@ -14,7 +14,8 @@ from smoothmax.errors import (
     SmoothmaxError,
     UnsupportedDimensionError,
 )
-from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
+from smoothmax.meb import BoundingSphereFamily
+from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud, regular_simplex
 
 
 # The oracle's independent reference: each ball is solved from scratch by
@@ -265,12 +266,12 @@ class TestDegeneratePushes:
 
     @pytest.mark.parametrize("n", range(1, WELZL_MAX_DIM + 1))
     def test_regular_simplex(self, n):
-        # e_1, ..., e_n: the ball is centred at their mean, at distance
-        # sqrt((n - 1) / n) from each, and all n are its support.
-        points = np.eye(n)
+        # e_1, ..., e_n, unrotated and at the origin: the ball is centred at
+        # their mean, and all n are its support.
+        cloud, radius = regular_simplex(None, n, offset=0.0)
         for seed in range(n):
-            exact = welzl_exact(PointCloud(points), seed=seed)
-            assert exact.radius == pytest.approx(math.sqrt((n - 1) / n), rel=1e-12, abs=0)
+            exact = welzl_exact(cloud, seed=seed)
+            assert exact.radius == pytest.approx(radius, rel=1e-12, abs=0)
             np.testing.assert_allclose(exact.center, np.full(n, 1.0 / n), rtol=0, atol=1e-15)
             assert exact.support == tuple(range(n))
 
@@ -345,6 +346,65 @@ class TestBadoiuClarkson:
             assert result.iterations == steps
             assert result.center.tobytes() == center.tobytes(), (n, d)
             assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
+
+    @staticmethod
+    def record_score_calls(monkeypatch) -> list:
+        # (address of the buffer written, scale) for every score-hook call.
+        calls = []
+        original = BoundingSphereFamily.scores_into
+
+        def recorded(self, x, out, scale=1.0):
+            calls.append((out.__array_interface__["data"][0], scale))
+            original(self, x, out, scale)
+
+        monkeypatch.setattr(BoundingSphereFamily, "scores_into", recorded)
+        return calls
+
+    def test_repeated_picks_add_cached_columns(self, monkeypatch):
+        # The clustered cloud's steps bounce among a few points: the start
+        # scores and one column per distinct pick are the only GEMVs.
+        calls = self.record_score_calls(monkeypatch)
+        cloud = random_point_cloud(7, 5000, 8, "clustered")
+        result = badoiu_clarkson(cloud, 0.03)
+        assert result.iterations == 1112
+        assert len(calls) <= cloud.dim + 2
+        assert all(scale == 1.0 for _, scale in calls)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_recomputed_steps_match_the_direct_loop(self, monkeypatch, offset):
+        # On a sphere most steps pick a point the full cache does not hold
+        # and recompute the scores at the new centre; those steps must still
+        # be the direct loop's, bit for bit.  Each cached column is written
+        # once, into one of at most d + 1 rows.
+        calls = self.record_score_calls(monkeypatch)
+        cloud = PointCloud(random_point_cloud(5, 2000, 5, "sphere_surface").points + offset)
+        result = badoiu_clarkson(cloud, 0.03)
+        center = cloud.points[0].copy()
+        for k in range(1, result.iterations + 1):
+            diffs = cloud.points - center
+            idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
+            center = center + (cloud.points[idx] - center) / (k + 1)
+        assert result.center.tobytes() == center.tobytes()
+        scores, _ = calls[0]
+        column_writes = [address for address, _ in calls if address != scores]
+        assert len(column_writes) == len(set(column_writes)) <= cloud.dim + 1
+        recomputes = [scale for address, scale in calls if address == scores][1:]
+        assert len(recomputes) > result.iterations // 2
+        assert all(scale > 1.0 for scale in recomputes)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fewer_points_than_the_cache_holds(self, monkeypatch, n):
+        # d + 1 = 9 columns would fit, but there are only n points to pick.
+        # (Two points tie exactly at their midpoint, so the steps are not
+        # compared with the direct loop's.)
+        calls = self.record_score_calls(monkeypatch)
+        points = random_point_cloud(n, n, 8, "gaussian").points
+        result = badoiu_clarkson(PointCloud(points), 0.1)
+        assert result.iterations == 100
+        assert len(calls) <= n + 1
+        assert result.radius <= 1.1 * welzl_exact(PointCloud(points)).radius
+        diffs = points - result.center
+        assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 
     def test_epsilon_validation(self):
         cloud = PointCloud(np.array([[0.0], [1.0]]))

@@ -450,6 +450,18 @@ class TestSolveCommand:
         assert calls == [4]
         assert out["exact_radius"] == out["radius"] and out["radius_over_exact"] == 1.0
 
+    @pytest.mark.parametrize("algorithm", ["smooth", "coreset"])
+    def test_verify_above_the_oracle_dimension_says_so(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "p.csv"
+        np.savetxt(path, np.random.default_rng(1).standard_normal((30, 13)), delimiter=",")
+        assert cli.main(["solve", "--input", str(path), "--algorithm", algorithm,
+                         "--epsilon", "0.1", "--verify"]) == 0
+        out, err = capsys.readouterr()
+        result = json.loads(out)
+        assert result["exact_radius"] is None and result["radius_over_exact"] is None
+        assert result["radius"] > 0
+        assert err.startswith("note: ") and err.count("\n") == 1 and "d = 13" in err
+
     def test_determinism_modulo_wall_time(self, two_point_file):
         args = ("solve", "--input", two_point_file, "--algorithm", "smooth",
                 "--epsilon", "0.05", "--seed", "3")

@@ -7,9 +7,11 @@ from smoothmax import BoundingSphereFamily, PointCloud, farthest_sq_distance, we
 from smoothmax.errors import ContractViolationError
 from smoothmax.testkit import (
     RandomQuadraticFamily,
+    cross_polytope,
     finite_diff_gradient,
     grid_oracle_minimize,
     random_point_cloud,
+    regular_simplex,
 )
 
 
@@ -86,6 +88,26 @@ class TestRandomPointCloud:
             random_point_cloud(0, 5, 2, "uniform")
 
 
+class TestKnownRadiusClouds:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    @pytest.mark.parametrize("generator", [regular_simplex, cross_polytope])
+    def test_radius_matches_the_exact_oracle(self, generator, dim):
+        cloud, radius = generator(dim, dim, offset=0.0)
+        assert welzl_exact(cloud).radius == pytest.approx(radius, rel=1e-12, abs=0)
+        # A rotation keeps every pairwise distance: sqrt(2) or, for +-e_i, 2.
+        gaps = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
+        gaps = gaps[np.triu_indices(cloud.n, 1)]
+        assert np.all(np.minimum(abs(gaps - math.sqrt(2.0)), abs(gaps - 2.0)) <= 1e-12)
+
+    def test_seeded_rotation_and_offset(self):
+        plain, _ = regular_simplex(None, 4, offset=0.0)
+        assert np.array_equal(plain.points, np.eye(4))
+        cloud, _ = cross_polytope(3, 6)
+        assert np.array_equal(cloud.points, cross_polytope(3, 6)[0].points)
+        assert not np.array_equal(cloud.points, cross_polytope(4, 6)[0].points)
+        np.testing.assert_allclose(cloud.points.mean(axis=0), 1e6, rtol=0, atol=1e-9)
+
+
 class TestRandomQuadraticFamily:
     def test_reproducible_from_seed(self):
         a = RandomQuadraticFamily.from_seed(7, 4, 3)
@@ -139,8 +161,13 @@ class TestRandomQuadraticFamily:
                                        err_msg=shape)
             if kind == "bounding_sphere":
                 # At the centroid only the squared norms tell the points apart.
+                # A positive scale leaves the argmax where it was.
+                scores = np.empty(fam.n)
                 for query in (x, fam.centroid):
-                    assert fam.farthest(query) == farthest_sq_distance(fam.cloud, query)[1], shape
+                    for scale in (1.0, 7.0):
+                        fam.scores_into(query, scores, scale)
+                        assert (int(scores.argmax())
+                                == farthest_sq_distance(fam.cloud, query)[1]), shape
             grads = fam.gradients_at(x)
             grad_scale = max(np.linalg.norm(grad) for grad in grads)
             for weights in (rng.dirichlet(np.ones(n)), rng.uniform(0.1, 3.0, size=n)):
