@@ -1,7 +1,8 @@
 """Reference algorithms: exact MEB (Gärtner's pivoting around Welzl's
 move-to-front recursion, with each ball built incrementally on a push/pop
-stack of boundary points) and the farthest-point core-set baseline, whose
-steps add up cached score columns of the points they pick."""
+stack of boundary points) and the farthest-point core-set baseline, which
+keeps a running sum of its picks in centred coordinates and adds up cached
+score columns of the points it picks."""
 
 from __future__ import annotations
 
@@ -171,21 +172,25 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     by a 1/(k+1) fraction, so every iterate stays in the convex hull.  A
     count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
 
-    c_k is the mean of c_0 and the k points picked, and the family's score
+    c_k is thus the mean of c_0 and the k points picked.  The loop works in
+    coordinates centred on the centroid m, p~ = p - m, taken once from a
+    row-major copy of the cloud (n d more doubles), and keeps s_k, the sum
+    of p~ over c_0 and the picks, by one in-place add a step; the centre
+    m + s_K / (K+1) is formed once, after the last step.  The family's score
     ||P_i||^2 - 2 P_i . x~ is affine in the query, so (k+1) times the score
     at c_k is the sum of the score columns of c_0 and the picked points.
     The loop keeps that sum and takes each step's farthest point as its
     argmax.  A point picked before adds its cached column, O(n); a new one
     stores its column while fewer than d+1 are cached (Carathéodory bounds
     the optimal ball's support by d+1), and otherwise the sum is recomputed
-    by one GEMV at the new centre with the query scaled by k+1
+    by one GEMV with the query s_k at scale k+1
     (``BoundingSphereFamily.scores_into``).  Where the steps settle on a
     few points, a step thus costs O(n) against the smooth solver's O(nd)
     pass.  The cache takes at most (d+1) n doubles and is never evicted.
 
-    The sum rounds otherwise than a fresh query, but only its argmax is
-    read.  The centre moves in place, through one reused d-vector, by the
-    same three IEEE operations as ``c + (c_i - c) / (k + 1)``.  The
+    The cached sum rounds otherwise than a fresh query, but only its argmax
+    is read.  Far from the origin the centred sum keeps the centre within
+    about an ulp of the offset of the exact mean of the picks.  The
     returned radius is taken on the raw coordinates, so it encloses every
     point exactly as computed.
     """
@@ -204,30 +209,29 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
                 f"core-set count at eps={relative_epsilon} exceeds {MAX_PLANNED_ITERATIONS}"
             )
         family = BoundingSphereFamily(cloud)
-        # scores holds (k+1) times the family's score at c_k; columns[slots[j]]
-        # the score column of point j.
+        centred = points - family.centroid
+        # total is s_k; scores holds (k+1) times the family's score at c_k,
+        # and columns[slots[j]] the score column of point j.
+        total = centred[0].copy()
         scores = np.empty(cloud.n)
-        family.scores_into(center, scores)
+        family.scores_into(total, scores)
         columns = np.empty((min(cloud.dim + 1, cloud.n), cloud.n))
         slots: dict[int, int] = {}
         room = len(columns)
-        step = np.empty(cloud.dim)
         for k in range(1, iterations + 1):
             j = int(scores.argmax())
-            weight = k + 1.0  # exact; a float is a cheaper ufunc operand than an int
-            np.subtract(points[j], center, out=step)
-            step /= weight
-            center += step
+            total += centred[j]
             slot = slots.get(j)
             if slot is not None:
                 scores += columns[slot]
             elif room:
                 room -= 1
                 slot = slots[j] = len(slots)
-                family.scores_into(points[j], columns[slot])
+                family.scores_into(centred[j], columns[slot])
                 scores += columns[slot]
             else:
-                family.scores_into(center, scores, weight)
+                family.scores_into(total, scores, k + 1.0)
+        center = family.centroid + total / (iterations + 1.0)
 
     f_final, _ = farthest_sq_distance(cloud, center)
     return MebResult(

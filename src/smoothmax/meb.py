@@ -125,8 +125,9 @@ class BoundingSphereFamily(ComponentFamily):
     query is then one GEMV over rows of length n (at small d, n dot products
     of length d are the shape BLAS handles worst), with no O(n) pass after
     it: ``values_at`` is [1, x~, x~ . x~] @ T, ``scores_into`` writes
-    s [1, x~] @ T[:-1] for a scale s > 0 (||x~||^2 is the same for every i,
-    so it is dropped, and the argmax is a farthest point), and
+    [s, s x~] @ T[:-1] for a scale s > 0 and a query s x~ the caller has
+    already centred and scaled (||x~||^2 is the same for every i, so it is
+    dropped, and the argmax is a farthest point), and
     ``combined_gradient`` reads -2 P^T w and sum(w) from T[1:] @ w.
     ``centred_sq``, the squared norms ||P_i||^2, is a view of row 0."""
 
@@ -162,18 +163,18 @@ class BoundingSphereFamily(ComponentFamily):
         query[-1] = x_c @ x_c
         return query @ self._table
 
-    def scores_into(self, x: np.ndarray, out: np.ndarray, scale: float = 1.0) -> None:
-        """Write scale (||P_i||^2 - 2 P_i . x~) for every i into ``out``: the
-        squared distances ||x - c_i||^2 less their common ||x~||^2, so for
-        scale > 0 an argmax is a farthest point.  The score is affine in x~,
-        which lets a caller add up the scores of single points instead of
-        querying each new x.  One GEMV, with the query scaled before it.  The
-        query is a vector the family keeps, so two threads must not call
-        this on one family at once."""
-        tail = self._query_tail
+    def scores_into(self, query: np.ndarray, out: np.ndarray, scale: float = 1.0) -> None:
+        """Write [scale, query] @ T[:-1], that is scale ||P_i||^2 - 2 P_i . query,
+        for every i into ``out``.  The query is centred and scaled by the
+        caller: for query = scale x~ with scale > 0 this is scale times the
+        squared distance ||x - c_i||^2 less the common ||x~||^2, so an argmax
+        is a farthest point.  The score is affine in the query, which lets a
+        caller add up the scores of single centred points instead of querying
+        each new x, and query a sum of k centred points with scale k.  One
+        copy into a (d+1)-vector the family keeps, then one GEMV, so two
+        threads must not call this on one family at once."""
         self._query[0] = scale
-        np.subtract(x, self.centroid, out=tail)
-        np.multiply(tail, scale, out=tail)
+        self._query_tail[...] = query
         np.matmul(self._query, self._score_rows, out=out)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:

@@ -290,6 +290,24 @@ class TestDegeneratePushes:
             welzl_exact(PointCloud(points), seed=0)
 
 
+def direct_steps(points: np.ndarray, iterations: int) -> tuple[np.ndarray, list[int]]:
+    """The core-set steps on the direct ||c_i - x||^2, and the picks.  The
+    centre after step k is m + sum(p - m) / (k + 1) over c_0 = points[0]
+    and the k picks, m the centroid, formed by badoiu_clarkson's float
+    operations so that its centre can be compared bit for bit."""
+    centroid = points.mean(axis=0)
+    total = points[0] - centroid
+    center = points[0].copy()
+    picks = []
+    for k in range(1, iterations + 1):
+        diffs = points - center
+        idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
+        picks.append(idx)
+        total = total + (points[idx] - centroid)
+        center = centroid + total / (k + 1)
+    return center, picks
+
+
 class TestBadoiuClarkson:
     def test_two_point_first_step_is_exact(self):
         cloud = PointCloud(np.array([[0.0], [2.0]]))
@@ -328,7 +346,7 @@ class TestBadoiuClarkson:
         # exact tie, such as at the centre of a 1-D cloud of +-1 points, may
         # break either way; these clouds have none.)  At d = 8 the GEMV sums
         # over more coordinates, in another order than the direct loop.  The
-        # 1112-step run at eps 0.03 guards the in-place centre update over a
+        # 1112-step run at eps 0.03 guards the running centred sum over a
         # long run; the input cloud must come back untouched and unaliased.
         for n, d, eps, steps in ((1000, 3, 0.1, 100), (3000, 8, 0.1, 100), (1000, 3, 0.03, 1112)):
             cloud = random_point_cloud(7, n, d, distribution)
@@ -337,15 +355,25 @@ class TestBadoiuClarkson:
             result = badoiu_clarkson(cloud, eps)
             assert cloud.points.tobytes() == before, (n, d)
             assert not np.shares_memory(result.center, cloud.points), (n, d)
-            center = cloud.points[0].copy()
-            for k in range(1, result.iterations + 1):
-                diffs = cloud.points - center
-                idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
-                center = center + (cloud.points[idx] - center) / (k + 1)
+            center, _ = direct_steps(cloud.points, result.iterations)
             diffs = cloud.points - center
             assert result.iterations == steps
             assert result.center.tobytes() == center.tobytes(), (n, d)
             assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_center_is_the_mean_of_the_picks_far_from_origin(self, offset):
+        # The centre is the mean of c_0 and the K picks.  A recurrence that
+        # moves the centre in raw coordinates rounds at the offset's ulp in
+        # every one of the 10^4 steps; the centred sum rounds there once.
+        cloud = PointCloud(random_point_cloud(3, 1000, 3, "gaussian").points + offset)
+        result = badoiu_clarkson(cloud, 0.01)
+        assert result.iterations == 10_000
+        _, picks = direct_steps(cloud.points, result.iterations)
+        chosen = cloud.points[[0] + picks]
+        exact = [math.fsum(chosen[:, i]) / len(chosen) for i in range(cloud.dim)]
+        assert np.all(np.abs(result.center - exact) <= 2 * np.spacing(offset)), (
+            (result.center - exact) / np.spacing(offset))
 
     @staticmethod
     def record_score_calls(monkeypatch) -> list:
@@ -379,11 +407,7 @@ class TestBadoiuClarkson:
         calls = self.record_score_calls(monkeypatch)
         cloud = PointCloud(random_point_cloud(5, 2000, 5, "sphere_surface").points + offset)
         result = badoiu_clarkson(cloud, 0.03)
-        center = cloud.points[0].copy()
-        for k in range(1, result.iterations + 1):
-            diffs = cloud.points - center
-            idx = int(np.argmax(np.einsum("ij,ij->i", diffs, diffs)))
-            center = center + (cloud.points[idx] - center) / (k + 1)
+        center, _ = direct_steps(cloud.points, result.iterations)
         assert result.center.tobytes() == center.tobytes()
         scores, _ = calls[0]
         column_writes = [address for address, _ in calls if address != scores]

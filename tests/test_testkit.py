@@ -161,11 +161,12 @@ class TestRandomQuadraticFamily:
                                        err_msg=shape)
             if kind == "bounding_sphere":
                 # At the centroid only the squared norms tell the points apart.
-                # A positive scale leaves the argmax where it was.
+                # The hook takes its query centred and scaled; a positive
+                # scale leaves the argmax where it was.
                 scores = np.empty(fam.n)
                 for query in (x, fam.centroid):
                     for scale in (1.0, 7.0):
-                        fam.scores_into(query, scores, scale)
+                        fam.scores_into(scale * (query - fam.centroid), scores, scale)
                         assert (int(scores.argmax())
                                 == farthest_sq_distance(fam.cloud, query)[1]), shape
             grads = fam.gradients_at(x)
