@@ -18,7 +18,7 @@ from .agd import (
     run_to_gap,
     smoother_for_gap,
 )
-from .baselines import ExactMebResult, badoiu_clarkson, welzl_exact
+from .baselines import badoiu_clarkson, welzl_exact
 from .core import (
     condition_number,
     smooth_gradient,
@@ -63,7 +63,6 @@ __all__ = [
     "farthest_sq_distance",
     "required_iterations_meb",
     "solve_meb",
-    "ExactMebResult",
     "welzl_exact",
     "badoiu_clarkson",
 ]

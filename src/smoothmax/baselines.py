@@ -7,7 +7,6 @@ score columns of the points it picks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +24,6 @@ WELZL_MAX_DIM = 12
 # Relative slack when testing sphere membership during the incremental
 # construction; guards against re-adding boundary points due to roundoff.
 _CONTAINS_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class ExactMebResult:
-    center: np.ndarray
-    radius: float
-    support: tuple[int, ...]
 
 
 class _Boundary:
@@ -104,7 +96,7 @@ class _Boundary:
                 order.insert(0, order.pop(i))
 
 
-def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
+def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
     """Exact minimal enclosing ball; deterministic given the seed.
 
     Pivoting (Gärtner, "Fast and robust smallest enclosing balls", 1999):
@@ -122,8 +114,9 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
     not pushed.  The pass then forms the centre in raw coordinates once and
     takes the squared radius as its largest squared distance to the support.
 
-    The seed picks the first pivot; the radius is unique, but on
-    cospherical clouds the returned support may depend on it.
+    The ``MebResult`` has 0 steps, no solve report and no certificate, and
+    ``support`` sorted.  The seed picks the first pivot; the radius is
+    unique, but on cospherical clouds the support may depend on it.
     Dimensions above 12 are refused (recursion constant grows too fast);
     use ``solve_meb`` instead, whose certified_radius_lower <= R <= radius
     brackets R within a proven (1+eps).
@@ -158,9 +151,11 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> ExactMebResult:
         raise SmoothmaxError(
             f"welzl_exact found no enclosing ball within {cloud.n} pivot passes"
         )
-    return ExactMebResult(
+    return MebResult(
         center=center,
         radius=math.sqrt(max(r2, 0.0)),
+        iterations=0,
+        planned_iterations=0,
         support=tuple(sorted(int(i) for i in support)),
     )
 

@@ -165,63 +165,39 @@ def _emit(*writes: tuple[str, str | None]) -> None:
 
 
 def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: int,
-                trace_rows: list | None = None, radius_trace: list | None = None):
-    """Run one algorithm (smooth unless "exact" or "coreset"); returns the result dict."""
+                progress=None, iterate_observer=None) -> dict:
+    """Run one algorithm (smooth unless "exact" or "coreset"), observed by
+    the smooth solver's hooks, and return the JSON fields of its
+    ``MebResult``; a certified result adds how it stopped and its constants."""
     t0 = time.perf_counter()
-    constants = None
-    certified = None
     if algorithm == "exact":
-        exact = welzl_exact(cloud, seed=seed)
-        center, radius = exact.center, exact.radius
-        iterations = planned = 0
+        res = welzl_exact(cloud, seed=seed)
     elif algorithm == "coreset":
         res = badoiu_clarkson(cloud, epsilon)
-        center, radius = res.center, res.radius
-        iterations, planned = res.iterations, res.planned_iterations
     else:
-        progress = None
-        if trace_rows is not None:
-            progress = lambda t, value, grad_norm: trace_rows.append((t, value, grad_norm))
-        observer = None
-        if radius_trace is not None:
-            # The returned center is the best evaluated point, a y_t, reached
-            # after t - 1 steps; f is the squared radius of the ball about it.
-            observer = lambda t, x, y, f: radius_trace.append((t - 1, math.sqrt(f)))
         res = solve_meb(cloud, MebConfig(epsilon), progress=progress,
-                        iterate_observer=observer)
-        center, radius = res.center, res.radius
-        iterations, planned = res.iterations, res.planned_iterations
-        rep = res.solve_report
-        certified = {
-            # A cloud solved without steps (one point, or all coincident) is exact.
-            "stop_reason": "certified" if rep is None else rep.stop_reason,
-            "certified_radius_lower": res.certified_radius_lower,
-            "certified_ratio": res.certified_ratio,
-        }
-        if rep is not None:
-            constants = {
-                "s": rep.s,
-                "L_s": rep.L_s,
-                "U_s": rep.U_s,
-                "kappa_s": rep.kappa_s,
-                "G_s": rep.g_s,
-            }
+                        iterate_observer=iterate_observer)
     wall_ms = (time.perf_counter() - t0) * 1e3
     result = {
         "algorithm": algorithm,
         "n": cloud.n,
         "d": cloud.dim,
         "epsilon": epsilon,
-        "center": [float(c) for c in center],
-        "radius": float(radius),
-        "iterations": int(iterations),
-        "planned_iterations": int(planned),
+        "center": [float(c) for c in res.center],
+        "radius": float(res.radius),
+        "iterations": int(res.iterations),
+        "planned_iterations": int(res.planned_iterations),
         "wall_time_ms": wall_ms,
     }
-    if certified is not None:
-        result.update(certified)
-    if constants is not None:
-        result["constants"] = constants
+    if res.certified_radius_lower is not None:
+        rep = res.solve_report
+        # A cloud solved without steps (one point, or all coincident) is exact.
+        result["stop_reason"] = "certified" if rep is None else rep.stop_reason
+        result["certified_radius_lower"] = res.certified_radius_lower
+        result["certified_ratio"] = res.certified_ratio
+        if rep is not None:
+            result["constants"] = dict(s=rep.s, L_s=rep.L_s, U_s=rep.U_s,
+                                       kappa_s=rep.kappa_s, G_s=rep.g_s)
     return result
 
 
@@ -251,9 +227,14 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    trace_rows: list | None = [] if args.trace else None
-    result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed,
-                         trace_rows=trace_rows)
+    trace = progress = None
+    if args.trace:
+        # Rows are written as the steps run, in memory until _emit opens files.
+        trace = io.StringIO()
+        writer = csv.writer(trace)
+        writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
+        progress = lambda t, value, grad_norm: writer.writerow((t, value, grad_norm))
+    result = _solve_once(cloud, args.algorithm, args.epsilon, args.seed, progress=progress)
     if args.verify and cloud.dim > WELZL_MAX_DIM:
         print(f"note: --verify computed no exact radius: the exact oracle takes "
               f"d <= {WELZL_MAX_DIM}, this cloud has d = {cloud.dim}", file=sys.stderr)
@@ -266,13 +247,7 @@ def cmd_solve(args) -> int:
         result["radius_over_exact"] = (
             float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
         )
-    writes = []
-    if trace_rows is not None:
-        trace = io.StringIO()
-        writer = csv.writer(trace)
-        writer.writerow(["t", "smooth_value_y", "grad_norm_y"])
-        writer.writerows(trace_rows)
-        writes.append((trace.getvalue(), args.trace))
+    writes = [] if trace is None else [(trace.getvalue(), args.trace)]
     writes.append((json.dumps(result, indent=2), args.output))
     _emit(*writes)
     return EXIT_OK
@@ -314,15 +289,18 @@ def cmd_bench(args) -> int:
     rows = []
     for algorithm in algorithms:
         for eps in epsilons:
-            radius_trace: list | None = (
-                [] if (algorithm == "smooth" and exact_radius is not None) else None
-            )
-            result = _solve_once(cloud, algorithm, eps, args.seed, radius_trace=radius_trace)
-            observed = None
-            if radius_trace:
+            first_hit: list[int] = []
+            observer = None
+            if algorithm == "smooth" and exact_radius is not None:
                 target = (1.0 + eps) * exact_radius
-                hits = [steps for steps, radius in radius_trace if radius <= target]
-                observed = min(hits) if hits else None
+
+                def observer(t, x, y, f):
+                    # y_t, reached after t - 1 steps, is a candidate center
+                    # (the best one is returned); f is its squared radius.
+                    if not first_hit and math.sqrt(f) <= target:
+                        first_hit.append(t - 1)
+            result = _solve_once(cloud, algorithm, eps, args.seed, iterate_observer=observer)
+            observed = first_hit[0] if first_hit else None
             over = None
             if exact_radius and exact_radius > 0:
                 over = result["radius"] / exact_radius

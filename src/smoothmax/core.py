@@ -1,9 +1,12 @@
 """Numerically stable LogSumExp smooth maximum and its derivatives.
 
 All exponentials are taken after subtracting the running maximum of the
-component values; exp(s * f_i(x)) is never formed directly.  This shifted
-form is mathematically identical and stays finite for any finite inputs
-and any s > 0.
+component values; exp(s * f_i(x)) is never formed directly, so no
+exponential overflows.  The shifted values s (f_i(x) - m) themselves
+overflow to -inf, with NumPy's overflow warning, once s times the spread of
+the values passes the largest double (~1.8e308).  The weights floor at
+``EXP_FLOOR``, so the value and the gradient hold there, but the pass's
+softmax-weighted mean, a lower bound, is then -inf.
 """
 
 from __future__ import annotations

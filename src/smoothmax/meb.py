@@ -102,6 +102,8 @@ class MebConfig:
 
 @dataclass(frozen=True)
 class MebResult:
+    """The ball of every method: solve_meb, badoiu_clarkson, welzl_exact."""
+
     center: np.ndarray
     radius: float
     iterations: int
@@ -113,6 +115,8 @@ class MebResult:
     # radius / certified_radius_lower, a proven bound on radius / R; None
     # when the radius is 0 (or from baselines).
     certified_ratio: float | None = None
+    # welzl_exact's sorted support indices (None from the other methods).
+    support: tuple[int, ...] | None = None
 
 
 class BoundingSphereFamily(ComponentFamily):

@@ -21,21 +21,10 @@ DEFAULT_FD_STEP = 1e-5  # balances truncation and roundoff on unit-scale inputs
 DISTRIBUTIONS = ("gaussian", "sphere_surface", "clustered")
 
 
-def finite_diff_gradient(fn, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central differences (fn(x + h e_j) - fn(x - h e_j)) / (2h)."""
-    if not h > 0:
-        raise ContractViolationError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step[j] = h
-        grad[j] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return grad
-
-
-def finite_diff_jacobian(vec_fn, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function, row = output."""
+def finite_diff_jacobian(fn, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central differences (fn(x + h e_j) - fn(x - h e_j)) / (2h), stacked
+    along the last axis: the Jacobian (row = output) of a vector-valued fn,
+    the gradient of a scalar one."""
     if not h > 0:
         raise ContractViolationError("step h must be positive")
     x = np.asarray(x, dtype=float)
@@ -43,8 +32,11 @@ def finite_diff_jacobian(vec_fn, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> n
     for j in range(x.size):
         step = np.zeros_like(x)
         step[j] = h
-        cols.append((np.asarray(vec_fn(x + step)) - np.asarray(vec_fn(x - step))) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        cols.append((np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+finite_diff_gradient = finite_diff_jacobian
 
 
 def grid_oracle_minimize(

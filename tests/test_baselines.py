@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothmax import PointCloud, badoiu_clarkson, welzl_exact
+from smoothmax import MebConfig, MebResult, PointCloud, badoiu_clarkson, solve_meb, welzl_exact
 from smoothmax import baselines
 from smoothmax.baselines import WELZL_MAX_DIM
 from smoothmax.errors import (
@@ -103,6 +103,19 @@ class TestWelzlExact:
         np.testing.assert_allclose(result.center, [1.5])
         assert result.radius == pytest.approx(1.5)
         assert result.support == (0, 3)
+
+    def test_returns_the_result_type_of_every_method(self):
+        cloud = random_point_cloud(23, 80, 4, "sphere_surface")
+        result = welzl_exact(cloud, seed=0)
+        assert type(result) is MebResult
+        assert result.iterations == result.planned_iterations == 0
+        assert result.solve_report is None
+        assert result.certified_radius_lower is None and result.certified_ratio is None
+        assert result.support == tuple(sorted(set(result.support)))
+        assert all(type(i) is int for i in result.support)
+        # Only the exact oracle names a support.
+        assert badoiu_clarkson(cloud, 0.1).support is None
+        assert solve_meb(cloud, MebConfig(0.1)).support is None
 
     def test_seed_independence(self):
         cloud = random_point_cloud(17, 200, 3, "gaussian")

@@ -1,13 +1,14 @@
 import collections
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from smoothmax import cli, welzl_exact
+from smoothmax import MebConfig, cli, solve_meb, welzl_exact
 from smoothmax.cli import parse_points_csv
 from smoothmax.errors import (
     DivergenceError,
@@ -25,6 +26,20 @@ def run_cli(*args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+# The field order of every output, pinned: a change to it is a change to the
+# interface.
+SOLVE_KEYS = ["algorithm", "n", "d", "epsilon", "center", "radius", "iterations",
+              "planned_iterations", "wall_time_ms"]
+SMOOTH_KEYS = SOLVE_KEYS + ["stop_reason", "certified_radius_lower", "certified_ratio",
+                            "constants"]
+VERIFY_KEYS = ["exact_radius", "radius_over_exact"]
+TRACE_HEADER = ["t", "smooth_value_y", "grad_norm_y"]
+BENCH_ROW_KEYS = ["algorithm", "epsilon", "iterations", "planned_iterations",
+                  "observed_to_target", "wall_time_ms", "us_per_step", "radius",
+                  "radius_over_exact", "stop_reason", "certified_radius_lower",
+                  "certified_ratio"]
 
 
 @pytest.fixture
@@ -434,6 +449,33 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot write output: ")
 
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("algorithm, keys", [("smooth", SMOOTH_KEYS),
+                                                 ("coreset", SOLVE_KEYS),
+                                                 ("exact", SOLVE_KEYS)])
+    def test_result_fields_in_order(self, tmp_path, capsys, algorithm, keys, verify):
+        path = tmp_path / "p.csv"
+        path.write_text("0,0\n1,0\n0,3\n")
+        assert cli.main(["solve", "--input", str(path), "--algorithm", algorithm,
+                         "--epsilon", "0.1", *(["--verify"] if verify else [])]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == keys + (VERIFY_KEYS if verify else [])
+        if algorithm == "smooth":
+            assert list(out["constants"]) == ["s", "L_s", "U_s", "kappa_s", "G_s"]
+
+    def test_traced_result_fields_in_order(self, tmp_path, capsys):
+        path, trace = tmp_path / "p.csv", tmp_path / "trace.csv"
+        path.write_text("0,0\n1,0\n0,3\n")
+        assert cli.main(["solve", "--input", str(path), "--algorithm", "smooth",
+                         "--epsilon", "0.1", "--trace", str(trace)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == SMOOTH_KEYS
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == TRACE_HEADER
+        # One row a step, on the solve's one step counter.
+        assert [int(row[0]) for row in rows[1:]] == list(range(2, out["iterations"] + 2))
+
     def test_exact_verify_calls_the_oracle_once(self, tmp_path, monkeypatch, capsys):
         calls = []
 
@@ -505,6 +547,20 @@ class TestBenchCommand:
                 assert row["stop_reason"] is row["certified_radius_lower"] is None
                 assert row["certified_ratio"] is None
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_fields_in_order(self, tmp_path, fmt):
+        path = tmp_path / "bench.out"
+        assert cli.main(["bench", "--n", "40", "--dim", "2", "--epsilons", "0.2,0.1",
+                         "--algorithms", "smooth,coreset,exact", "--format", fmt,
+                         "--output", str(path)]) == 0
+        if fmt == "csv":
+            lines = path.read_text().splitlines()
+            assert lines[0] == ",".join(BENCH_ROW_KEYS) and len(lines) == 1 + 6
+            return
+        report = json.loads(path.read_text())
+        assert list(report) == ["instance", "exact_radius", "rows", "slopes"]
+        assert [list(row) for row in report["rows"]] == [BENCH_ROW_KEYS] * 6
+
     def test_first_hit_reads_the_evaluated_points(self, tmp_path):
         # The returned center is the best evaluated y_t, so a solve within
         # (1+eps) R has hit the target by its last step.
@@ -516,6 +572,20 @@ class TestBenchCommand:
             assert row["radius_over_exact"] <= 1.0 + row["epsilon"]
             assert row["observed_to_target"] is not None
             assert row["observed_to_target"] <= row["iterations"]
+
+    def test_first_hit_is_the_earliest_step_within_the_target(self, tmp_path):
+        path = tmp_path / "bench.json"
+        assert cli.main(["bench", "--n", "2000", "--dim", "5", "--epsilons", "0.01,0.001",
+                         "--algorithms", "smooth", "--output", str(path)]) == 0
+        report = json.loads(path.read_text())
+        cloud = random_point_cloud(0, 2000, 5, "gaussian")
+        for row in report["rows"]:
+            steps = []
+            solve_meb(cloud, MebConfig(row["epsilon"]),
+                      iterate_observer=lambda t, x, y, f: steps.append((t - 1, math.sqrt(f))))
+            target = (1.0 + row["epsilon"]) * report["exact_radius"]
+            hits = [step for step, radius in steps if radius <= target]
+            assert row["observed_to_target"] == hits[0] < hits[-1]
 
     def test_one_solve_per_row(self, monkeypatch, tmp_path):
         # Each (algorithm, eps) row is one solve; exact rows add to the one
