@@ -13,11 +13,10 @@ import numpy as np
 from .agd import MAX_PLANNED_ITERATIONS
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     SmoothmaxError,
     UnsupportedDimensionError,
 )
-from .meb import BoundingSphereFamily, MebResult, PointCloud, farthest_sq_distance
+from .meb import BoundingSphereFamily, MebConfig, MebResult, PointCloud, farthest_sq_distance
 
 WELZL_MAX_DIM = 12
 
@@ -189,10 +188,7 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     returned radius is taken on the raw coordinates, so it encloses every
     point exactly as computed.
     """
-    if not 0 < relative_epsilon <= 1:
-        raise ContractViolationError(
-            f"relative_epsilon must be in (0, 1], got {relative_epsilon}"
-        )
+    MebConfig(relative_epsilon)  # refuses an eps outside (0, 1]
     points = cloud.points
     center = points[0].copy()
     iterations = 0

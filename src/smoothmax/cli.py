@@ -2,8 +2,9 @@
 iteration-scaling benchmark harness.
 
 Exit codes, mapped in ``main``: 0 success, 2 bad flags (flag sizes too
-large for memory, an unwritable output), 3 input parse errors or an input
-too large for memory, 4 solver errors, 5 gradcheck tolerance failure.
+large for memory, ``bench``'s exact solver above its dimension, a gradcheck
+smoother that overflows, an unwritable output), 3 input parse errors or an
+input too large for memory, 4 solver errors, 5 gradcheck tolerance failure.
 """
 
 from __future__ import annotations
@@ -244,9 +245,7 @@ def cmd_solve(args) -> int:
         exact_radius = (result["radius"] if args.algorithm == "exact"
                         else welzl_exact(cloud, seed=args.seed).radius)
         result["exact_radius"] = float(exact_radius)
-        result["radius_over_exact"] = (
-            float(result["radius"] / exact_radius) if exact_radius > 0 else 1.0
-        )
+        result["radius_over_exact"] = result["radius"] / exact_radius if exact_radius else None
     writes = [] if trace is None else [(trace.getvalue(), args.trace)]
     writes.append((json.dumps(result, indent=2), args.output))
     _emit(*writes)
@@ -280,6 +279,10 @@ def cmd_bench(args) -> int:
     if args.n < 1 or args.dim < 1:
         print("error: need --n >= 1 and --dim >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if "exact" in algorithms and args.dim > WELZL_MAX_DIM:
+        print(f"error: --algorithms exact needs --dim <= {WELZL_MAX_DIM}, got {args.dim}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     exact_radius = None
     cloud = random_point_cloud(args.seed, args.n, args.dim, args.distribution)
@@ -301,9 +304,7 @@ def cmd_bench(args) -> int:
                         first_hit.append(t - 1)
             result = _solve_once(cloud, algorithm, eps, args.seed, iterate_observer=observer)
             observed = first_hit[0] if first_hit else None
-            over = None
-            if exact_radius and exact_radius > 0:
-                over = result["radius"] / exact_radius
+            over = result["radius"] / exact_radius if exact_radius else None
             rows.append({
                 "algorithm": algorithm,
                 "epsilon": eps,
@@ -363,11 +364,14 @@ def cmd_gradcheck(args) -> int:
     for trial in range(args.trials):
         family = RandomQuadraticFamily.from_seed(args.seed + trial, args.n, args.dim)
         x = rng.standard_normal(args.dim)
-        grad = core.smooth_gradient(family, params, x)
-        fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
+        # s times the spread of the component values past the largest double
+        # turns the pass's shifted values to -inf; main maps the error.
+        with np.errstate(over="raise"):
+            grad = core.smooth_gradient(family, params, x)
+            fd_grad = finite_diff_gradient(lambda p: core.smooth_value(family, params, p), x)
+            hess = core.smooth_hessian(family, params, x)
+            fd_hess = finite_diff_jacobian(lambda p: core.smooth_gradient(family, params, p), x)
         grad_err = np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6)
-        hess = core.smooth_hessian(family, params, x)
-        fd_hess = finite_diff_jacobian(lambda p: core.smooth_gradient(family, params, p), x)
         hess_err = np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6)
         if grad_err > worst_grad or hess_err > worst_hess or math.isnan(grad_err + hess_err):
             worst_case = (trial, x)
@@ -449,6 +453,10 @@ def main(argv=None) -> int:
             return EXIT_PARSE
         print(f"error: --n {args.n} and --dim {args.dim} need more memory than is available",
               file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError:  # only gradcheck raises on overflow, driven by its smoother
+        print(f"error: --smoother {args.smoother:g} overflows the smoothed pass; "
+              "choose a smaller one", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # cmd_solve maps a failed read; this is a failed write
         print(f"error: cannot write output: {exc}", file=sys.stderr)

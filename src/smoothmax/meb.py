@@ -119,33 +119,74 @@ class MebResult:
     support: tuple[int, ...] | None = None
 
 
-class BoundingSphereFamily(ComponentFamily):
-    """f_i(x) = ||x - c_i||^2, on the cloud centred once on its centroid m
-    (P = C - m, which keeps far-offset clouds accurate):
-    ||x - c_i||^2 = ||P_i||^2 - 2 P_i . (x - m) + ||x - m||^2.
+class SquaredDistanceFamily(ComponentFamily):
+    """f_i(x) = a_i ||x - c_i||^2 with every a_i > 0, on the centres taken
+    once relative to their mean m (P = C - m, which keeps far-offset centres
+    accurate): a_i ||x - c_i||^2 = a_i ||P_i||^2 - 2 a_i P_i . (x - m) +
+    a_i ||x - m||^2.
 
     The family keeps one C-contiguous (d+2) x n table
-    T = [||P||^2; -2 P^T; 1], filled in place.  With x~ = x - m, each batch
+    T = [a ||P||^2; -2 a P^T; a], filled in place.  With x~ = x - m, each batch
     query is then one GEMV over rows of length n (at small d, n dot products
     of length d are the shape BLAS handles worst), with no O(n) pass after
-    it: ``values_at`` is [1, x~, x~ . x~] @ T, ``scores_into`` writes
-    [s, s x~] @ T[:-1] for a scale s > 0 and a query s x~ the caller has
-    already centred and scaled (||x~||^2 is the same for every i, so it is
-    dropped, and the argmax is a farthest point), and
-    ``combined_gradient`` reads -2 P^T w and sum(w) from T[1:] @ w.
-    ``centred_sq``, the squared norms ||P_i||^2, is a view of row 0."""
+    it: ``values_at`` is [1, x~, x~ . x~] @ T, and ``combined_gradient``
+    reads -2 P^T (a w) and sum(a w) from T[1:] @ w.  The constructor takes
+    the a_i as an (n,) array or one value for all; ``curvatures`` is then a
+    view of the last row.  The verification hooks and the scalar reference
+    ``value_at`` read the raw centres."""
+
+    def __init__(self, centers: np.ndarray, curvatures):
+        self.centers = centers
+        self.n, self.dim = centers.shape
+        self.centroid = centers.mean(axis=0)
+        self._table = np.empty((self.dim + 2, self.n))
+        centred_t = self._table[1:-1]
+        np.subtract(centers.T, self.centroid[:, None], out=centred_t)
+        np.einsum("ij,ij->j", centred_t, centred_t, out=self._table[0])
+        self._table[0] *= curvatures
+        centred_t *= -2.0 * curvatures  # the factor 2 is exact: a power of two
+        self._table[-1] = curvatures
+        self.curvatures = self._table[-1]
+
+    def value_at(self, i: int, x: np.ndarray) -> float:
+        """Scalar f_i(x): the reference the batch-path tests compare against;
+        the solver reads only the batch hooks."""
+        diff = np.asarray(x, dtype=float) - self.centers[i]
+        return float(self.curvatures[i] * (diff @ diff))
+
+    def values_at(self, x: np.ndarray) -> np.ndarray:
+        query = np.empty(self.dim + 2)
+        query[0] = 1.0
+        x_c = np.subtract(x, self.centroid, out=query[1:-1])
+        query[-1] = x_c @ x_c
+        return query @ self._table
+
+    def gradients_at(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.curvatures[:, None] * (x - self.centers)
+
+    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return (2.0 * float(weights @ self.curvatures)) * np.eye(self.dim)
+
+    def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # [-2 P^T (a w); sum(a w)]: scaling by 2 is exact, so this is bit for
+        # bit 2 (sum(a w) x~ - P^T (a w)).
+        weighted = self._table[1:] @ weights
+        return (2.0 * weighted[-1]) * (x - self.centroid) + weighted[:-1]
+
+
+class BoundingSphereFamily(SquaredDistanceFamily):
+    """f_i(x) = ||x - c_i||^2 over the cloud's points: the unit-curvature
+    ``SquaredDistanceFamily``, whose table is T = [||P||^2; -2 P^T; 1].
+
+    ``centred_sq``, the squared norms ||P_i||^2, is a view of row 0.
+    ``scores_into`` writes [s, s x~] @ T[:-1] for a scale s > 0 and a query
+    s x~ the caller has already centred and scaled (||x~||^2 is the same for
+    every i, so it is dropped, and the argmax is a farthest point)."""
 
     def __init__(self, cloud: PointCloud):
+        super().__init__(cloud.points, 1.0)
         self.cloud = cloud
-        self.n = cloud.n
-        self.dim = cloud.dim
-        self.centroid = centroid_init(cloud)
-        self._table = np.empty((cloud.dim + 2, cloud.n))
-        centred_t = self._table[1:-1]
-        np.subtract(cloud.points.T, self.centroid[:, None], out=centred_t)
-        self.centred_sq = np.einsum("ij,ij->j", centred_t, centred_t, out=self._table[0])
-        centred_t *= -2.0  # exact: a power of two
-        self._table[-1] = 1.0
+        self.centred_sq = self._table[0]
         # scores_into's query and the views it reads, made once: the core set
         # calls it at each step that finds its cache full, and at 2000 x 5 a
         # fresh vector and three slices took ~0.6 of a ~6.5 us step (shared
@@ -154,18 +195,10 @@ class BoundingSphereFamily(ComponentFamily):
         self._query_tail = self._query[1:]
         self._score_rows = self._table[:-1]
 
-    def value_at(self, i: int, x: np.ndarray) -> float:
-        """Scalar f_i(x): the reference the batch-path tests compare against;
-        the solver reads only the batch hooks."""
-        diff = np.asarray(x, dtype=float) - self.cloud.points[i]
-        return float(diff @ diff)
-
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        query = np.empty(self.dim + 2)
-        query[0] = 1.0
-        x_c = np.subtract(x, self.centroid, out=query[1:-1])
-        query[-1] = x_c @ x_c
-        return query @ self._table
+    # perfbench/tracing.py wraps these two at this class;
+    # tests/test_bench_lookups.py checks that they are bound here.
+    values_at = SquaredDistanceFamily.values_at
+    combined_gradient = SquaredDistanceFamily.combined_gradient
 
     def scores_into(self, query: np.ndarray, out: np.ndarray, scale: float = 1.0) -> None:
         """Write [scale, query] @ T[:-1], that is scale ||P_i||^2 - 2 P_i . query,
@@ -180,18 +213,6 @@ class BoundingSphereFamily(ComponentFamily):
         self._query[0] = scale
         self._query_tail[...] = query
         np.matmul(self._query, self._score_rows, out=out)
-
-    def gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (x - self.cloud.points)
-
-    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return (2.0 * float(np.sum(weights))) * np.eye(self.dim)
-
-    def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # [-2 P^T w; sum(w)]: scaling by 2 is exact, so this is bit for bit
-        # 2 (sum(w) x~ - P^T w).
-        weighted = self._table[1:] @ weights
-        return (2.0 * weighted[-1]) * (x - self.centroid) + weighted[:-1]
 
 
 def centroid_init(cloud: PointCloud) -> np.ndarray:

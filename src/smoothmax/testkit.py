@@ -8,13 +8,11 @@ values in the tests depend on it staying fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError
-from .families import ComponentFamily, DomainConstants
-from .meb import PointCloud
+from .families import DomainConstants
+from .meb import PointCloud, SquaredDistanceFamily
 
 DEFAULT_FD_STEP = 1e-5  # balances truncation and roundoff on unit-scale inputs
 
@@ -136,21 +134,23 @@ def cross_polytope(seed: int | None, dim: int, offset: float = 1e6) -> tuple[Poi
     return _rotated(np.concatenate([eye, -eye]), seed, offset), 1.0
 
 
-class RandomQuadraticFamily(ComponentFamily):
-    """f_i(x) = curvature_i * ||x - center_i||^2 with constants known exactly
-    by construction (l_i = u_i = 2 curvature_i)."""
+class RandomQuadraticFamily(SquaredDistanceFamily):
+    """f_i(x) = curvature_i * ||x - center_i||^2, a ``SquaredDistanceFamily``
+    with constants known exactly by construction (l_i = u_i = 2 curvature_i)."""
 
     def __init__(self, centers: np.ndarray, curvatures: np.ndarray):
         centers = np.asarray(centers, dtype=float)
         curvatures = np.asarray(curvatures, dtype=float)
-        if centers.ndim != 2 or curvatures.shape != (centers.shape[0],):
-            raise ContractViolationError("centers must be (n, d), curvatures (n,)")
+        if centers.ndim != 2 or len(centers) < 1 or curvatures.shape != (len(centers),):
+            raise ContractViolationError("centers must be (n, d) with n >= 1, curvatures (n,)")
         if not np.all(curvatures > 0):
             raise ContractViolationError("curvatures must be strictly positive")
-        self.centers = centers
-        self.curvatures = curvatures
-        self.n = centers.shape[0]
-        self.dim = centers.shape[1]
+        super().__init__(centers, curvatures)
+
+    # perfbench/tracing.py wraps these two at this class;
+    # tests/test_bench_lookups.py checks that they are bound here.
+    values_at = SquaredDistanceFamily.values_at
+    combined_gradient = SquaredDistanceFamily.combined_gradient
 
     @staticmethod
     def from_seed(
@@ -164,25 +164,6 @@ class RandomQuadraticFamily(ComponentFamily):
         centers = rng.standard_normal((n, dim))
         curvatures = rng.uniform(curv_min, curv_max, size=n)
         return RandomQuadraticFamily(centers, curvatures)
-
-    def value_at(self, i: int, x: np.ndarray) -> float:
-        """Scalar f_i(x): the reference the batch-path tests compare against;
-        the solver reads only the batch hooks."""
-        diff = np.asarray(x, dtype=float) - self.centers[i]
-        return float(self.curvatures[i] * (diff @ diff))
-
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        diffs = self.centers - x
-        return self.curvatures * np.einsum("ij,ij->i", diffs, diffs)
-
-    def gradients_at(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.curvatures[:, None] * (x - self.centers)
-
-    def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return 2.0 * ((weights * self.curvatures) @ (x - self.centers))
-
-    def combined_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return (2.0 * float(weights @ self.curvatures)) * np.eye(self.dim)
 
     def true_constants(self, domain_radius: float) -> DomainConstants:
         """Exact constants on the ball ||x|| <= domain_radius.

@@ -540,8 +540,10 @@ class TestAdaptiveSequence:
 
 class TestAdaptiveStepCounts:
     """Step totals of certified generic solves on fixed seeds, a guard on the
-    adaptive sequence's gain: within 1.25x of the 3757 and 6690 steps they
-    take with it (5181 and 8721 with the first secant growth-capped too).
+    adaptive sequence's gain: within 1.25x of 3757 and 6690, the steps they
+    took with it on the raw-coordinate kernel (5181 and 8721 with the first
+    secant growth-capped too).  On the centred table of
+    ``SquaredDistanceFamily`` they take 3750 and 6820 (5176 and 9061).
     The fixed sequence alone took 23434 and 213256."""
 
     def test_benchmark_families(self):

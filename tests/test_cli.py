@@ -291,6 +291,16 @@ class TestSolveCommand:
         assert out["certified_ratio"] <= 1.1 * (1.0 + 1e-12)
         assert out["iterations"] < out["planned_iterations"]
 
+    @pytest.mark.parametrize("algorithm", ["smooth", "coreset", "exact"])
+    def test_one_point_verify_has_no_ratio(self, tmp_path, algorithm):
+        path = tmp_path / "one.csv"
+        path.write_text("3,4\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", algorithm,
+                       "--epsilon", "0.1", "--verify")
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        assert (out["radius"], out["exact_radius"], out["radius_over_exact"]) == (0.0, 0.0, None)
+
     def test_output_file(self, two_point_file, tmp_path):
         out_path = tmp_path / "result.json"
         proc = run_cli("solve", "--input", two_point_file, "--algorithm", "exact",
@@ -649,8 +659,18 @@ class TestBenchCommand:
         for row in report["rows"]:
             if row["algorithm"] == "smooth":
                 assert (row["stop_reason"], row["certified_ratio"]) == ("certified", None)
+        # No ratio to a radius of 0, as certified_ratio has none.
+        assert report["exact_radius"] == 0.0
+        assert all(row["radius_over_exact"] is None for row in report["rows"])
         assert all(slope is None for slopes in report["slopes"].values()
                    for slope in slopes.values())
+
+    def test_exact_above_its_dimension_exit_2(self):
+        proc = run_cli("bench", "--n", "50", "--dim", "13", "--epsilons", "0.1",
+                       "--algorithms", "smooth,exact")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --algorithms exact needs --dim <= 12, got 13\n"
 
     def test_coreset_iteration_scaling(self):
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",
@@ -753,6 +773,12 @@ class TestGradcheckCommand:
     def test_large_smoother_still_passes(self):
         proc = run_cli("gradcheck", "--smoother", "1e6", "--trials", "10")
         assert proc.returncode == 0
+
+    def test_overflowing_smoother_exit_2(self):
+        proc = run_cli("gradcheck", "--smoother", "1e308", "--trials", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: --smoother ") and proc.stderr.count("\n") == 1
 
     def test_zero_trials_exit_2(self):
         assert run_cli("gradcheck", "--trials", "0").returncode == 2

@@ -115,6 +115,16 @@ class TestRandomQuadraticFamily:
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.curvatures, b.curvatures)
 
+    @pytest.mark.parametrize("centers, curvatures", [
+        (np.zeros((0, 2)), np.zeros(0)),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((2, 2)), np.ones(3)),
+        (np.zeros((2, 2)), np.array([1.0, 0.0])),
+    ], ids=["empty", "one-dimensional", "mismatched", "zero-curvature"])
+    def test_refuses_malformed_input(self, centers, curvatures):
+        with pytest.raises(ContractViolationError):
+            RandomQuadraticFamily(centers, curvatures)
+
     def test_constants_known_by_construction(self):
         fam = RandomQuadraticFamily.from_seed(7, 4, 3)
         constants = fam.true_constants(domain_radius=2.0)
@@ -140,6 +150,18 @@ class TestRandomQuadraticFamily:
         weights = np.random.default_rng(1).dirichlet(np.ones(5))
         direct = sum(weights[i] * grad for i, grad in enumerate(fam.gradients_at(x)))
         np.testing.assert_allclose(fam.combined_gradient(x, weights), direct, atol=1e-13)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_unit_curvatures_are_the_bounding_sphere_bit_for_bit(self, offset):
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal((40, 3)) + offset
+        sphere = BoundingSphereFamily(PointCloud(centers))
+        quadratic = RandomQuadraticFamily(centers, np.ones(40))
+        for x in (offset + rng.standard_normal(3), sphere.centroid, np.zeros(3)):
+            assert np.array_equal(quadratic.values_at(x), sphere.values_at(x))
+            for weights in (rng.dirichlet(np.ones(40)), rng.uniform(0.1, 3.0, size=40)):
+                assert np.array_equal(quadratic.combined_gradient(x, weights),
+                                      sphere.combined_gradient(x, weights))
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
     @pytest.mark.parametrize("kind", ["bounding_sphere", "quadratic"])
