@@ -32,7 +32,6 @@ from .meb import (
     MebConfig,
     MebResult,
     PointCloud,
-    centroid_init,
     farthest_sq_distance,
     required_iterations_meb,
     solve_meb,
@@ -59,7 +58,6 @@ __all__ = [
     "MebConfig",
     "MebResult",
     "BoundingSphereFamily",
-    "centroid_init",
     "farthest_sq_distance",
     "required_iterations_meb",
     "solve_meb",

@@ -1,8 +1,9 @@
 """Reference algorithms: exact MEB (Gärtner's pivoting around Welzl's
 move-to-front recursion, with each ball built incrementally on a push/pop
 stack of boundary points) and the farthest-point core-set baseline, which
-keeps a running sum of its picks in centred coordinates and adds up cached
-score columns of the points it picks."""
+keeps a running sum of its picks in centred coordinates, adds up cached
+score columns of the points it picks, and stops once its dual proves its
+ball."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from .agd import MAX_PLANNED_ITERATIONS
+from .agd import CERTIFY_MARGIN, MAX_PLANNED_ITERATIONS
 from .errors import (
     ConfigurationError,
     SmoothmaxError,
@@ -159,75 +160,129 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
     )
 
 
+def _dual_lower_sq(centred: np.ndarray, picks: dict[int, int], terms: float) -> float:
+    """gamma(u) = sum_j u_j ||p~_j - c~||^2, the MEB dual at the weights
+    u_j = picks[j] / terms (c~ = sum_j u_j p~_j), less its rounding.
+
+    Every term is >= 0, so the sum rounds within (m + d + 4) 2^-53 of
+    itself over m picked points in d dimensions; the rounded c~ only adds
+    ||c~ - fl(c~)||^2, far below ``agd.CERTIFY_MARGIN`` times gamma.  The
+    bound drops both margins."""
+    rows = list(picks)
+    counts = np.fromiter(picks.values(), float, len(rows))
+    chosen = centred[rows]
+    spread = chosen - (counts @ chosen) / terms
+    gamma = float(counts @ np.einsum("ij,ij->i", spread, spread)) / terms
+    margin = CERTIFY_MARGIN + (len(rows) + centred.shape[1] + 4) * 2.0 ** -53
+    return gamma * (1.0 - margin)
+
+
 def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
-    """Farthest-point core-set iteration with ceil(1/eps^2) steps.
+    """Farthest-point core-set iteration (Bădoiu and Clarkson, SODA 2003),
+    stopped once its dual proves the (1+eps) ball, after at most
+    ceil(1/eps^2) steps.
 
     c_0 is the first input point; step k moves c toward the farthest point
-    by a 1/(k+1) fraction, so every iterate stays in the convex hull.  A
-    count above ``agd.MAX_PLANNED_ITERATIONS`` is refused.
+    by a 1/(k+1) fraction, so every iterate stays in the convex hull.
+    ``planned_iterations`` is the cap ceil(1/eps^2), under which the paper
+    proves the (1+eps) ball; a cap above ``agd.MAX_PLANNED_ITERATIONS`` is
+    refused.  ``iterations`` is the step the run stopped at.
 
     c_k is thus the mean of c_0 and the k points picked.  The loop works in
     coordinates centred on the centroid m, p~ = p - m, taken once from a
     row-major copy of the cloud (n d more doubles), and keeps s_k, the sum
     of p~ over c_0 and the picks, by one in-place add a step; the centre
-    m + s_K / (K+1) is formed once, after the last step.  The family's score
-    ||P_i||^2 - 2 P_i . x~ is affine in the query, so (k+1) times the score
-    at c_k is the sum of the score columns of c_0 and the picked points.
-    The loop keeps that sum and takes each step's farthest point as its
-    argmax.  A point picked before adds its cached column, O(n); a new one
-    stores its column while fewer than d+1 are cached (Carathéodory bounds
-    the optimal ball's support by d+1), and otherwise the sum is recomputed
-    by one GEMV with the query s_k at scale k+1
+    m + s_k / (k+1) is formed only where the run is checked.  The family's
+    score ||P_i||^2 - 2 P_i . x~ is affine in the query, so (k+1) times the
+    score at c_k is the sum of the score columns of c_0 and the picked
+    points.  The loop keeps that sum and takes each step's farthest point as
+    its argmax.  A point picked before adds its cached column, O(n); a new
+    one stores its column while fewer than d+1 are cached (Carathéodory
+    bounds the optimal ball's support by d+1), and otherwise the sum is
+    recomputed by one GEMV with the query s_k at scale k+1
     (``BoundingSphereFamily.scores_into``).  Where the steps settle on a
     few points, a step thus costs O(n) against the smooth solver's O(nd)
     pass.  The cache takes at most (d+1) n doubles and is never evicted.
+
+    The stop.  The uniform weights over c_0 and the picks are MEB dual
+    weights u, and gamma(u) = sum u ||p~||^2 - ||sum u p~||^2 <= R^2
+    (Yıldırım, SIAM J. Optim. 2008).  Before step k the loop estimates
+    f(c_k) = max score / (k+1) + ||s_k||^2 / (k+1)^2 and gamma from a
+    running sum of ||p~||^2 over the picks: one d-dot a step.  Once the
+    estimate has f <= (1+eps)^2 gamma, the run is checked: one farthest
+    pass in raw coordinates at the formed centre gives the radius, and
+    gamma is recomputed from the pick counts less its rounding
+    (``_dual_lower_sq``).  The run stops if radius / sqrt(gamma) <= 1+eps;
+    otherwise it steps on.  The run that reaches its cap is checked the same
+    way.  So a run makes one raw pass per check, and a certified run
+    usually one in all.  ``certified_radius_lower`` is sqrt(gamma) and
+    ``certified_ratio`` the radius over it (None at radius 0): a certified
+    run has certified_ratio <= 1+eps, a capped one may not.
 
     The cached sum rounds otherwise than a fresh query, but only its argmax
     is read.  Far from the origin the centred sum keeps the centre within
     about an ulp of the offset of the exact mean of the picks.  The
     returned radius is taken on the raw coordinates, so it encloses every
-    point exactly as computed.
+    point exactly as computed.  Centring moves each point by up to half an
+    ulp of its coordinates, so sqrt(gamma) bounds R of the moved points:
+    at an offset, it is within sqrt(d) ulp(2 offset) of the R of the input.
     """
     MebConfig(relative_epsilon)  # refuses an eps outside (0, 1]
-    points = cloud.points
-    center = points[0].copy()
-    iterations = 0
+    cap = 0
     if cloud.n > 1:
         # Any eps below 2^-16 plans 2^32 steps, so its square is never formed.
-        iterations = math.ceil(1.0 / max(relative_epsilon, 2.0 ** -16) ** 2)
-        if iterations > MAX_PLANNED_ITERATIONS:
+        cap = math.ceil(1.0 / max(relative_epsilon, 2.0 ** -16) ** 2)
+        if cap > MAX_PLANNED_ITERATIONS:
             raise ConfigurationError(
                 f"core-set count at eps={relative_epsilon} exceeds {MAX_PLANNED_ITERATIONS}"
             )
-        family = BoundingSphereFamily(cloud)
-        centred = points - family.centroid
-        # total is s_k; scores holds (k+1) times the family's score at c_k,
-        # and columns[slots[j]] the score column of point j.
-        total = centred[0].copy()
-        scores = np.empty(cloud.n)
-        family.scores_into(total, scores)
-        columns = np.empty((min(cloud.dim + 1, cloud.n), cloud.n))
-        slots: dict[int, int] = {}
-        room = len(columns)
-        for k in range(1, iterations + 1):
-            j = int(scores.argmax())
-            total += centred[j]
-            slot = slots.get(j)
-            if slot is not None:
-                scores += columns[slot]
-            elif room:
-                room -= 1
-                slot = slots[j] = len(slots)
-                family.scores_into(centred[j], columns[slot])
-                scores += columns[slot]
-            else:
-                family.scores_into(total, scores, k + 1.0)
-        center = family.centroid + total / (iterations + 1.0)
+    limit, bound = 1.0 + relative_epsilon, (1.0 + relative_epsilon) ** 2
+    family = BoundingSphereFamily(cloud)
+    centred = cloud.points - family.centroid
+    centred_sq = family.centred_sq
+    # total is s_k and picked_sq the sum of ||p~||^2 over c_0 and the picks,
+    # picks[j] how often point j is among them, and centre_sq ||c_k - m||^2;
+    # scores holds (k+1) times the family's score at c_k, and
+    # columns[slots[j]] the score column of j.
+    total = centred[0].copy()
+    picked_sq = centred_sq.item(0)
+    picks = {0: 1}
+    scores = np.empty(cloud.n)
+    family.scores_into(total, scores)
+    columns = np.empty((min(cloud.dim + 1, cloud.n), cloud.n))
+    slots: dict[int, int] = {}
+    room = len(columns)
+    for k in range(cap + 1):
+        j = int(scores.argmax())
+        terms = k + 1.0
+        centre_sq = float(total @ total) / (terms * terms)
+        if k == cap or (scores.item(j) / terms + centre_sq
+                        <= bound * (picked_sq / terms - centre_sq)):
+            center = family.centroid + total / terms
+            radius = math.sqrt(farthest_sq_distance(cloud, center)[0])
+            lower = math.sqrt(_dual_lower_sq(centred, picks, terms))
+            ratio = None if radius == 0.0 else (radius / lower if lower else math.inf)
+            if k == cap or ratio is None or ratio <= limit:
+                break
+        total += centred[j]
+        picked_sq += centred_sq.item(j)
+        picks[j] = picks.get(j, 0) + 1
+        slot = slots.get(j)
+        if slot is not None:
+            scores += columns[slot]
+        elif room:
+            room -= 1
+            slot = slots[j] = len(slots)
+            family.scores_into(centred[j], columns[slot])
+            scores += columns[slot]
+        else:
+            family.scores_into(total, scores, k + 2.0)
 
-    f_final, _ = farthest_sq_distance(cloud, center)
     return MebResult(
         center=center,
-        radius=math.sqrt(f_final),
-        iterations=iterations,
-        planned_iterations=iterations,
+        radius=radius,
+        iterations=k,
+        planned_iterations=cap,
+        certified_radius_lower=lower,
+        certified_ratio=ratio,
     )

@@ -169,7 +169,8 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
                 progress=None, iterate_observer=None) -> dict:
     """Run one algorithm (smooth unless "exact" or "coreset"), observed by
     the smooth solver's hooks, and return the JSON fields of its
-    ``MebResult``; a certified result adds how it stopped and its constants."""
+    ``MebResult``; a result with a certificate adds how it stopped and the
+    certificate, and a smooth solve its constants."""
     t0 = time.perf_counter()
     if algorithm == "exact":
         res = welzl_exact(cloud, seed=seed)
@@ -192,8 +193,14 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
     }
     if res.certified_radius_lower is not None:
         rep = res.solve_report
-        # A cloud solved without steps (one point, or all coincident) is exact.
-        result["stop_reason"] = "certified" if rep is None else rep.stop_reason
+        if rep is not None:
+            result["stop_reason"] = rep.stop_reason
+        else:
+            # The core set's certificate, or a ball of radius 0 (exact): it
+            # stopped certified iff its ratio proves (1+eps).
+            ratio = res.certified_ratio
+            certified = ratio is None or ratio <= 1.0 + epsilon
+            result["stop_reason"] = "certified" if certified else "planned"
         result["certified_radius_lower"] = res.certified_radius_lower
         result["certified_ratio"] = res.certified_ratio
         if rep is not None:

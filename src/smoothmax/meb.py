@@ -109,11 +109,12 @@ class MebResult:
     iterations: int
     planned_iterations: int
     solve_report: SolveReport | None = None
-    # sqrt of the proved lower bound on R^2: f(x1)/4 or the best a round
-    # certified, whichever is higher (None from baselines).
+    # sqrt of the proved lower bound on R^2: for solve_meb, f(x1)/4 or the
+    # best a round certified, whichever is higher; for badoiu_clarkson, its
+    # dual at the uniform weights over its picks (None from welzl_exact).
     certified_radius_lower: float | None = None
     # radius / certified_radius_lower, a proven bound on radius / R; None
-    # when the radius is 0 (or from baselines).
+    # when the radius is 0 (or from welzl_exact).
     certified_ratio: float | None = None
     # welzl_exact's sorted support indices (None from the other methods).
     support: tuple[int, ...] | None = None
@@ -213,11 +214,6 @@ class BoundingSphereFamily(SquaredDistanceFamily):
         self._query[0] = scale
         self._query_tail[...] = query
         np.matmul(self._query, self._score_rows, out=out)
-
-
-def centroid_init(cloud: PointCloud) -> np.ndarray:
-    """Arithmetic mean of the points; lies in their convex hull."""
-    return cloud.points.mean(axis=0)
 
 
 def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:

@@ -189,7 +189,7 @@ def test_criterion_6_scaling_comparison():
         rows = json.loads(proc.stdout)["rows"]
         inv_eps = np.log([1.0 / e for e in epsilons])
         smooth = [r["planned_iterations"] for r in rows if r["algorithm"] == "smooth"]
-        coreset = [r["iterations"] for r in rows if r["algorithm"] == "coreset"]
+        coreset = [r["planned_iterations"] for r in rows if r["algorithm"] == "coreset"]
         smooth_slope = np.polyfit(inv_eps, np.log(smooth), 1)[0]
         coreset_slope = np.polyfit(inv_eps, np.log(coreset), 1)[0]
         if not 0.45 <= smooth_slope <= 0.75:

@@ -12,7 +12,6 @@ from smoothmax import (
     PointCloud,
     SmoothingParams,
     agd_step,
-    centroid_init,
     gap_bound,
     required_iterations_general,
     run_online,
@@ -380,7 +379,7 @@ class TestLowerModel:
         f1 = float(family.centred_sq.max())
         gap = (2.0 * 0.01 + 0.01 ** 2) * f1 / 4.0
         # G = 2 sqrt(f(x1)), the gradient bound solve_meb gives a round from x1.
-        x1 = centroid_init(cloud)
+        x1 = cloud.points.mean(axis=0)
         ys = []
         report = run_rounds(family, x1, plan_round(cloud.n, gap, math.sqrt(f1), 2.0 * math.sqrt(f1),
                                                    2.0, 2.0, 0.01),

@@ -343,13 +343,19 @@ class TestBadoiuClarkson:
         assert result.radius <= 1.1 * exact
 
     def test_iterates_stay_in_convex_hull_1d(self):
-        # In 1-D, hull membership is an interval check; the run planned for
-        # k steps returns the k-th iterate, so every iterate up to 29 is seen.
-        cloud = PointCloud(np.array([[0.0], [1.0], [4.0]]))
+        # In 1-D, hull membership is an interval check.  The run planned for
+        # k steps returns the iterate it stopped at; from the interior start
+        # c_0 = 1 the iterates swing about the centre 2, so the runs stop at
+        # steps 1 to 5.
+        cloud = PointCloud(np.array([[1.0], [0.0], [4.0]]))
+        stops = set()
         for k in range(1, 30):
             result = badoiu_clarkson(cloud, min(1.0, (k - 0.5) ** -0.5))
-            assert result.iterations == k
+            assert result.planned_iterations == k
+            assert 1 <= result.iterations <= k
             assert 0.0 <= result.center[0] <= 4.0
+            stops.add(result.iterations)
+        assert len(stops) >= 5
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
     @pytest.mark.parametrize("distribution", ["gaussian", "sphere_surface", "clustered"])
@@ -359,9 +365,11 @@ class TestBadoiuClarkson:
         # exact tie, such as at the centre of a 1-D cloud of +-1 points, may
         # break either way; these clouds have none.)  At d = 8 the GEMV sums
         # over more coordinates, in another order than the direct loop.  The
-        # 1112-step run at eps 0.03 guards the running centred sum over a
-        # long run; the input cloud must come back untouched and unaliased.
-        for n, d, eps, steps in ((1000, 3, 0.1, 100), (3000, 8, 0.1, 100), (1000, 3, 0.03, 1112)):
+        # run at eps 1e-3, which certifies after 480-677 of its 10^6 planned
+        # steps, guards the running centred sum over a long run; the input
+        # cloud must come back untouched and unaliased.
+        for n, d, eps, planned in ((1000, 3, 0.1, 100), (3000, 8, 0.1, 100),
+                                   (1000, 3, 1e-3, 10 ** 6)):
             cloud = random_point_cloud(7, n, d, distribution)
             cloud = PointCloud(cloud.points + offset)
             before = cloud.points.tobytes()
@@ -370,7 +378,8 @@ class TestBadoiuClarkson:
             assert not np.shares_memory(result.center, cloud.points), (n, d)
             center, _ = direct_steps(cloud.points, result.iterations)
             diffs = cloud.points - center
-            assert result.iterations == steps
+            assert result.planned_iterations == planned
+            assert result.iterations > (400 if eps == 1e-3 else 0)
             assert result.center.tobytes() == center.tobytes(), (n, d)
             assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 
@@ -378,10 +387,12 @@ class TestBadoiuClarkson:
     def test_center_is_the_mean_of_the_picks_far_from_origin(self, offset):
         # The centre is the mean of c_0 and the K picks.  A recurrence that
         # moves the centre in raw coordinates rounds at the offset's ulp in
-        # every one of the 10^4 steps; the centred sum rounds there once.
+        # every one of the ~1900 steps the run takes before its dual
+        # certifies it; the centred sum rounds there once.
         cloud = PointCloud(random_point_cloud(3, 1000, 3, "gaussian").points + offset)
-        result = badoiu_clarkson(cloud, 0.01)
-        assert result.iterations == 10_000
+        result = badoiu_clarkson(cloud, 1e-4)
+        assert result.planned_iterations == 10 ** 8
+        assert result.iterations > 1500
         _, picks = direct_steps(cloud.points, result.iterations)
         chosen = cloud.points[[0] + picks]
         exact = [math.fsum(chosen[:, i]) / len(chosen) for i in range(cloud.dim)]
@@ -403,11 +414,13 @@ class TestBadoiuClarkson:
 
     def test_repeated_picks_add_cached_columns(self, monkeypatch):
         # The clustered cloud's steps bounce among a few points: the start
-        # scores and one column per distinct pick are the only GEMVs.
+        # scores and one column per distinct pick are the only GEMVs, over
+        # the ~290 steps the run takes at eps 1e-3.
         calls = self.record_score_calls(monkeypatch)
         cloud = random_point_cloud(7, 5000, 8, "clustered")
-        result = badoiu_clarkson(cloud, 0.03)
-        assert result.iterations == 1112
+        result = badoiu_clarkson(cloud, 1e-3)
+        assert result.planned_iterations == 10 ** 6
+        assert result.iterations > 200
         assert len(calls) <= cloud.dim + 2
         assert all(scale == 1.0 for _, scale in calls)
 
@@ -415,11 +428,13 @@ class TestBadoiuClarkson:
     def test_recomputed_steps_match_the_direct_loop(self, monkeypatch, offset):
         # On a sphere most steps pick a point the full cache does not hold
         # and recompute the scores at the new centre; those steps must still
-        # be the direct loop's, bit for bit.  Each cached column is written
-        # once, into one of at most d + 1 rows.
+        # be the direct loop's, bit for bit, over the hundreds of steps a run
+        # at eps 1e-3 takes.  Each cached column is written once, into one of
+        # at most d + 1 rows.
         calls = self.record_score_calls(monkeypatch)
         cloud = PointCloud(random_point_cloud(5, 2000, 5, "sphere_surface").points + offset)
-        result = badoiu_clarkson(cloud, 0.03)
+        result = badoiu_clarkson(cloud, 1e-3)
+        assert result.iterations > 300
         center, _ = direct_steps(cloud.points, result.iterations)
         assert result.center.tobytes() == center.tobytes()
         scores, _ = calls[0]
@@ -437,7 +452,7 @@ class TestBadoiuClarkson:
         calls = self.record_score_calls(monkeypatch)
         points = random_point_cloud(n, n, 8, "gaussian").points
         result = badoiu_clarkson(PointCloud(points), 0.1)
-        assert result.iterations == 100
+        assert result.planned_iterations == 100
         assert len(calls) <= n + 1
         assert result.radius <= 1.1 * welzl_exact(PointCloud(points)).radius
         diffs = points - result.center
@@ -451,7 +466,8 @@ class TestBadoiuClarkson:
     def test_iteration_budget(self):
         cloud = random_point_cloud(2, 30, 2, "gaussian")
         result = badoiu_clarkson(cloud, 0.25)
-        assert result.iterations == math.ceil(1.0 / 0.25 ** 2)
+        assert result.planned_iterations == math.ceil(1.0 / 0.25 ** 2)
+        assert result.iterations <= result.planned_iterations
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-160, 1e-200, 5e-324])
     def test_count_above_the_planned_cap_is_refused(self, eps):
@@ -483,3 +499,70 @@ class TestBaselineEquivariance:
         c2, r2 = run(PointCloud(cloud.points * scale))
         np.testing.assert_allclose(c2, c0 * scale, rtol=1e-9, atol=1e-9)
         assert r2 == pytest.approx(r0 * scale, rel=1e-9)
+
+
+class TestCoreSetCertificate:
+    """The core set's dual stop: sqrt(gamma) at its uniform weights is a
+    lower bound on R, and a run stops once radius / sqrt(gamma) <= 1+eps."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("distribution", ["gaussian", "sphere_surface", "clustered"])
+    def test_certificate_brackets_the_exact_radius(self, distribution, offset):
+        # R comes from the oracle on the cloud at the origin; adding the
+        # offset rounds each point by up to sqrt(d) ulp(2 offset).
+        for seed in range(6):
+            base = random_point_cloud(seed, 300, 2 + seed, distribution)
+            exact = welzl_exact(base).radius * (1.0 + 1e-9)
+            exact += math.sqrt(base.dim) * float(np.spacing(2.0 * offset))
+            cloud = PointCloud(base.points + offset)
+            for eps in (0.1, 0.01, 1e-3):
+                result = badoiu_clarkson(cloud, eps)
+                case = (seed, eps, result.iterations)
+                diffs = cloud.points - result.center
+                assert result.radius == math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
+                assert result.certified_radius_lower <= exact, case
+                assert result.radius <= (1.0 + eps) * exact, case
+                assert result.certified_ratio == result.radius / result.certified_radius_lower
+                if result.iterations < result.planned_iterations:
+                    assert result.certified_ratio <= 1.0 + eps, case
+
+    def test_a_run_that_reaches_its_cap_uncertified(self):
+        # One step from c_0 = 0 picks 1 and reaches c_1 = 0.5, where f = 1.96
+        # and gamma = 0.25: the ratio 2.8 does not prove (1 + 1) = 2.
+        result = badoiu_clarkson(PointCloud(np.array([[0.0], [1.0], [-0.9]])), 1.0)
+        assert result.iterations == result.planned_iterations == 1
+        assert result.radius == pytest.approx(1.4)
+        assert result.certified_radius_lower == pytest.approx(0.5)
+        assert result.certified_ratio == pytest.approx(2.8)
+
+    def test_a_certified_run_makes_one_raw_pass(self, monkeypatch):
+        # The estimate from the loop's scalars only triggers the check; the
+        # check's raw farthest pass also gives the radius.
+        passes = []
+        original = baselines.farthest_sq_distance
+
+        def counted(cloud, x):
+            passes.append(x)
+            return original(cloud, x)
+
+        monkeypatch.setattr(baselines, "farthest_sq_distance", counted)
+        for distribution in ("gaussian", "sphere_surface", "clustered"):
+            cloud = random_point_cloud(7, 1000, 3, distribution)
+            for eps in (0.1, 0.03, 1e-3):
+                passes.clear()
+                result = badoiu_clarkson(cloud, eps)
+                assert result.iterations < result.planned_iterations
+                assert len(passes) == 1, (distribution, eps)
+
+    @pytest.mark.parametrize("n, d, distribution", [(2000, 5, "gaussian"),
+                                                     (2000, 5, "clustered"),
+                                                     (474, 3, "gaussian")])
+    def test_certified_steps_grow_as_one_over_eps(self, n, d, distribution):
+        # The dual gap of the 1/(k+1) rule closes as O(1/k), so the certified
+        # step count grows as 1/eps, not as the planned 1/eps^2: the slope of
+        # log steps against log 1/eps reads 0.95, 0.99 and 0.91 here.
+        cloud = random_point_cloud(0, n, d, distribution)
+        epsilons = (1e-2, 1e-3, 1e-4)
+        steps = [badoiu_clarkson(cloud, eps).iterations for eps in epsilons]
+        slope = np.polyfit(np.log([1.0 / eps for eps in epsilons]), np.log(steps), 1)[0]
+        assert 0.8 <= slope <= 1.2, steps

@@ -32,8 +32,8 @@ def run_cli(*args, **kwargs):
 # interface.
 SOLVE_KEYS = ["algorithm", "n", "d", "epsilon", "center", "radius", "iterations",
               "planned_iterations", "wall_time_ms"]
-SMOOTH_KEYS = SOLVE_KEYS + ["stop_reason", "certified_radius_lower", "certified_ratio",
-                            "constants"]
+CORESET_KEYS = SOLVE_KEYS + ["stop_reason", "certified_radius_lower", "certified_ratio"]
+SMOOTH_KEYS = CORESET_KEYS + ["constants"]
 VERIFY_KEYS = ["exact_radius", "radius_over_exact"]
 TRACE_HEADER = ["t", "smooth_value_y", "grad_norm_y"]
 BENCH_ROW_KEYS = ["algorithm", "epsilon", "iterations", "planned_iterations",
@@ -354,6 +354,30 @@ class TestSolveCommand:
         assert "diagonal" in proc.stderr
         assert proc.stdout == ""
 
+    def test_coreset_stops_on_its_certificate_far_below_its_cap(self, tmp_path):
+        # ceil(1/eps^2) = 1111111112 steps are planned; the dual proves the
+        # ball after one.
+        path = tmp_path / "p.csv"
+        path.write_text("1,0\n-1,0\n0,1\n0.3,0.2\n")
+        proc = run_cli("solve", "--input", str(path), "--algorithm", "coreset",
+                       "--epsilon", "3e-5", timeout=60)
+        assert proc.returncode == 0
+        out = json.loads(proc.stdout)
+        assert out["stop_reason"] == "certified"
+        assert (out["iterations"], out["planned_iterations"]) == (1, 1111111112)
+        assert out["certified_ratio"] <= 1.0 + 3e-5
+
+    def test_coreset_capped_without_a_certificate(self, tmp_path, capsys):
+        # After its one planned step the ratio 2.8 does not prove 1 + eps = 2.
+        path = tmp_path / "p.csv"
+        path.write_text("0\n1\n-0.9\n")
+        assert cli.main(["solve", "--input", str(path), "--algorithm", "coreset",
+                         "--epsilon", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["stop_reason"] == "planned"
+        assert out["iterations"] == out["planned_iterations"] == 1
+        assert out["certified_ratio"] == pytest.approx(2.8)
+
     def test_coreset_count_over_budget_exit_4(self, two_point_file):
         proc = run_cli("solve", "--input", two_point_file, "--algorithm", "coreset",
                        "--epsilon", "1e-200", timeout=60)
@@ -461,7 +485,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("verify", [False, True])
     @pytest.mark.parametrize("algorithm, keys", [("smooth", SMOOTH_KEYS),
-                                                 ("coreset", SOLVE_KEYS),
+                                                 ("coreset", CORESET_KEYS),
                                                  ("exact", SOLVE_KEYS)])
     def test_result_fields_in_order(self, tmp_path, capsys, algorithm, keys, verify):
         path = tmp_path / "p.csv"
@@ -549,13 +573,14 @@ class TestBenchCommand:
         for row in report["rows"]:
             assert row["radius_over_exact"] >= 1.0 - 1e-9
             assert row["us_per_step"] == row["wall_time_ms"] * 1e3 / row["iterations"]
+            # Both methods stop on a certificate that brackets the exact radius.
+            assert row["stop_reason"] == "certified"
+            assert row["certified_radius_lower"] <= report["exact_radius"] * (1 + 1e-9)
+            assert row["certified_ratio"] <= 1.0 + row["epsilon"]
             if row["algorithm"] == "smooth":
                 assert row["observed_to_target"] is not None
-                assert row["stop_reason"] == "certified"
-                assert row["certified_radius_lower"] <= report["exact_radius"] * (1 + 1e-9)
             else:
-                assert row["stop_reason"] is row["certified_radius_lower"] is None
-                assert row["certified_ratio"] is None
+                assert row["observed_to_target"] is None
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_report_fields_in_order(self, tmp_path, fmt):
@@ -631,12 +656,12 @@ class TestBenchCommand:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         smooth = [row for row in report["rows"] if row["algorithm"] == "smooth"]
-        coreset = [row["iterations"] for row in report["rows"] if row["algorithm"] == "coreset"]
-        assert coreset == [25, 100]  # ceil(1/eps^2)
-        assert report["slopes"]["coreset"] == {"planned_iterations": pytest.approx(2.0),
-                                               "iterations": pytest.approx(2.0)}
-        assert all(isinstance(slope, float) for slope in report["slopes"]["smooth"].values())
-        for row in smooth:
+        coreset = [row for row in report["rows"] if row["algorithm"] == "coreset"]
+        assert [row["planned_iterations"] for row in coreset] == [25, 100]  # ceil(1/eps^2)
+        assert report["slopes"]["coreset"]["planned_iterations"] == pytest.approx(2.0)
+        assert all(isinstance(slope, float) for slopes in report["slopes"].values()
+                   for slope in slopes.values())
+        for row in smooth + coreset:
             assert row["stop_reason"] == "certified"
             assert row["certified_ratio"] == row["radius"] / row["certified_radius_lower"]
             assert row["certified_ratio"] <= (1.0 + row["epsilon"]) * (1.0 + 1e-12)
@@ -676,8 +701,9 @@ class TestBenchCommand:
         proc = run_cli("bench", "--n", "30", "--dim", "2", "--seed", "1",
                        "--epsilons", "0.2,0.05", "--algorithms", "coreset")
         report = json.loads(proc.stdout)
-        iters = {row["epsilon"]: row["iterations"] for row in report["rows"]}
-        assert iters[0.05] / iters[0.2] == pytest.approx(16.0)
+        planned = {row["epsilon"]: row["planned_iterations"] for row in report["rows"]}
+        assert planned[0.05] / planned[0.2] == pytest.approx(16.0)
+        assert all(row["iterations"] <= row["planned_iterations"] for row in report["rows"])
 
     @pytest.mark.parametrize("flag", ["--n", "--dim"])
     def test_empty_instance_exit_2(self, flag):

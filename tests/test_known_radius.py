@@ -49,13 +49,19 @@ def farthest(cloud, result) -> float:
     return math.sqrt(float(np.max(np.einsum("ij,ij->i", diffs, diffs))))
 
 
-@pytest.mark.parametrize("eps", [0.1, 0.05])
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.01, 0.001])
 def test_core_set(known, eps):
     cloud, radius = known
     result = badoiu_clarkson(cloud, eps)
     # The core set takes its radius on these raw coordinates.
     assert farthest(cloud, result) == result.radius
     assert result.radius <= (1.0 + eps) * radius * (1.0 + ROUNDING)
+    # Its dual bounds R from below, and a run that stops short of its cap
+    # has proved its (1+eps).
+    assert result.certified_radius_lower <= radius * (1.0 + ROUNDING)
+    assert result.certified_ratio == result.radius / result.certified_radius_lower
+    if result.iterations < result.planned_iterations:
+        assert result.certified_ratio <= 1.0 + eps
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
