@@ -8,7 +8,7 @@ Implements the update pair
 together with the smoother selection s = 2 log(n) / epsilon, the
 closed-form sufficient iteration count (the cap of each solve), the lower
 bounds on the optimum that stop a solve once they certify the gap, and the
-online epsilon-halving scheduler.
+one gap-halving schedule of every multi-round solve (``run_rounds``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ CERTIFY_MARGIN = 1e-12
 # bounding-sphere cloud at eps 1e-6 (factor 2: 14873 steps, 4: 6263, 8: 4123).
 SECANT_SAFETY = 8.0
 STEP_GROWTH = math.sqrt(2.0)
+# Each round of ``run_rounds`` after the first targets the previous round's
+# gap over this ratio, down to the last gap.
+ROUND_GAP_RATIO = 2.0
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
 # hook ``progress(t, f_s(y_t), ||grad f_s(y_{t-1})||)``, and
@@ -235,11 +238,6 @@ class Round(NamedTuple):
     strong_convexity: np.ndarray | None
 
 
-# Called as round_end(report) when a round of ``run_rounds`` stops, with the
-# round's ``SolveReport``.  It returns the next round, or None to end the solve.
-RoundEnd = Callable[[SolveReport], "Round | None"]
-
-
 def plan_round(
     n: int,
     epsilon: float,
@@ -285,15 +283,18 @@ def plan_round(
 def run_rounds(
     family: ComponentFamily,
     x1: np.ndarray,
-    first: Round,
-    round_end: RoundEnd | None = None,
+    plan: Callable[[float, list[SolveReport]], Round],
+    first_gap: float,
+    last_gap: float,
     progress: ProgressCallback | None = None,
     iterate_observer: IterateObserver | None = None,
-) -> SolveReport:
+) -> list[SolveReport]:
     """The accelerated step loop: a sequence of rounds from x1, each stepping
-    until its gap is certified or its steps run out; ``round_end`` gets each
-    round's ``SolveReport`` and plans the round after it (none: ``first`` is
-    the only round).
+    until its gap is certified or its steps run out.  The rounds run at the
+    gaps ``first_gap``, then max(last_gap, gap / ROUND_GAP_RATIO) until
+    ``last_gap``; before each, ``plan(gap, reports)`` gives its ``Round``
+    from the gap and the reports of the rounds so far.  What the gap means,
+    absolute or relative, is the planner's.
 
     Each step makes one pass at the new y.  It gives the next gradient, the
     ``progress`` value, the true max at y, and that pass's lower model of the
@@ -331,9 +332,10 @@ def run_rounds(
     The observers see one step counter t across both sequences and the
     rounds, from 2 to the total steps + 1.  A round's report has the
     certificate min(max(0, f_best - lb_best), the a-priori bound), and its
-    a-priori ``U_s`` and ``kappa_s``; the last round's is returned.
+    a-priori ``U_s`` and ``kappa_s``; every round's is returned, in order.
     """
-    rnd, offset = first, 0
+    gap, reports, offset = first_gap, [], 0
+    rnd = plan(gap, reports)
     weights = np.empty(family.n)  # the exp buffer of every pass
     x_best = family.check_point(x1)  # later passes read agd_step's arrays
     _, grad, _, total, f_best, mean_value, shifted_best = smooth_pass(
@@ -417,10 +419,11 @@ def run_rounds(
             lower_bound=lb_best,
             stop_reason=stop_reason,
         )
-        following = None if round_end is None else round_end(report)
-        if following is None:
-            return report
-        rnd, offset = following, offset + report.iterations_run
+        reports.append(report)
+        if gap <= last_gap:
+            return reports
+        gap, offset = max(last_gap, gap / ROUND_GAP_RATIO), offset + report.iterations_run
+        rnd = plan(gap, reports)
         shifted_best *= rnd.params.s / shifted_s
         shifted_s = rnd.params.s
         _, grad, _, total, _, mean_value, _ = shifted_pass(
@@ -448,8 +451,10 @@ def run_to_gap(
 ) -> SolveReport:
     """Full smoothed solve: pick s, derive constants (``plan_round``), step
     until the gap is certified (``run_rounds``, one round)."""
-    return run_rounds(family, config.x1, _plan(family.n, constants, config, config.epsilon),
-                      progress=progress, iterate_observer=iterate_observer)
+    [report] = run_rounds(family, config.x1,
+                          lambda gap, reports: _plan(family.n, constants, config, gap),
+                          config.epsilon, config.epsilon, progress, iterate_observer)
+    return report
 
 
 def run_online(
@@ -470,15 +475,6 @@ def run_online(
     """
     if not epsilon_0 > 0 or rounds < 1:
         raise ContractViolationError("need epsilon_0 > 0 and rounds >= 1")
-    reports: list[SolveReport] = []
-
-    def round_end(report: SolveReport) -> Round | None:
-        reports.append(report)
-        if len(reports) == rounds:
-            return None
-        eps_k = epsilon_0 / 2 ** len(reports)
-        return _plan(family.n, constants_provider(eps_k), config, eps_k)
-
-    run_rounds(family, config.x1, _plan(family.n, constants_provider(epsilon_0), config,
-                                        epsilon_0), round_end, progress=progress)
-    return reports
+    return run_rounds(family, config.x1,
+                      lambda gap, reports: _plan(family.n, constants_provider(gap), config, gap),
+                      epsilon_0, math.ldexp(epsilon_0, 1 - rounds), progress)

@@ -216,8 +216,9 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     otherwise it steps on.  The run that reaches its cap is checked the same
     way.  So a run makes one raw pass per check, and a certified run
     usually one in all.  ``certified_radius_lower`` is sqrt(gamma) and
-    ``certified_ratio`` the radius over it (None at radius 0): a certified
-    run has certified_ratio <= 1+eps, a capped one may not.
+    ``certified_ratio`` the radius over it (None at radius 0).  A run whose
+    ratio is at most 1+eps, or whose radius is 0, stops with ``stop_reason``
+    "certified"; a capped run without that proof stops "planned".
 
     The cached sum rounds otherwise than a fresh query, but only its argmax
     is read.  Far from the origin the centred sum keeps the centre within
@@ -262,7 +263,8 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
             radius = math.sqrt(farthest_sq_distance(cloud, center)[0])
             lower = math.sqrt(_dual_lower_sq(centred, picks, terms))
             ratio = None if radius == 0.0 else (radius / lower if lower else math.inf)
-            if k == cap or ratio is None or ratio <= limit:
+            certified = ratio is None or ratio <= limit
+            if certified or k == cap:
                 break
         total += centred[j]
         picked_sq += centred_sq.item(j)
@@ -285,4 +287,5 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
         planned_iterations=cap,
         certified_radius_lower=lower,
         certified_ratio=ratio,
+        stop_reason="certified" if certified else "planned",
     )

@@ -192,17 +192,10 @@ def _solve_once(cloud: PointCloud, algorithm: str, epsilon: float | None, seed: 
         "wall_time_ms": wall_ms,
     }
     if res.certified_radius_lower is not None:
-        rep = res.solve_report
-        if rep is not None:
-            result["stop_reason"] = rep.stop_reason
-        else:
-            # The core set's certificate, or a ball of radius 0 (exact): it
-            # stopped certified iff its ratio proves (1+eps).
-            ratio = res.certified_ratio
-            certified = ratio is None or ratio <= 1.0 + epsilon
-            result["stop_reason"] = "certified" if certified else "planned"
+        result["stop_reason"] = res.stop_reason
         result["certified_radius_lower"] = res.certified_radius_lower
         result["certified_ratio"] = res.certified_ratio
+        rep = res.solve_report
         if rep is not None:
             result["constants"] = dict(s=rep.s, L_s=rep.L_s, U_s=rep.U_s,
                                        kappa_s=rep.kappa_s, G_s=rep.g_s)

@@ -34,8 +34,6 @@ from .errors import ConfigurationError, ContractViolationError
 from .families import ComponentFamily
 
 
-# Round k of a solve targets the relative gap max(eps, ROUND_GAP_RATIO^-k).
-ROUND_GAP_RATIO = 2.0
 # A cloud is refused unless its squared bounding-box diagonal D^2 times this
 # factor is finite.  A solve's largest intermediates are the t-weighted sums of
 # ``agd.LowerModel``; after T passes the squared slope sum has measured below
@@ -118,6 +116,10 @@ class MebResult:
     certified_ratio: float | None = None
     # welzl_exact's sorted support indices (None from the other methods).
     support: tuple[int, ...] | None = None
+    # How the method stopped: "certified" (its certificate proved the
+    # (1+eps) ball) or "planned" (its step count ran out); None from
+    # welzl_exact.
+    stop_reason: str | None = None
 
 
 class SquaredDistanceFamily(ComponentFamily):
@@ -302,35 +304,33 @@ def solve_meb(
             iterations=0,
             planned_iterations=0,
             certified_radius_lower=0.0,
+            stop_reason="certified",
         )
 
     planned = required_iterations_meb(eps_rel, n)
-    # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound.
-    distance, lb, steps, round_gap = math.sqrt(f1), f1 / 4.0, 0, 1.0
+    distance = math.sqrt(f1)
 
-    def plan(f_top: float):
+    def proved_lb(reports: list[SolveReport]) -> float:
+        # R >= sqrt(f(x1)) / 2 for x1 in the hull, so f(x1) / 4 is a proved bound.
+        return max([f1 / 4.0] + [r.lower_bound for r in reports])
+
+    def plan(gap: float, reports: list[SolveReport]):
         # f_top, the max at the round's start point, is at least R^2.
-        return plan_round(n, (2.0 * round_gap + round_gap ** 2) * lb, distance,
-                          2.0 * math.sqrt(f_top), 2.0, 2.0, round_gap)
+        f_top = reports[-1].f_final if reports else f1
+        return plan_round(n, (2.0 * gap + gap ** 2) * proved_lb(reports), distance,
+                          2.0 * math.sqrt(f_top), 2.0, 2.0, gap)
 
-    def round_end(report: SolveReport):
-        nonlocal lb, steps, round_gap
-        steps += report.iterations_run
-        lb = max(lb, report.lower_bound)
-        if round_gap == eps_rel:
-            return None
-        round_gap = max(eps_rel, round_gap / ROUND_GAP_RATIO)
-        return plan(report.f_final)
-
-    report = run_rounds(family, x1, plan(f1), round_end, progress=progress,
-                        iterate_observer=iterate_observer)
-    radius, radius_lb = math.sqrt(report.f_final), math.sqrt(lb)
+    reports = run_rounds(family, x1, plan, 1.0, eps_rel, progress=progress,
+                         iterate_observer=iterate_observer)
+    report = reports[-1]
+    radius, radius_lb = math.sqrt(report.f_final), math.sqrt(proved_lb(reports))
     return MebResult(
         center=report.x_final,
         radius=radius,
-        iterations=steps,
+        iterations=sum(r.iterations_run for r in reports),
         planned_iterations=planned,
         solve_report=report,
         certified_radius_lower=radius_lb,
         certified_ratio=radius / radius_lb,
+        stop_reason=report.stop_reason,
     )

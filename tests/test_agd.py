@@ -89,7 +89,9 @@ def capped_solve(family, constants, config, cap, relative_epsilon=None, **observ
     Returns the round as planned and the report."""
     rnd = _plan(family.n, constants, config, config.epsilon)
     capped = rnd._replace(planned=min(rnd.planned, cap), relative_epsilon=relative_epsilon)
-    return rnd, run_rounds(family, config.x1, capped, **observers)
+    [report] = run_rounds(family, config.x1, lambda gap, reports: capped, config.epsilon,
+                          config.epsilon, **observers)
+    return rnd, report
 
 
 class TestSmootherForGap:
@@ -381,9 +383,9 @@ class TestLowerModel:
         # G = 2 sqrt(f(x1)), the gradient bound solve_meb gives a round from x1.
         x1 = cloud.points.mean(axis=0)
         ys = []
-        report = run_rounds(family, x1, plan_round(cloud.n, gap, math.sqrt(f1), 2.0 * math.sqrt(f1),
-                                                   2.0, 2.0, 0.01),
-                            iterate_observer=lambda t, x, y, grad: ys.append(y))
+        rnd = plan_round(cloud.n, gap, math.sqrt(f1), 2.0 * math.sqrt(f1), 2.0, 2.0, 0.01)
+        [report] = run_rounds(family, x1, lambda gap, reports: rnd, 0.01, 0.01,
+                              iterate_observer=lambda t, x, y, grad: ys.append(y))
         assert report.stop_reason == "certified"
         weights_sum, weight = np.zeros(cloud.n), 0
         for t, p, _, averaged, lb in replay_passes(family, SmoothingParams(report.s),

@@ -566,3 +566,43 @@ class TestCoreSetCertificate:
         steps = [badoiu_clarkson(cloud, eps).iterations for eps in epsilons]
         slope = np.polyfit(np.log([1.0 / eps for eps in epsilons]), np.log(steps), 1)[0]
         assert 0.8 <= slope <= 1.2, steps
+
+
+def test_each_method_reports_how_it_stopped():
+    # The core set capped before its dual proves the ball (one step on the
+    # cloud 0, 1, -0.9 at eps 1, as above) stopped "planned"; a run that
+    # proves its ratio, or a ball of radius 0, "certified".  Welzl has no
+    # certificate and no stop reason.
+    assert badoiu_clarkson(PointCloud(np.array([[0.0], [1.0], [-0.9]])), 1.0).stop_reason \
+        == "planned"
+    cloud = random_point_cloud(0, 500, 3, "gaussian")
+    assert badoiu_clarkson(cloud, 0.01).stop_reason == "certified"
+    smooth = solve_meb(cloud, MebConfig(0.01))
+    assert smooth.stop_reason == smooth.solve_report.stop_reason == "certified"
+    coincident = PointCloud(np.array([[3.0], [3.0]]))
+    assert badoiu_clarkson(coincident, 0.1).stop_reason == "certified"
+    assert solve_meb(coincident, MebConfig(0.1)).stop_reason == "certified"
+    assert welzl_exact(cloud).stop_reason is None
+
+
+# The cloud shapes of perfbench's baselines workload, here drawn from seed 0.
+BASELINE_SHAPES = (
+    (1000, 2, "gaussian"), (1200, 2, "sphere_surface"), (1000, 3, "clustered"),
+    (1200, 3, "gaussian"), (1100, 4, "sphere_surface"), (1350, 4, "clustered"),
+    (1650, 4, "gaussian"), (1600, 5, "clustered"), (2000, 5, "sphere_surface"),
+    (2000, 6, "clustered"), (2450, 6, "sphere_surface"), (3000, 6, "clustered"),
+    (3150, 7, "sphere_surface"), (3850, 7, "clustered"), (4100, 8, "sphere_surface"),
+    (5000, 8, "clustered"),
+)
+
+
+@pytest.mark.parametrize("eps, expected", [
+    (0.1, [8, 1, 3, 11, 1, 6, 8, 6, 3, 6, 3, 4, 3, 4, 5, 4]),  # 76 in all
+    (0.03, [32, 1, 11, 23, 11, 20, 24, 18, 13, 16, 16, 16, 15, 8, 16, 10]),  # 250
+])
+def test_core_set_step_counts_are_pinned(eps, expected):
+    # The core set's certified steps, pinned exactly like solve_meb's (the
+    # same last-bit scaling of the clouds moved none of these).
+    steps = [badoiu_clarkson(random_point_cloud(0, n, d, kind), eps).iterations
+             for n, d, kind in BASELINE_SHAPES]
+    assert steps == expected

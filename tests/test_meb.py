@@ -91,7 +91,7 @@ class TestPointCloud:
         assert (cloud.n, cloud.dim) == (2, 2)
 
 
-class TestCentroidInit:
+class TestCentroid:
     # solve_meb starts at the family's centroid, which lies in the hull.
     @staticmethod
     def centroid(cloud):
@@ -400,17 +400,40 @@ def test_steps_grow_at_the_papers_rate(n, d, distribution):
     assert slope <= 0.7, steps
 
 
+# The cloud shapes of perfbench's meb-stream workload, here drawn from seed 0.
+MEB_STREAM_SHAPES = (
+    (200, 2, "gaussian"), (267, 5, "sphere_surface"), (356, 10, "clustered"),
+    (474, 3, "gaussian"), (632, 6, "sphere_surface"), (843, 7, "clustered"),
+    (1125, 4, "gaussian"), (1500, 3, "sphere_surface"), (2000, 8, "clustered"),
+)
+
+
+@pytest.mark.parametrize("eps, expected", [
+    (0.1, [5, 5, 5, 5, 5, 6, 5, 5, 6]),  # 47 in all
+    (0.03, [7, 10, 20, 8, 9, 12, 10, 7, 17]),  # 100
+    (0.01, [8, 12, 30, 43, 12, 13, 21, 8, 60]),  # 207
+])
+def test_step_counts_are_pinned(eps, expected):
+    # MEB step counts do not move on last-bit changes: scaling each
+    # coordinate by 1 + {-1, 0, 1} 2^-52 at random (four copies of each
+    # cloud) moved none of these.  So they are pinned exactly, and a change
+    # that keeps the solver's results must keep them.
+    steps = [solve_meb(random_point_cloud(0, n, d, kind), MebConfig(eps)).iterations
+             for n, d, kind in MEB_STREAM_SHAPES]
+    assert steps == expected
+
+
 def test_certified_ratio_is_none_without_a_positive_lower_radius():
     assert solve_meb(cloud_of([1.0, 2.0]), MebConfig(0.1)).certified_ratio is None
     assert solve_meb(cloud_of([3.0], [3.0]), MebConfig(0.1)).certified_ratio is None
 
 
 class RoundRecorder:
-    """Wraps ``meb.run_rounds``: records each round ``solve_meb`` plans
-    (``rounds``) and the ``SolveReport`` it ended with (``ends``).  With
-    ``uncertifiable``, every round runs with a relative stop of 1e-12, which
-    no round can prove, so each one reaches its cap; with ``cap``, every
-    round's cap is lowered to it."""
+    """Wraps ``meb.run_rounds``: records each round ``solve_meb``'s planner
+    gives (``rounds``) and the ``SolveReport`` each round ended with
+    (``ends``).  With ``uncertifiable``, every round runs with a relative
+    stop of 1e-12, which no round can prove, so each one reaches its cap;
+    with ``cap``, every round's cap is lowered to it."""
 
     def __init__(self, monkeypatch, uncertifiable: bool, cap: int | None = None):
         self.rounds, self.ends = [], []
@@ -421,17 +444,13 @@ class RoundRecorder:
                 rnd = rnd._replace(relative_epsilon=1e-12)
             return rnd if cap is None else rnd._replace(planned=min(rnd.planned, cap))
 
-        def recording_run_rounds(family, x1, first, round_end, **observers):
-            def recording_round_end(report):
-                self.ends.append(report)
-                following = round_end(report)
-                if following is None:
-                    return None
-                self.rounds.append(following)
-                return forced(following)
+        def recording_run_rounds(family, x1, plan, first_gap, last_gap, **observers):
+            def recording_plan(gap, reports):
+                self.rounds.append(plan(gap, reports))
+                return forced(self.rounds[-1])
 
-            self.rounds.append(first)
-            return run_rounds(family, x1, forced(first), recording_round_end, **observers)
+            self.ends = run_rounds(family, x1, recording_plan, first_gap, last_gap, **observers)
+            return self.ends
 
         monkeypatch.setattr(meb, "run_rounds", recording_run_rounds)
 
@@ -520,6 +539,7 @@ class TestContinuation:
             assert rnd.planned < required_iterations_meb(rnd.relative_epsilon, base.n)
             assert math.sqrt(end.f_final) <= (1.0 + rnd.relative_epsilon) * exact * (1.0 + 1e-9)
         assert result.iterations == sum(end.iterations_run for end in recorder.ends)
+        assert result.stop_reason == "planned"
         assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
 
     def test_round_counts_stay_below_the_single_shot_count(self):
