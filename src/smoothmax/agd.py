@@ -39,13 +39,17 @@ MAX_PLANNED_ITERATIONS = 2 ** 31
 # target); the margin keeps roundoff in the bound from certifying a gap just
 # above the target.
 CERTIFY_MARGIN = 1e-12
-# The adaptive sequence of a round (``run_rounds``) steps at 1/U_t with U_t
-# SECANT_SAFETY times the secant estimate of the local smoothness, falling by
-# at most STEP_GROWTH per step after the round's first secant, which is not
-# capped (theta_0 = +inf in Malitsky and Mishchenko, "Adaptive gradient
-# descent without descent", ICML 2020).  A smaller factor stalls the 4-point
-# bounding-sphere cloud at eps 1e-6 (factor 2: 14873 steps, 4: 6263, 8: 4123).
+# The adaptive sequence of a round (``run_rounds``) steps at 1/U_t with U_t a
+# factor times the secant estimate of the local smoothness, falling by at most
+# STEP_GROWTH per step after the round's first secant, which is not capped
+# (theta_0 = +inf in Malitsky and Mishchenko, "Adaptive gradient descent
+# without descent", ICML 2020).  The first secant's factor is SECANT_SAFETY.
+# Later ones start at SECANT_SAFETY_FLOOR and double, up to SECANT_SAFETY, on
+# each step that restarts the momentum: the overshoot a small factor risks.
+# A constant factor 4 (or 2) stalls the bounding-sphere tail; floor 1.25
+# loses the rate on gaussian 2000x50, and 1.75 or 2 keep less of the gain.
 SECANT_SAFETY = 8.0
+SECANT_SAFETY_FLOOR = 1.5
 STEP_GROWTH = math.sqrt(2.0)
 # Each round of ``run_rounds`` after the first targets the previous round's
 # gap over this ratio, down to the last gap.
@@ -307,14 +311,17 @@ def run_rounds(
 
     A round first runs an adaptive sequence of up to ``planned`` steps.  Its
     first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
-    SECANT_SAFETY ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
+    c_t ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
     U_{t-1} / STEP_GROWTH)) from consecutive pass points (kept when they
     coincide), and the next step is x' = y - grad / U_t with momentum
     ``momentum_for(U_t / L_s)``.  The pass that ends the round's first step
-    sets U_t without the U_{t-1} / STEP_GROWTH term, so the second step is at
-    the first secant alone.  A step with grad f_s(y_{t-1}) . (x_t -
-    x_{t-1}) > 0 restarts the momentum: its pass is at y_t = x_t.  The
-    bounds do not depend on the step sizes, so every pass still certifies.
+    sets U_t at c_2 = SECANT_SAFETY without the U_{t-1} / STEP_GROWTH term, so
+    the second step is at the first secant alone.  A step with
+    grad f_s(y_{t-1}) . (x_t - x_{t-1}) > 0 restarts the momentum: its pass
+    is at y_t = x_t.  The later factors c_t start at SECANT_SAFETY_FLOOR each
+    round and double, up to SECANT_SAFETY, on each restart, from that
+    restart's own secant on.  The bounds do not depend on the step sizes, so
+    every pass still certifies.
     If the adaptive sequence has not certified after ``planned`` steps, the
     round runs the fixed sequence (U_s and ``momentum_for(kappa_s)``, no
     restart) from its start point for ``planned`` more steps, reusing the start
@@ -358,6 +365,7 @@ def run_rounds(
         model = LowerModel(mean_value, grad, curvature)
         lb_best = lower_bound(mean_value, grad_sq, curvature)
         U_t, momentum, adaptive = U_s, fixed_momentum, True
+        factor = SECANT_SAFETY_FLOOR  # the secant factor after the first
         last = 2 * cap + 1
         for t in range(2, last + 1):  # step t - 1 -> t of this round
             if t == cap + 2:  # the fixed sequence, from the round's start
@@ -373,8 +381,11 @@ def run_rounds(
             x, y = agd_step(x, y, grad_at_y, U_t, momentum)
             # The fixed sequence's last pass is at x_T, a candidate that the
             # a-priori bound covers; y_T would look ahead to a step not taken.
-            if t == last or (adaptive and float(grad_at_y.dot(x - x_previous)) > 0.0):
+            if t == last:
                 y = x
+            elif adaptive and float(grad_at_y.dot(x - x_previous)) > 0.0:
+                y = x
+                factor = min(SECANT_SAFETY, 2.0 * factor)
             value, grad, _, total, max_value, mean_value, shifted = smooth_pass(
                 family, params, y, out=weights)
             if progress is not None:
@@ -390,10 +401,13 @@ def run_rounds(
             lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
             if adaptive and delta_sq > 0.0:
                 change = grad - grad_at_y
-                secant = SECANT_SAFETY * math.sqrt(float(change.dot(change)) / delta_sq)
-                # A round's first secant is not growth-capped (theta_0 = +inf).
-                floor = L_s if t == 2 else U_t / STEP_GROWTH
-                U_t = min(U_s, max(L_s, secant, floor))
+                secant = math.sqrt(float(change.dot(change)) / delta_sq)
+                # A round's first secant keeps SECANT_SAFETY and is not
+                # growth-capped (theta_0 = +inf).
+                if t == 2:
+                    U_t = min(U_s, max(L_s, SECANT_SAFETY * secant))
+                else:
+                    U_t = min(U_s, max(L_s, factor * secant, U_t / STEP_GROWTH))
                 momentum = momentum_for(U_t / L_s)
             anchor = y
             if max_value < f_best:

@@ -24,6 +24,7 @@ from smoothmax import (
 )
 from smoothmax.agd import (
     SECANT_SAFETY,
+    SECANT_SAFETY_FLOOR,
     STEP_GROWTH,
     LowerModel,
     _plan,
@@ -519,7 +520,50 @@ class TestFallback:
 GENERIC_SIZES = tuple((round(2 + 38 * k / 23), 2 + k % 7) for k in range(24))
 
 
+def replay_step_sizes(fam, report, x1, states, factor_after):
+    """Replays a certified round's adaptive sequence from its observed pass
+    states ``(x_t, y_t)``, t = 2, 3, ..., with the first secant at
+    SECANT_SAFETY and every later one at ``factor_after(k)``, k the restarts
+    so far.  Returns the steps t - 1 -> t that restarted, and the first pass
+    t whose next step x_{t+1} = y_t - grad f_s(y_t) / U_t misses the observed
+    one (None when every step matches)."""
+    params = SmoothingParams(report.s)
+    xs, ys = [x1] + [x for x, _ in states], [x1] + [y for _, y in states]
+    grads = [smooth_gradient(fam, params, y) for y in ys]
+    restarts, mismatch, U = [], None, report.U_s
+    for j in range(1, len(ys)):  # the pass at y_{j+1}
+        if float(grads[j - 1].dot(xs[j] - xs[j - 1])) > 0.0:
+            assert np.array_equal(ys[j], xs[j])
+            restarts.append(j + 1)
+        dy = ys[j] - ys[j - 1]
+        if dy.dot(dy) > 0.0:
+            secant = np.linalg.norm(grads[j] - grads[j - 1]) / np.linalg.norm(dy)
+            if j == 1:
+                U = min(report.U_s, max(report.L_s, SECANT_SAFETY * secant))
+            else:
+                U = min(report.U_s, max(report.L_s, factor_after(len(restarts)) * secant,
+                                        U / STEP_GROWTH))
+        if (mismatch is None and j + 1 < len(ys)
+                and not np.allclose(xs[j + 1], ys[j] - grads[j] / U, rtol=1e-12, atol=0.0)):
+            mismatch = j + 1
+    return restarts, mismatch
+
+
+def doubling_factor(k):
+    return min(SECANT_SAFETY, SECANT_SAFETY_FLOOR * 2 ** k)
+
+
 class TestAdaptiveSequence:
+    def setup_method(self):
+        self.fam = RandomQuadraticFamily.from_seed(7, n=6, dim=3)
+        self.config = OptimizerConfig(epsilon=0.05, x1=np.full(3, 0.5),
+                                      initial_distance_bound=3.0)
+        self.states = []
+        self.report = run_to_gap(
+            self.fam, self.fam.true_constants(domain_radius=5.0), self.config,
+            iterate_observer=lambda t, x, y, f: self.states.append((x, y)))
+        assert self.report.stop_reason == "certified"
+
     def test_first_secant_is_not_growth_capped(self):
         # After the first step at 1/U_s, the next step is at the first secant
         # alone (theta_0 = +inf): U_2 = min(U_s, max(L_s, 8 ||g2 - g1|| /
@@ -538,14 +582,49 @@ class TestAdaptiveSequence:
         assert U_2 < report.U_s / STEP_GROWTH
         np.testing.assert_allclose(states[1][0], y2 - g2 / U_2, rtol=1e-12)
 
+    def test_second_secant_uses_the_floor_factor(self):
+        # Step 2 -> 3 does not restart, so the secant at y_3 is scaled by
+        # SECANT_SAFETY_FLOOR: U_3 = min(U_s, max(L_s, 1.5 ||g3 - g2|| /
+        # ||y3 - y2||, U_2 / STEP_GROWTH)).  Factor 8 would give a larger U_3.
+        fam, report, states = self.fam, self.report, self.states
+        params = SmoothingParams(report.s)
+        y1, (_, y2), (x3, y3) = self.config.x1, states[0], states[1]
+        assert not np.array_equal(x3, y3)
+        g1, g2, g3 = (smooth_gradient(fam, params, y) for y in (y1, y2, y3))
+        first = SECANT_SAFETY * np.linalg.norm(g2 - g1) / np.linalg.norm(y2 - y1)
+        U_2 = min(report.U_s, max(report.L_s, first))
+        secant = np.linalg.norm(g3 - g2) / np.linalg.norm(y3 - y2)
+        U_3 = min(report.U_s, max(report.L_s, SECANT_SAFETY_FLOOR * secant, U_2 / STEP_GROWTH))
+        assert U_3 < min(report.U_s, SECANT_SAFETY * secant)
+        np.testing.assert_allclose(states[2][0], y3 - g3 / U_3, rtol=1e-12)
+
+    def test_restart_doubles_the_factor(self):
+        # The factor doubles on each restart and scales the secant of the
+        # restarting step's pass; kept at the floor, the replay parts from
+        # the solve right at the first restart.
+        args = self.fam, self.report, self.config.x1, self.states
+        restarts, mismatch = replay_step_sizes(*args, doubling_factor)
+        assert mismatch is None and len(restarts) >= 3
+        assert replay_step_sizes(*args, lambda k: SECANT_SAFETY_FLOOR)[1] == restarts[0]
+
+    def test_factor_never_passes_the_cap(self):
+        # 1.5, 3, 6, then 8 from the third restart on, where 12 would part.
+        args = self.fam, self.report, self.config.x1, self.states
+        restarts, mismatch = replay_step_sizes(*args, doubling_factor)
+        assert mismatch is None
+        uncapped = replay_step_sizes(*args, lambda k: SECANT_SAFETY_FLOOR * 2 ** k)[1]
+        assert uncapped == restarts[2]
+
 
 class TestAdaptiveStepCounts:
     """Step totals of certified generic solves on fixed seeds, a guard on the
-    adaptive sequence's gain: within 1.25x of 3757 and 6690, the steps they
-    took with it on the raw-coordinate kernel (5181 and 8721 with the first
-    secant growth-capped too).  On the centred table of
-    ``SquaredDistanceFamily`` they take 3750 and 6820 (5176 and 9061).
-    The fixed sequence alone took 23434 and 213256."""
+    adaptive sequence's gain: within 1.25x of 2246 and 5379, the steps they
+    take with the secant factor that starts at SECANT_SAFETY_FLOOR and
+    doubles on each restart.  With a constant factor 8 they took 3757 and
+    6690 on the raw-coordinate kernel (5181 and 8721 with the first secant
+    growth-capped too), and 3750 and 6820 on the centred table of
+    ``SquaredDistanceFamily`` (5176 and 9061).  The fixed sequence alone
+    took 23434 and 213256."""
 
     def test_benchmark_families(self):
         steps = 0
@@ -558,7 +637,7 @@ class TestAdaptiveStepCounts:
                 report = run_to_gap(fam, fam.true_constants(domain_radius=6.0), config)
                 assert report.stop_reason == "certified"
                 steps += report.iterations_run
-        assert steps <= 1.25 * 3757
+        assert steps <= 1.25 * 2246
 
     def test_ill_conditioned_families(self):
         steps = 0
@@ -571,7 +650,7 @@ class TestAdaptiveStepCounts:
                 report = run_to_gap(fam, fam.true_constants(domain_radius=4.0), config)
                 assert report.stop_reason == "certified"
                 steps += report.iterations_run
-        assert steps <= 1.25 * 6690
+        assert steps <= 1.25 * 5379
 
 
 class TestRunOnline:

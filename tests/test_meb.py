@@ -410,8 +410,8 @@ MEB_STREAM_SHAPES = (
 
 @pytest.mark.parametrize("eps, expected", [
     (0.1, [5, 5, 5, 5, 5, 6, 5, 5, 6]),  # 47 in all
-    (0.03, [7, 10, 20, 8, 9, 12, 10, 7, 17]),  # 100
-    (0.01, [8, 12, 30, 43, 12, 13, 21, 8, 60]),  # 207
+    (0.03, [7, 10, 19, 8, 9, 11, 11, 7, 17]),  # 99
+    (0.01, [8, 11, 31, 41, 12, 15, 16, 8, 62]),  # 204
 ])
 def test_step_counts_are_pinned(eps, expected):
     # MEB step counts do not move on last-bit changes: scaling each
