@@ -52,7 +52,7 @@ class _Boundary:
 
     def outside(self, j: int) -> bool:
         diff = self.rel[j] - self.c[self.level]
-        return float(diff @ diff) > self.r2[self.level] * (1.0 + _CONTAINS_SLACK)
+        return float(diff.dot(diff)) > self.r2[self.level] * (1.0 + _CONTAINS_SLACK)
 
     def push(self, j: int) -> bool:
         """Put row j on the boundary; its ball becomes the latest.  Refused
@@ -63,14 +63,14 @@ class _Boundary:
         m = len(self.stack)
         q = self.rel[j]
         u = self.u[: m - 1]
-        v = q - (u @ q) @ u
-        vv = float(v @ v)
-        if vv <= 1e-24 * float(q @ q):
+        v = q - u.dot(q).dot(u)
+        vv = float(v.dot(v))
+        if vv <= 1e-24 * float(q.dot(q)):
             return False
         # v is orthogonal to the stack's offsets, so c + f v stays as far from
         # each stack point (r2 + f^2 vv); f = excess / (2 vv) puts p there too.
         diff = q - self.c[m - 1]
-        excess = float(diff @ diff) - self.r2[m - 1]
+        excess = float(diff.dot(diff)) - self.r2[m - 1]
         f = excess / (2.0 * vv)
         np.add(self.c[m - 1], f * v, out=self.c[m])
         self.r2[m] = self.r2[m - 1] + 0.5 * excess * f
@@ -256,7 +256,7 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     for k in range(cap + 1):
         j = int(scores.argmax())
         terms = k + 1.0
-        centre_sq = float(total @ total) / (terms * terms)
+        centre_sq = float(total.dot(total)) / (terms * terms)
         if k == cap or (scores.item(j) / terms + centre_sq
                         <= bound * (picked_sq / terms - centre_sq)):
             center = family.centroid + total / terms

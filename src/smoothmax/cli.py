@@ -99,8 +99,7 @@ def _read_rows(rows: list[str], width: int) -> np.ndarray | None:
     values, or None when any row has another column count or a token that
     does not convert to a finite number."""
     try:
-        points = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", comments=None,
-                            ndmin=2)
+        points = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     if points.shape != (len(rows), width) or not np.isfinite(points).all():

@@ -86,7 +86,7 @@ def shifted_pass(
     """
     weights = np.maximum(shifted, EXP_FLOOR, out=out)
     np.exp(weights, out=weights)
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))  # weights.sum() less its Python wrapper
     grad = family.combined_gradient(x, weights) / total if gradient else None
     value = max_value + math.log(total) / params.s
     # The products e_i s (f_i - m) stay normal doubles, as a floored e_i

@@ -136,7 +136,14 @@ class SquaredDistanceFamily(ComponentFamily):
     reads -2 P^T (a w) and sum(a w) from T[1:] @ w.  The constructor takes
     the a_i as an (n,) array or one value for all; ``curvatures`` is then a
     view of the last row.  The verification hooks and the scalar reference
-    ``value_at`` read the raw centres."""
+    ``value_at`` read the raw centres.
+
+    At the small n of a min-max family a query is mostly per-call cost, so
+    the hooks keep their query vector and the views they read, and every
+    product goes through ``ndarray.dot``: ``@`` (``np.matmul``) gives the
+    same bits at about twice the cost per call (NumPy 2.4.6, one OpenBLAS
+    thread, shared Xeon cores: 0.67 against 0.37 us for a d = 5 dot, 0.78
+    against 0.40 us for a 7 x 20 GEMV)."""
 
     def __init__(self, centers: np.ndarray, curvatures):
         self.centers = centers
@@ -150,6 +157,12 @@ class SquaredDistanceFamily(ComponentFamily):
         centred_t *= -2.0 * curvatures  # the factor 2 is exact: a power of two
         self._table[-1] = curvatures
         self.curvatures = self._table[-1]
+        # values_at's query [1, x~, x~ . x~], its leading 1 set once, and the
+        # views values_at and combined_gradient read.
+        self._values_query = np.empty(self.dim + 2)
+        self._values_query[0] = 1.0
+        self._values_offset = self._values_query[1:-1]
+        self._gradient_rows = self._table[1:]
 
     def value_at(self, i: int, x: np.ndarray) -> float:
         """Scalar f_i(x): the reference the batch-path tests compare against;
@@ -158,11 +171,13 @@ class SquaredDistanceFamily(ComponentFamily):
         return float(self.curvatures[i] * (diff @ diff))
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
-        query = np.empty(self.dim + 2)
-        query[0] = 1.0
-        x_c = np.subtract(x, self.centroid, out=query[1:-1])
-        query[-1] = x_c @ x_c
-        return query @ self._table
+        """Every f_i(x), in a new array.  The query [1, x~, x~ . x~] is
+        written into a (d+2)-vector the family keeps, so two threads must
+        not call this on one family at once."""
+        query = self._values_query
+        x_c = np.subtract(x, self.centroid, out=self._values_offset)
+        query[-1] = x_c.dot(x_c)
+        return query.dot(self._table)
 
     def gradients_at(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.curvatures[:, None] * (x - self.centers)
@@ -173,7 +188,7 @@ class SquaredDistanceFamily(ComponentFamily):
     def combined_gradient(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # [-2 P^T (a w); sum(a w)]: scaling by 2 is exact, so this is bit for
         # bit 2 (sum(a w) x~ - P^T (a w)).
-        weighted = self._table[1:] @ weights
+        weighted = self._gradient_rows.dot(weights)
         return (2.0 * weighted[-1]) * (x - self.centroid) + weighted[:-1]
 
 
@@ -212,10 +227,11 @@ class BoundingSphereFamily(SquaredDistanceFamily):
         caller add up the scores of single centred points instead of querying
         each new x, and query a sum of k centred points with scale k.  One
         copy into a (d+1)-vector the family keeps, then one GEMV, so two
-        threads must not call this on one family at once."""
+        threads must not call this on one family at once.  ``out`` is a
+        C-contiguous float64 (n,) array, as ``np.dot(..., out=)`` takes."""
         self._query[0] = scale
         self._query_tail[...] = query
-        np.matmul(self._query, self._score_rows, out=out)
+        np.dot(self._query, self._score_rows, out=out)
 
 
 def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:
