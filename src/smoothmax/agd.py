@@ -34,10 +34,12 @@ from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .families import ComponentFamily, DomainConstants, SmoothingParams
 
 MAX_PLANNED_ITERATIONS = 2 ** 31
-# A solve is certified once f_best - lb_best <= epsilon - CERTIFY_MARGIN |f_best|
-# (or f_best - (1 + rel)^2 lb_best <= -CERTIFY_MARGIN |f_best| under a relative
-# target); the margin keeps roundoff in the bound from certifying a gap just
-# above the target.
+# A solve is certified once f_best - lb_best <= epsilon - CERTIFY_MARGIN M
+# (or f_best - (1 + rel)^2 lb_best <= -CERTIFY_MARGIN M under a relative
+# target), M the largest |max| among the round's passes.  The margin keeps
+# roundoff in the bound from certifying a gap just above the target: the
+# bound's sums carry the roundoff of every pass's values, so it is scaled by
+# the largest of them, not by |f_best|, which can be far smaller.
 CERTIFY_MARGIN = 1e-12
 # The adaptive sequence of a round (``run_rounds``) steps at 1/U_t with U_t a
 # factor times the secant estimate of the local smoothness, falling by at most
@@ -222,8 +224,7 @@ class Round(NamedTuple):
     the round's cap.  ``epsilon`` is the absolute gap.  With
     ``relative_epsilon`` set, the round is certified once f_best <= (1 +
     relative_epsilon)^2 lb_best instead of on the absolute gap: the stop for
-    a nonnegative objective that is a squared radius.  ``distance`` is D,
-    and ``regret`` log(n) / s.
+    a nonnegative objective that is a squared radius.  ``distance`` is D.
     ``strong_convexity`` holds the l_i when they differ (None when uniform):
     each pass's model curvature is then sum_i p_i l_i, one n-dot, and L_s
     otherwise."""
@@ -238,7 +239,6 @@ class Round(NamedTuple):
     epsilon: float
     relative_epsilon: float | None
     distance: float
-    regret: float
     strong_convexity: np.ndarray | None
 
 
@@ -263,15 +263,14 @@ def plan_round(
     ``strong_convexity``, the l_i when they differ, goes to the round as is.
     """
     if n == 1:
-        # Already smooth: s = 0, zero regret.  A pass over one component is
-        # exact at any smoother (e = [1], S = 1), so params only drives it.
-        s, regret, params = 0.0, 0.0, SmoothingParams(1.0)
+        # Already smooth: s = 0.  A pass over one component is exact at any
+        # smoother (e = [1], S = 1), so params only drives it.
+        s, params = 0.0, SmoothingParams(1.0)
         L_s, U_s = min_strong_convexity, max_smoothness
     else:
         s = smoother_for_gap(epsilon, n)
         params = SmoothingParams(s)
         L_s, U_s = min_strong_convexity, s * G_s ** 2 + max_smoothness
-        regret = math.log(n) / s  # == epsilon / 2 by choice of s
     kappa_s = condition_number(L_s, U_s)
 
     planned = required_iterations_general(epsilon, n, G_s, L_s, max_smoothness, distance)
@@ -281,7 +280,7 @@ def plan_round(
             "relax epsilon or supply tighter constants"
         )
     return Round(params, s, L_s, U_s, kappa_s, G_s, planned, epsilon, relative_epsilon,
-                 distance, regret, strong_convexity)
+                 distance, strong_convexity)
 
 
 def run_rounds(
@@ -306,8 +305,9 @@ def run_rounds(
     average.  A round's ``lb_best`` is the highest of both bounds over its
     passes, and ``f_best`` the lowest max of the solve, at ``x_best``.  After
     each step, the round stops once f_best - lb_best <= epsilon - CERTIFY_MARGIN
-    |f_best|, or, with ``relative_epsilon`` set, once f_best - (1 +
-    relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN |f_best|.
+    M, or, with ``relative_epsilon`` set, once f_best - (1 +
+    relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN M, where M is the largest
+    |max| among the round's passes, its start pass included.
 
     A round first runs an adaptive sequence of up to ``planned`` steps.  Its
     first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
@@ -347,7 +347,6 @@ def run_rounds(
     x_best = family.check_point(x1)  # later passes read agd_step's arrays
     _, grad, _, total, f_best, mean_value, shifted_best = smooth_pass(
         family, rnd.params, x_best, out=weights)
-    shifted_s = rnd.params.s  # the smoother shifted_best is scaled by
     while True:
         params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.planned
         strong_convexity = rnd.strong_convexity
@@ -365,6 +364,7 @@ def run_rounds(
         model = LowerModel(mean_value, grad, curvature)
         lb_best = lower_bound(mean_value, grad_sq, curvature)
         U_t, momentum, adaptive = U_s, fixed_momentum, True
+        scale = abs(f_best)  # the largest |max| among the round's passes
         factor = SECANT_SAFETY_FLOOR  # the secant factor after the first
         last = 2 * cap + 1
         for t in range(2, last + 1):  # step t - 1 -> t of this round
@@ -410,15 +410,17 @@ def run_rounds(
                     U_t = min(U_s, max(L_s, factor * secant, U_t / STEP_GROWTH))
                 momentum = momentum_for(U_t / L_s)
             anchor = y
+            scale = max(scale, abs(max_value))
             if max_value < f_best:
-                x_best, f_best, shifted_best, shifted_s = y, max_value, shifted, params.s
-            if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * abs(f_best):
+                x_best, f_best, shifted_best = y, max_value, shifted
+            if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * scale:
                 stop_reason, a_priori = "certified", math.inf
                 break
         else:
             stop_reason = "planned"
+            # The smoothing regret log(n) / s, 0 at n = 1.
             a_priori = gap_bound(cap, L_s, rnd.kappa_s, rnd.distance,
-                                 rnd.G_s * rnd.distance) + rnd.regret
+                                 rnd.G_s * rnd.distance) + math.log(family.n) / params.s
         report = SolveReport(
             x_final=x_best,
             iterations_run=t - 1,
@@ -438,8 +440,7 @@ def run_rounds(
             return reports
         gap, offset = max(last_gap, gap / ROUND_GAP_RATIO), offset + report.iterations_run
         rnd = plan(gap, reports)
-        shifted_best *= rnd.params.s / shifted_s
-        shifted_s = rnd.params.s
+        shifted_best *= rnd.params.s / params.s
         _, grad, _, total, _, mean_value, _ = shifted_pass(
             family, rnd.params, x_best, shifted_best, f_best, out=weights)
 

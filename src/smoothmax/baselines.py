@@ -111,8 +111,11 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
     The recursion keeps its boundary on a ``_Boundary`` stack relative to
     the new pivot: each push moves the previous ball's centre in O(d k),
     with no linear solve, and a point in the affine hull of the boundary is
-    not pushed.  The pass then forms the centre in raw coordinates once and
-    takes the squared radius as its largest squared distance to the support.
+    not pushed.  The centre is then formed in raw coordinates once.  A pass
+    ends the loop once its largest squared distance is within
+    ``_CONTAINS_SLACK`` of the largest to the support, both read from that
+    pass.  The squared radius is the largest squared distance of that final
+    pass, so the ball encloses every point as computed.
 
     The ``MebResult`` has 0 steps, no solve report and no certificate, and
     ``support`` sorted.  The seed picks the first pivot; the radius is
@@ -128,7 +131,7 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
         )
     pts = cloud.points
     first = int(np.random.default_rng(seed).integers(cloud.n))
-    center, r2, support = pts[first].copy(), 0.0, [first]
+    center, support = pts[first].copy(), [first]
     pivots = [first]
     diff = np.empty_like(pts)
     sq = np.empty(cloud.n)
@@ -136,16 +139,13 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
         np.subtract(pts, center, out=diff)
         np.einsum("ij,ij->i", diff, diff, out=sq)
         k = int(sq.argmax())
-        if sq[k] <= r2 * (1.0 + _CONTAINS_SLACK):
+        if sq[k] <= sq[support].max() * (1.0 + _CONTAINS_SLACK):
             break
         rows = [k] + pivots
         boundary = _Boundary(pts[rows] - pts[k])
         boundary.move_to_front(list(range(1, len(rows))), len(pivots))
         center = pts[k] + boundary.c[boundary.level]
         support = [rows[i] for i in boundary.support]
-        # The radius is taken on the raw coordinates, from the rounded centre.
-        on = pts[support] - center
-        r2 = float(np.max(np.einsum("ij,ij->i", on, on)))
         pivots.insert(0, k)
     else:
         raise SmoothmaxError(
@@ -153,7 +153,7 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
         )
     return MebResult(
         center=center,
-        radius=math.sqrt(max(r2, 0.0)),
+        radius=math.sqrt(sq[k]),
         iterations=0,
         planned_iterations=0,
         support=tuple(sorted(int(i) for i in support)),
@@ -252,7 +252,6 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     family.scores_into(total, scores)
     columns = np.empty((min(cloud.dim + 1, cloud.n), cloud.n))
     slots: dict[int, int] = {}
-    room = len(columns)
     for k in range(cap + 1):
         j = int(scores.argmax())
         terms = k + 1.0
@@ -272,8 +271,7 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
         slot = slots.get(j)
         if slot is not None:
             scores += columns[slot]
-        elif room:
-            room -= 1
+        elif len(slots) < len(columns):
             slot = slots[j] = len(slots)
             family.scores_into(centred[j], columns[slot])
             scores += columns[slot]

@@ -43,9 +43,8 @@ def smooth_pass(
     family: ComponentFamily,
     params: SmoothingParams,
     x: np.ndarray,
-    gradient: bool = True,
     out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, float, float, float, np.ndarray]:
     """The one evaluation pass every smoothed quantity at x is read from.
 
     values -> max m -> shifted values s (f_i(x) - m) -> ``shifted_pass``.
@@ -59,7 +58,7 @@ def smooth_pass(
     max_value = float(shifted[max_index])
     shifted -= max_value
     shifted *= params.s
-    return shifted_pass(family, params, x, shifted, max_value, gradient, out)
+    return shifted_pass(family, params, x, shifted, max_value, out)
 
 
 def shifted_pass(
@@ -68,9 +67,8 @@ def shifted_pass(
     x: np.ndarray,
     shifted: np.ndarray,
     max_value: float,
-    gradient: bool = True,
     out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray, float, float, float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, float, float, float, np.ndarray]:
     """A pass from the shifted values ``shifted`` = s (f_i(x) - m), with m =
     ``max_value`` the max at x, on: no values are evaluated, so values kept
     from an earlier pass at x, rescaled to a new s, give that smoother's
@@ -78,16 +76,15 @@ def shifted_pass(
 
     e_i = exp(max(shifted_i, EXP_FLOOR)), written to ``out`` (shape (n,); a
     new array when None) -> S = sum_i e_i -> grad f_s(x) =
-    combined_gradient(x, e) / S (skipped when ``gradient`` is false) ->
-    f_s(x) = m + log(S) / s, and the softmax-weighted mean
-    sum_i p_i f_i(x) = m + e . shifted / (s S), taken from the unfloored
-    exponents.  Returns ``(value, gradient, e, S, max_value, mean_value,
-    shifted)``; the softmax weights are e / S.
+    combined_gradient(x, e) / S -> f_s(x) = m + log(S) / s, and the
+    softmax-weighted mean sum_i p_i f_i(x) = m + e . shifted / (s S), taken
+    from the unfloored exponents.  Returns ``(value, gradient, e, S,
+    max_value, mean_value, shifted)``; the softmax weights are e / S.
     """
     weights = np.maximum(shifted, EXP_FLOOR, out=out)
     np.exp(weights, out=weights)
     total = float(np.add.reduce(weights))  # weights.sum() less its Python wrapper
-    grad = family.combined_gradient(x, weights) / total if gradient else None
+    grad = family.combined_gradient(x, weights) / total
     value = max_value + math.log(total) / params.s
     # The products e_i s (f_i - m) stay normal doubles, as a floored e_i
     # meets |s (f_i - m)| >= 700; e_i (f_i - m) can be subnormal at large s.
@@ -97,13 +94,13 @@ def shifted_pass(
 
 def smooth_value(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> float:
     """f_s(x) = m + (1/s) log sum_i exp(s (f_i(x) - m)), m = max_i f_i(x)."""
-    return smooth_pass(family, params, family.check_point(x), gradient=False)[0]
+    return smooth_pass(family, params, family.check_point(x))[0]
 
 
 def softmax_weights(family: ComponentFamily, params: SmoothingParams, x: np.ndarray) -> np.ndarray:
     """Probability vector p_s(x); entries in (0, 1], sum 1 (tiny entries sit
     at the exp(EXP_FLOOR) / S floor)."""
-    weights, total = smooth_pass(family, params, family.check_point(x), gradient=False)[2:4]
+    weights, total = smooth_pass(family, params, family.check_point(x))[2:4]
     weights /= total
     return weights
 

@@ -203,7 +203,6 @@ class BoundingSphereFamily(SquaredDistanceFamily):
 
     def __init__(self, cloud: PointCloud):
         super().__init__(cloud.points, 1.0)
-        self.cloud = cloud
         self.centred_sq = self._table[0]
         # scores_into's query and the views it reads, made once: the core set
         # calls it at each step that finds its cache full, and at 2000 x 5 a
@@ -312,7 +311,7 @@ def solve_meb(
     # x1 is the centroid, where the centred offset x~1 is 0.
     x1, f1 = family.centroid, float(family.centred_sq.max())
 
-    if n == 1 or f1 == 0.0:
+    if f1 == 0.0:
         # Single or fully coincident points: the centroid is the exact center.
         return MebResult(
             center=x1,

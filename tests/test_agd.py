@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothmax import (
     BoundingSphereFamily,
@@ -467,6 +467,11 @@ def test_averaged_bound_is_sound_far_from_x1(seed, offset, eps):
     eps=st.sampled_from([0.1, 0.01]),
     cap=st.integers(min_value=1, max_value=40),
 )
+# Solves whose bounds, at 1e6 from x1, carried more roundoff than a margin
+# scaled by |f_best| covered: each certified early, with a bound above f*.
+@example(seed=36, offset=1e6, eps=0.1, cap=30)
+@example(seed=36, offset=1e6, eps=0.01, cap=40)
+@example(seed=295, offset=1e6, eps=0.1, cap=40)
 def test_bounds_stay_sound_through_the_fallback(seed, offset, eps, cap):
     # No bound proves a relative gap of 1e-12 on a positive max, so every
     # solve runs the adaptive sequence and then the fixed one for its cap.

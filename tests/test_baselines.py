@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smoothmax import MebConfig, MebResult, PointCloud, badoiu_clarkson, solve_meb, welzl_exact
 from smoothmax import baselines
@@ -14,7 +14,7 @@ from smoothmax.errors import (
     SmoothmaxError,
     UnsupportedDimensionError,
 )
-from smoothmax.meb import BoundingSphereFamily
+from smoothmax.meb import BoundingSphereFamily, farthest_sq_distance
 from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud, regular_simplex
 
 
@@ -206,6 +206,10 @@ class TestWelzlExact:
     offset=st.sampled_from([0.0, 1e6, 1e8]),
     duplicate=st.booleans(),
 )
+# A cloud whose last pivot pass found a point outside a radius taken from
+# the support alone.
+@example(distribution="sphere_surface", cloud_seed=0, order_seed=0, n=400, dim=4,
+         offset=1e6, duplicate=False)
 def test_pivoting_matches_the_plain_recursion(
     distribution, cloud_seed, order_seed, n, dim, offset, duplicate
 ):
@@ -213,8 +217,11 @@ def test_pivoting_matches_the_plain_recursion(
     points = random_point_cloud(cloud_seed, n, dim, distribution).points + offset
     if duplicate:  # repeat a third of the rows, after the originals
         points = np.concatenate([points, points[: max(1, n // 3)]])
-    assert_matches_the_reference(points, welzl_exact(PointCloud(points), seed=order_seed),
-                                 offset)
+    cloud = PointCloud(points)
+    exact = welzl_exact(cloud, seed=order_seed)
+    assert_matches_the_reference(points, exact, offset)
+    # The ball encloses every point as computed, not only to a tolerance.
+    assert math.sqrt(farthest_sq_distance(cloud, exact.center)[0]) <= exact.radius
 
 
 def assert_matches_the_reference(points, exact, offset):

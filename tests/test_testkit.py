@@ -173,7 +173,8 @@ class TestRandomQuadraticFamily:
             shape = f"{n}x{d} {order}-ordered"
             centers = np.asarray(rng.standard_normal((n, d)) + offset, order=order)
             if kind == "bounding_sphere":
-                fam = BoundingSphereFamily(PointCloud(centers))
+                cloud = PointCloud(centers)
+                fam = BoundingSphereFamily(cloud)
             else:
                 fam = RandomQuadraticFamily(centers, rng.uniform(0.5, 2.0, size=n))
             x = offset + rng.standard_normal(d)
@@ -190,7 +191,7 @@ class TestRandomQuadraticFamily:
                     for scale in (1.0, 7.0):
                         fam.scores_into(scale * (query - fam.centroid), scores, scale)
                         assert (int(scores.argmax())
-                                == farthest_sq_distance(fam.cloud, query)[1]), shape
+                                == farthest_sq_distance(cloud, query)[1]), shape
             grads = fam.gradients_at(x)
             grad_scale = max(np.linalg.norm(grad) for grad in grads)
             for weights in (rng.dirichlet(np.ones(n)), rng.uniform(0.1, 3.0, size=n)):
