@@ -5,10 +5,16 @@ Implements the update pair
     x_{t+1} = y_t - (1/U_s) grad f_s(y_t)
     y_{t+1} = x_{t+1} + (1 - 2/(sqrt(kappa_s) + 1)) (x_{t+1} - x_t)
 
-together with the smoother selection s = 2 log(n) / epsilon, the
-closed-form sufficient iteration count (the cap of each solve), the lower
-bounds on the optimum that stop a solve once they certify the gap, and the
-one gap-halving schedule of every multi-round solve (``run_rounds``).
+together with the smoother selection, the closed-form sufficient iteration
+count (the cap of each solve), the lower bounds on the optimum that stop a
+solve once they certify the gap, and the one gap-halving schedule of every
+multi-round solve (``run_rounds``).
+
+The paper's smoother s_n = 2 log(n) / epsilon (Nesterov's entropy
+smoothing) feeds the a-priori count and the fixed sequence that backs it.
+No certificate reads s, so the adaptive sequence may smooth less: it starts
+at 2 log(min(n, k)) / epsilon for a support of k components and doubles s,
+up to s_n, on a pass whose measured regret max - mean passes epsilon / 2.
 """
 
 from __future__ import annotations
@@ -108,7 +114,11 @@ class SolveReport:
 
 
 def smoother_for_gap(epsilon: float, n: int) -> float:
-    """s = 2 log(n) / epsilon; 0 for n = 1 (degenerate, already smooth)."""
+    """s = 2 log(n) / epsilon; 0 for n = 1 (degenerate, already smooth).
+
+    Its smoothing regret, max - sum_i p_i f_i = (H(p) - log S) / s at any
+    point, is at most log(n) / s = epsilon / 2.  For a softmax spread over k
+    components, n = k gives the same budget (``plan_round``'s support)."""
     if not epsilon > 0 or n < 1:
         raise ContractViolationError("need epsilon > 0 and n >= 1")
     return 2.0 * math.log(n) / epsilon
@@ -219,22 +229,29 @@ def required_iterations_general(
 
 class Round(NamedTuple):
     """The scalars of one round of ``run_rounds``, as ``plan_round`` derives
-    them.  ``params`` drives the passes; ``s`` is the reported smoother (0 for
-    n = 1, where any smoother is exact).  ``planned`` is the a-priori count,
-    the round's cap.  ``epsilon`` is the absolute gap.  With
-    ``relative_epsilon`` set, the round is certified once f_best <= (1 +
-    relative_epsilon)^2 lb_best instead of on the absolute gap: the stop for
-    a nonnegative objective that is a squared radius.  ``distance`` is D.
-    ``strong_convexity`` holds the l_i when they differ (None when uniform):
-    each pass's model curvature is then sum_i p_i l_i, one n-dot, and L_s
-    otherwise."""
+    them.  ``params`` holds the paper's smoother s_n = 2 log(n) / epsilon,
+    which the fixed sequence and the a-priori count use; ``s`` is s_n as
+    reported (0 for n = 1, where any smoother is exact, and ``params`` only
+    drives the passes).  ``support_s`` is the smoother the adaptive sequence
+    may start at, sized by the support (``plan_round``); it equals
+    ``params.s`` when the support is n.  ``L_s``, ``U_s`` and ``kappa_s`` are
+    the bounds at s_n; at any smoother s the smoothness is s G_s^2 +
+    ``max_smoothness``.  ``planned`` is the a-priori count, the round's cap.
+    ``epsilon`` is the absolute gap.  With ``relative_epsilon`` set, the
+    round is certified once f_best <= (1 + relative_epsilon)^2 lb_best
+    instead of on the absolute gap: the stop for a nonnegative objective
+    that is a squared radius.  ``distance`` is D.  ``strong_convexity``
+    holds the l_i when they differ (None when uniform): each pass's model
+    curvature is then sum_i p_i l_i, one n-dot, and L_s otherwise."""
 
     params: SmoothingParams
     s: float
+    support_s: float
     L_s: float
     U_s: float
     kappa_s: float
     G_s: float
+    max_smoothness: float
     planned: int
     epsilon: float
     relative_epsilon: float | None
@@ -251,24 +268,36 @@ def plan_round(
     max_smoothness: float,
     relative_epsilon: float | None = None,
     strong_convexity: np.ndarray | None = None,
+    support: int | None = None,
 ) -> Round:
-    """Pick s for the absolute gap ``epsilon`` and derive a round's constants.
+    """Pick the smoothers for the absolute gap ``epsilon`` and derive a
+    round's constants.
 
-    The epsilon budget is split evenly between smoothing regret and
-    optimization gap; both halves are baked into the a-priori iteration
-    count, which caps the round.  The Hessian of f_s is
-    s Cov_p(grad f_i) + E_p[hess f_i] (``core.smooth_hessian``),
-    so L_s = min_i l_i and U_s = s G^2 + max_i u_i, with G^2 a bound on the
-    top eigenvalue of Cov_p(grad f_i) (``DomainConstants``).
-    ``strong_convexity``, the l_i when they differ, goes to the round as is.
+    The paper's smoother s_n = 2 log(n) / epsilon splits the epsilon budget
+    evenly between smoothing regret and optimization gap; both halves are
+    baked into the a-priori iteration count, which caps the round.  The
+    Hessian of f_s is s Cov_p(grad f_i) + E_p[hess f_i]
+    (``core.smooth_hessian``), so L_s = min_i l_i and U_s = s G^2 + max_i
+    u_i, with G^2 a bound on the top eigenvalue of Cov_p(grad f_i)
+    (``DomainConstants``).  ``support`` is k, the number of components the
+    optimum's softmax weights are expected to sit on (n when None): the
+    adaptive sequence may start at 2 log(min(n, k)) / epsilon, whose regret
+    budget covers a softmax spread over k components (``run_rounds`` raises
+    it where the regret is seen).  ``strong_convexity``, the l_i when they
+    differ, goes to the round as is.
     """
     if n == 1:
         # Already smooth: s = 0.  A pass over one component is exact at any
         # smoother (e = [1], S = 1), so params only drives it.
         s, params = 0.0, SmoothingParams(1.0)
+        support_s = params.s
         L_s, U_s = min_strong_convexity, max_smoothness
     else:
+        support = n if support is None else min(n, support)
+        if support < 2:
+            raise ContractViolationError(f"need a support of at least 2, got {support}")
         s = smoother_for_gap(epsilon, n)
+        support_s = s if support == n else smoother_for_gap(epsilon, support)
         params = SmoothingParams(s)
         L_s, U_s = min_strong_convexity, s * G_s ** 2 + max_smoothness
     kappa_s = condition_number(L_s, U_s)
@@ -279,8 +308,8 @@ def plan_round(
             f"planned iteration count {planned} exceeds {MAX_PLANNED_ITERATIONS}; "
             "relax epsilon or supply tighter constants"
         )
-    return Round(params, s, L_s, U_s, kappa_s, G_s, planned, epsilon, relative_epsilon,
-                 distance, strong_convexity)
+    return Round(params, s, support_s, L_s, U_s, kappa_s, G_s, max_smoothness, planned,
+                 epsilon, relative_epsilon, distance, strong_convexity)
 
 
 def run_rounds(
@@ -309,7 +338,11 @@ def run_rounds(
     relative_epsilon)^2 lb_best <= -CERTIFY_MARGIN M, where M is the largest
     |max| among the round's passes, its start pass included.
 
-    A round first runs an adaptive sequence of up to ``planned`` steps.  Its
+    A round first runs an adaptive sequence of up to ``planned`` steps at a
+    smoother s <= s_n = ``params.s``.  Round 0 starts at ``support_s``; each
+    later round at max(``support_s``, r s_n), at most s_n, with r the ratio
+    s / s_n the previous round ended at.  Below, U_s is the smoothness at the
+    current s, s G_s^2 + ``max_smoothness``.  The sequence's
     first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
     c_t ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
     U_{t-1} / STEP_GROWTH)) from consecutive pass points (kept when they
@@ -322,10 +355,21 @@ def run_rounds(
     round and double, up to SECANT_SAFETY, on each restart, from that
     restart's own secant on.  The bounds do not depend on the step sizes, so
     every pass still certifies.
+    A pass of the adaptive sequence with s < s_n whose regret max - mean
+    passes ``epsilon`` / 2 (the budget log(n) / s_n, ``smoother_for_gap``)
+    raises the smoother: s becomes min(2 s, s_n), the pass's shifted values
+    are rescaled and the pass redone from them (``shifted_pass``, no values
+    evaluated), and everything after reads the redone pass.  The momentum
+    then restarts at y (x_t = y_t), U_t scales by the raise, up to the new
+    U_s, and the next secant is taken as a round's first one.  The model,
+    ``lb_best``, ``f_best`` and ``x_best`` carry over.  At s = s_n, as on
+    the generic path where the support is n, no raise can happen.
     If the adaptive sequence has not certified after ``planned`` steps, the
-    round runs the fixed sequence (U_s and ``momentum_for(kappa_s)``, no
-    restart) from its start point for ``planned`` more steps, reusing the start
-    pass's gradient; ``x_best``, ``f_best``, ``lb_best`` and the averaged
+    round runs the fixed sequence (s_n, the a-priori ``U_s`` and
+    ``momentum_for(kappa_s)``, no restart) from its start point for
+    ``planned`` more steps.  Its first step reads the start pass's gradient,
+    redone at s_n from the start's kept values when the round started below
+    s_n; ``x_best``, ``f_best``, ``lb_best`` and the averaged
     model, anchored at the last pass point, carry over.  Its last step makes
     its pass at y_T = x_T, as a restart does, so x_T is a candidate; if that
     pass does not certify, the certificate is the smaller of the proven gap
@@ -334,28 +378,39 @@ def run_rounds(
 
     A new round restarts the momentum at ``x_best``.  Its first pass there
     evaluates no values: the shifted values s (f_i - f_best) kept from the
-    pass that found ``x_best`` are rescaled to the new s (``shifted_pass``).
+    pass that found ``x_best`` are rescaled to the round's starting s
+    (``shifted_pass``).
 
     The observers see one step counter t across both sequences and the
     rounds, from 2 to the total steps + 1.  A round's report has the
-    certificate min(max(0, f_best - lb_best), the a-priori bound), and its
-    a-priori ``U_s`` and ``kappa_s``; every round's is returned, in order.
+    certificate min(max(0, f_best - lb_best), the a-priori bound), the
+    smoother ``s`` the round ended at (s_n once the fallback ran; 0 at
+    n = 1), and ``U_s`` and ``kappa_s`` at that smoother; every round's is
+    returned, in order.
     """
     gap, reports, offset = first_gap, [], 0
     rnd = plan(gap, reports)
+    s = rnd.support_s  # the smoother of the passes
+    params = SmoothingParams(s)
     weights = np.empty(family.n)  # the exp buffer of every pass
     x_best = family.check_point(x1)  # later passes read agd_step's arrays
     _, grad, _, total, f_best, mean_value, shifted_best = smooth_pass(
-        family, rnd.params, x_best, out=weights)
+        family, params, x_best, out=weights)
+    s_best = s  # the smoother shifted_best is scaled by
     while True:
-        params, L_s, U_s, cap = rnd.params, rnd.L_s, rnd.U_s, rnd.planned
+        s_n, L_s, cap = rnd.params.s, rnd.L_s, rnd.planned
         strong_convexity = rnd.strong_convexity
+
+        def smoothness(s):  # U_s at the smoother s
+            return rnd.U_s if s == s_n else s * rnd.G_s ** 2 + rnd.max_smoothness
+
         if rnd.relative_epsilon is None:
             lb_scale, target = 1.0, rnd.epsilon
         else:
             lb_scale, target = (1.0 + rnd.relative_epsilon) ** 2, 0.0
-        fixed_momentum = momentum_for(rnd.kappa_s)
+        regret_budget = 0.5 * rnd.epsilon
         x = y = anchor = start = x_best
+        start_s, start_shifted, start_max = s, shifted_best, f_best
         grad_sq = float(grad.dot(grad))
         start_grad, start_grad_sq = grad, grad_sq
         curvature = L_s
@@ -363,15 +418,23 @@ def run_rounds(
             curvature = float(weights.dot(strong_convexity)) / total
         model = LowerModel(mean_value, grad, curvature)
         lb_best = lower_bound(mean_value, grad_sq, curvature)
-        U_t, momentum, adaptive = U_s, fixed_momentum, True
+        U_s = smoothness(s)
+        U_t, momentum, adaptive = U_s, momentum_for(U_s / L_s), True
         scale = abs(f_best)  # the largest |max| among the round's passes
         factor = SECANT_SAFETY_FLOOR  # the secant factor after the first
+        first_secant = 2  # the step whose secant is not growth-capped
         last = 2 * cap + 1
         for t in range(2, last + 1):  # step t - 1 -> t of this round
-            if t == cap + 2:  # the fixed sequence, from the round's start
+            if t == cap + 2:  # the fixed sequence at s_n, from the round's start
                 x = y = start
                 grad, grad_sq = start_grad, start_grad_sq
-                U_t, momentum, adaptive = U_s, fixed_momentum, False
+                if start_s != s_n:
+                    grad = shifted_pass(family, rnd.params, start,
+                                        start_shifted * (s_n / start_s), start_max,
+                                        out=weights)[1]
+                    grad_sq = float(grad.dot(grad))
+                s, params, U_s = s_n, rnd.params, rnd.U_s
+                U_t, momentum, adaptive = U_s, momentum_for(rnd.kappa_s), False
             # A finite grad . grad proves a finite gradient; only a non-finite
             # one (which an overflow of finite entries can also give) scans it.
             if not math.isfinite(grad_sq) and not np.isfinite(grad).all():
@@ -388,6 +451,16 @@ def run_rounds(
                 factor = min(SECANT_SAFETY, 2.0 * factor)
             value, grad, _, total, max_value, mean_value, shifted = smooth_pass(
                 family, params, y, out=weights)
+            raise_by = 1.0
+            if s < s_n and max_value - mean_value > regret_budget:
+                # The smoothing costs more than its budget here: redo the
+                # pass from its own values at a doubled smoother.
+                raised = min(2.0 * s, s_n)
+                raise_by, s = raised / s, raised
+                params, U_s = SmoothingParams(s), smoothness(s)
+                shifted *= raise_by
+                value, grad, _, total, _, mean_value, _ = shifted_pass(
+                    family, params, y, shifted, max_value, out=weights)
             if progress is not None:
                 progress(t + offset, value, math.sqrt(grad_sq_at_y))
             if iterate_observer is not None:
@@ -399,12 +472,20 @@ def run_rounds(
             delta_sq = float(delta.dot(delta))
             model.add(delta, delta_sq, mean_value, grad, curvature)
             lb_best = max(lb_best, lower_bound(mean_value, grad_sq, curvature), model.bound())
-            if adaptive and delta_sq > 0.0:
+            if raise_by != 1.0:
+                # The gradients on either side of a raise are of different
+                # smoothers, so no secant: the momentum restarts at y and
+                # the step scales with the smoother.
+                x = y
+                U_t = min(U_s, raise_by * U_t)
+                momentum = momentum_for(U_t / L_s)
+                first_secant = t + 1
+            elif adaptive and delta_sq > 0.0:
                 change = grad - grad_at_y
                 secant = math.sqrt(float(change.dot(change)) / delta_sq)
                 # A round's first secant keeps SECANT_SAFETY and is not
                 # growth-capped (theta_0 = +inf).
-                if t == 2:
+                if t == first_secant:
                     U_t = min(U_s, max(L_s, SECANT_SAFETY * secant))
                 else:
                     U_t = min(U_s, max(L_s, factor * secant, U_t / STEP_GROWTH))
@@ -412,23 +493,23 @@ def run_rounds(
             anchor = y
             scale = max(scale, abs(max_value))
             if max_value < f_best:
-                x_best, f_best, shifted_best = y, max_value, shifted
+                x_best, f_best, shifted_best, s_best = y, max_value, shifted, s
             if f_best - lb_scale * lb_best <= target - CERTIFY_MARGIN * scale:
                 stop_reason, a_priori = "certified", math.inf
                 break
         else:
             stop_reason = "planned"
-            # The smoothing regret log(n) / s, 0 at n = 1.
+            # The smoothing regret log(n) / s_n, 0 at n = 1.
             a_priori = gap_bound(cap, L_s, rnd.kappa_s, rnd.distance,
-                                 rnd.G_s * rnd.distance) + math.log(family.n) / params.s
+                                 rnd.G_s * rnd.distance) + math.log(family.n) / s_n
         report = SolveReport(
             x_final=x_best,
             iterations_run=t - 1,
             planned_iterations=rnd.planned,
-            s=rnd.s,
+            s=s if rnd.s else 0.0,
             L_s=L_s,
             U_s=U_s,
-            kappa_s=rnd.kappa_s,
+            kappa_s=condition_number(L_s, U_s),
             g_s=rnd.G_s,
             f_final=f_best,
             gap_certificate=min(max(0.0, f_best - lb_best), a_priori),
@@ -439,22 +520,27 @@ def run_rounds(
         if gap <= last_gap:
             return reports
         gap, offset = max(last_gap, gap / ROUND_GAP_RATIO), offset + report.iterations_run
+        ratio = s / s_n
         rnd = plan(gap, reports)
-        shifted_best *= rnd.params.s / params.s
+        s = min(rnd.params.s, max(rnd.support_s, ratio * rnd.params.s))
+        params = SmoothingParams(s)
+        shifted_best *= s / s_best
+        s_best = s
         _, grad, _, total, _, mean_value, _ = shifted_pass(
-            family, rnd.params, x_best, shifted_best, f_best, out=weights)
+            family, params, x_best, shifted_best, f_best, out=weights)
 
 
 def _plan(n: int, constants: DomainConstants, config: OptimizerConfig,
           epsilon: float) -> Round:
     """``plan_round`` for ``constants`` and ``config`` at the absolute gap
-    ``epsilon``."""
+    ``epsilon``, with a support of n: a generic family's optimum may sit on
+    every component, so its rounds keep the paper's smoother s_n."""
     strong = None
     if not constants.uniform_strong_convexity:
         strong = constants.per_component_strong_convexity
     return plan_round(n, epsilon, config.initial_distance_bound, constants.gradient_norm_bound,
                       constants.min_strong_convexity, constants.max_smoothness,
-                      strong_convexity=strong)
+                      strong_convexity=strong, support=n)
 
 
 def run_to_gap(

@@ -5,9 +5,11 @@ solver needs is derived analytically: component curvature is exactly 2,
 the radius bracket at the centroid gives the initial distance bound and the
 first lower bound on R^2 (which, with each round's relative gap, sets the
 smoother), and the max at a round's start point gives its gradient bound,
-which sets the smoothness.  A solve is a short sequence of warm-started rounds at relative
-gaps 1, 1/2, 1/4, ... down to eps; each round stops as soon as its lower
-bound on R^2 certifies its (1+e_k) radius.
+which sets the smoothness.  A solve is a short sequence of warm-started
+rounds at relative gaps sqrt(eps), sqrt(eps)/2, ... down to eps; each round
+stops as soon as its lower bound on R^2 certifies its (1+e_k) radius.  The
+optimal ball rests on at most d+1 points (Caratheodory), so the rounds
+smooth for a support of d+1 and raise the smoother where the cloud needs more.
 """
 
 from __future__ import annotations
@@ -272,15 +274,22 @@ def solve_meb(
     """Approximate minimal bounding sphere with radius <= (1+eps) R.
 
     Smoother continuation: one ``run_rounds`` loop, whose round k targets
-    the relative gap e_k = max(eps, 2^-k) (1, 1/2, 1/4, ... down to eps).
-    Round 0 starts at the centroid x1; each later round restarts the
-    momentum at the best point so far, the previous round's ``x_final``,
-    from the values kept there (no values pass).  Its absolute gap, which
-    sets the smoother, is eps_abs = (2 e_k + e_k^2) lb with lb = max(f(x1) /
-    4, the highest lower bound the rounds so far proved).  Each round
-    certifies from its own passes.  Every pass's lower model bounds the true
-    max, not f_s, so a bound stays valid under the next smoother, and
-    lb <= R^2 keeps each round's a-priori guarantee.
+    the relative gap e_k = max(eps, sqrt(eps) 2^-k) (sqrt(eps),
+    sqrt(eps)/2, ... down to eps; 1 at eps = 1).  Starting at sqrt(eps), not
+    1, the first round costs about eps^(-1/4) steps, below the last round's
+    eps^(-1/2).  Round 0 starts at the centroid x1; each later round
+    restarts the momentum at the best point so far, the previous round's
+    ``x_final``, from the values kept there (no values pass).  Its absolute
+    gap is eps_abs = (2 e_k + e_k^2) lb with lb = max(f(x1) / 4, the highest
+    lower bound the rounds so far proved).  It sets the paper's smoother
+    s_n = 2 log(n) / eps_abs, which the a-priori count and the fixed
+    fallback use, and the support's 2 log(min(n, d+1)) / eps_abs, where the
+    adaptive sequence starts; ``run_rounds`` doubles s, up to s_n, where a
+    pass's regret passes eps_abs / 2, and carries the ratio s / s_n into the
+    next round.  Each round certifies from its own passes.  Every pass's
+    lower model bounds the true max at any smoother, so a bound stays valid
+    under the next smoother, and lb <= R^2 keeps each round's a-priori
+    guarantee.
 
     The gradient bound G of a round is 2 sqrt(f_top), with f_top the max
     at its start point, the lowest max evaluated so far.  grad f_i(x) =
@@ -298,8 +307,10 @@ def solve_meb(
     (``Round.relative_epsilon``); a coarse round that reaches its
     cap still holds its (1+e_k) guarantee.  ``certified_radius_lower`` is
     sqrt(lb) after the last round, so a certified solve gives
-    radius <= (1+eps) certified_radius_lower <= (1+eps) R; the last round's
-    absolute gap is 2 log(n) / ``solve_report.s``.
+    radius <= (1+eps) certified_radius_lower <= (1+eps) R.
+    ``solve_report.s`` is the smoother the last round ended at, from the
+    support's up to s_n, so 2 log(n) / ``solve_report.s`` is at least that
+    round's absolute gap.
 
     ``iterations`` counts the steps of all rounds.  The observers see one
     step counter t across the solve; the ``progress`` value is f_s at that
@@ -333,9 +344,9 @@ def solve_meb(
         # f_top, the max at the round's start point, is at least R^2.
         f_top = reports[-1].f_final if reports else f1
         return plan_round(n, (2.0 * gap + gap ** 2) * proved_lb(reports), distance,
-                          2.0 * math.sqrt(f_top), 2.0, 2.0, gap)
+                          2.0 * math.sqrt(f_top), 2.0, 2.0, gap, support=cloud.dim + 1)
 
-    reports = run_rounds(family, x1, plan, 1.0, eps_rel, progress=progress,
+    reports = run_rounds(family, x1, plan, min(1.0, math.sqrt(eps_rel)), eps_rel, progress=progress,
                          iterate_observer=iterate_observer)
     report = reports[-1]
     radius, radius_lb = math.sqrt(report.f_final), math.sqrt(proved_lb(reports))

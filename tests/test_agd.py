@@ -755,6 +755,39 @@ class TestRunOnline:
         assert ts == list(range(2, total + 2))
 
 
+# Families of perfbench's minmax-observed shapes (n and d as its sizes 0, 8
+# and 20), with each solve's steps and f_final as the fixed smoother s_n
+# gave them: the generic path passes a support of n, so its smoother never
+# leaves s_n and no raise can fire.  Per family: run_to_gap's (steps,
+# f_final), then run_online's per round.
+GENERIC_GOLDEN = [
+    ((11, 2, 2), (12, "0x1.7227927fb2c98p+0"),
+     [(3, "0x1.bc4e1632929cep+0"), (1, "0x1.bbf72b8f52740p+0"),
+      (5, "0x1.8dcf725e1e566p+0"), (7, "0x1.7317972d848d3p+0")]),
+    ((12, 15, 3), (15, "0x1.bd8d46701a898p+2"),
+     [(5, "0x1.cd603be61854cp+2"), (2, "0x1.ccd7cb4dcd91fp+2"),
+      (5, "0x1.bfbafa85a3d51p+2"), (6, "0x1.bc0fb43bad838p+2")]),
+    ((13, 35, 8), (69, "0x1.a56d33d9d7f0bp+4"),
+     [(20, "0x1.afccea2db2b08p+4"), (17, "0x1.aaff7cd1e6ab9p+4"),
+      (22, "0x1.a85cb1df174afp+4"), (35, "0x1.a6cb886cd5e59p+4")]),
+]
+
+
+@pytest.mark.parametrize("shape, single, online", GENERIC_GOLDEN)
+def test_generic_path_keeps_the_papers_smoother(shape, single, online):
+    seed, n, d = shape
+    fam = RandomQuadraticFamily.from_seed(seed, n, d)
+    constants = fam.true_constants(domain_radius=6.0)
+    distance = float(np.max(np.linalg.norm(fam.centers, axis=1)))
+    config = OptimizerConfig(epsilon=0.1, x1=np.zeros(d), initial_distance_bound=distance)
+    report = run_to_gap(fam, constants, config)
+    reports = run_online(fam, lambda eps: constants, 0.8, 4, config)
+    assert (report.iterations_run, report.f_final.hex()) == single
+    assert [(r.iterations_run, r.f_final.hex()) for r in reports] == online
+    assert report.s == smoother_for_gap(0.1, n)
+    assert [r.s for r in reports] == [smoother_for_gap(0.8 / 2 ** k, n) for k in range(4)]
+
+
 class TestOnePassPerIteration:
     def setup_method(self):
         self.fam = CountingFamily(RandomQuadraticFamily.from_seed(5, n=6, dim=3))

@@ -23,6 +23,7 @@ from smoothmax.errors import (
 from smoothmax.agd import plan_round
 from smoothmax.core import component_values, shifted_pass, smooth_pass
 from smoothmax.families import ComponentFamily
+from smoothmax.meb import SquaredDistanceFamily
 from smoothmax.testkit import (
     RandomQuadraticFamily,
     finite_diff_gradient,
@@ -257,6 +258,23 @@ def test_sandwich_property(seed, s):
     scale = max(abs(f_max), 1.0)
     assert value >= f_max - 1e-9 * scale
     assert value <= f_max + math.log(fam.n) / s + 1e-9 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=family_seeds, offset=st.sampled_from([0.0, 1e6, 1e8]),
+       log_s=st.floats(min_value=-3.0, max_value=6.0))
+def test_pass_regret_is_within_log_n_over_s(seed, offset, log_s):
+    # A pass's smoothing regret, max - mean = (H(p) - log S) / s, is at most
+    # log(n) / s; run_rounds raises its smoother where it passes eps / 2.
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 200)), int(rng.integers(1, 9))
+    fam = SquaredDistanceFamily(rng.standard_normal((n, dim)) + offset,
+                                rng.uniform(0.5, 2.0, size=n))
+    x = fam.centroid + rng.standard_normal(dim)
+    s = 10.0 ** log_s
+    max_value, mean_value = smooth_pass(fam, SmoothingParams(s), x)[4:6]
+    slack = 4.0 * float(np.spacing(abs(max_value))) + 1e-12 * math.log(n) / s
+    assert 0.0 <= max_value - mean_value <= math.log(n) / s + slack
 
 
 @settings(max_examples=50, deadline=None)

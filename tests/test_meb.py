@@ -476,9 +476,9 @@ MEB_STREAM_SHAPES = (
 
 
 @pytest.mark.parametrize("eps, expected", [
-    (0.1, [5, 5, 5, 5, 5, 6, 5, 5, 6]),  # 47 in all
-    (0.03, [7, 10, 19, 8, 9, 11, 11, 7, 17]),  # 99
-    (0.01, [8, 11, 31, 41, 12, 15, 16, 8, 62]),  # 204
+    (0.1, [3, 3, 5, 3, 3, 5, 3, 3, 6]),  # 34 in all
+    (0.03, [5, 6, 22, 6, 5, 9, 6, 4, 12]),  # 75
+    (0.01, [13, 7, 13, 25, 8, 10, 14, 6, 19]),  # 115
 ])
 def test_step_counts_are_pinned(eps, expected):
     # MEB step counts do not move on last-bit changes: scaling each
@@ -488,6 +488,19 @@ def test_step_counts_are_pinned(eps, expected):
     steps = [solve_meb(random_point_cloud(0, n, d, kind), MebConfig(eps)).iterations
              for n, d, kind in MEB_STREAM_SHAPES]
     assert steps == expected
+
+
+@pytest.mark.parametrize("kind, eps, fixed_smoother_steps", [
+    ("gaussian", 0.1, 6), ("gaussian", 0.03, 9), ("clustered", 0.1, 6), ("clustered", 0.03, 8),
+])
+def test_support_sized_smoother_holds_at_coarse_eps(kind, eps, fixed_smoother_steps):
+    # A fixed s = 2 log(d + 1) / eps took gaussian 20000x3 at eps 0.1 from 6
+    # to 108 steps: at d <= 5 and coarse eps, log(d + 1) is too soft a
+    # smoother.  The raise on measured regret must keep such clouds within
+    # two steps of the paper's smoother s_n, whose counts are pinned here.
+    result = solve_meb(random_point_cloud(0, 20000, 3, kind), MebConfig(eps))
+    assert result.stop_reason == "certified"
+    assert result.iterations <= fixed_smoother_steps + 2
 
 
 def test_certified_ratio_is_none_without_a_positive_lower_radius():
@@ -500,13 +513,18 @@ class RoundRecorder:
     gives (``rounds``) and the ``SolveReport`` each round ended with
     (``ends``).  With ``uncertifiable``, every round runs with a relative
     stop of 1e-12, which no round can prove, so each one reaches its cap;
-    with ``cap``, every round's cap is lowered to it."""
+    with ``cap``, every round's cap is lowered to it; with
+    ``regret_budget_scale``, every round's regret budget is scaled by it."""
 
-    def __init__(self, monkeypatch, uncertifiable: bool, cap: int | None = None):
+    def __init__(self, monkeypatch, uncertifiable: bool, cap: int | None = None,
+                 regret_budget_scale: float = 1.0):
         self.rounds, self.ends = [], []
         run_rounds = meb.run_rounds
 
         def forced(rnd):
+            # Under the relative stop, a round reads its absolute gap only
+            # for the regret budget eps / 2 that raises its smoother.
+            rnd = rnd._replace(epsilon=rnd.epsilon * regret_budget_scale)
             if uncertifiable:
                 rnd = rnd._replace(relative_epsilon=1e-12)
             return rnd if cap is None else rnd._replace(planned=min(rnd.planned, cap))
@@ -563,12 +581,16 @@ class TestContinuation:
         result = solve_meb(cloud, MebConfig(0.01),
                            iterate_observer=lambda t, x, y, f: states.append(x))
         rounds, ends = recorder.rounds, recorder.ends
-        assert [r.relative_epsilon for r in rounds] == [
-            1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.01
-        ]
+        # The continuation starts at sqrt(eps).
+        assert [r.relative_epsilon for r in rounds] == [0.1, 0.05, 0.025, 0.0125, 0.01]
         assert len(ends) == len(rounds)
         assert all(end.iterations_run == 4 and end.planned_iterations == 2 for end in ends)
         assert all(end.stop_reason == "planned" for end in ends)
+        # Round 0 starts at the support's smoother; each fallback runs at
+        # s_n, and each later round starts at the ratio s / s_n = 1 that the
+        # previous one ended at.
+        assert rounds[0].support_s < rounds[0].s
+        assert all(end.s == rnd.s for rnd, end in zip(rounds, ends))
         assert result.iterations == 4 * len(rounds)
         assert result.planned_iterations == required_iterations_meb(0.01, cloud.n)
         f1 = float(np.max(np.sum((cloud.points - cloud.points.mean(axis=0)) ** 2, axis=1)))
@@ -650,7 +672,27 @@ class TestContinuation:
         assert rounds == len(recorder.rounds) > 1
         assert capped == (rounds if uncertifiable else 0)
         assert calls["values_at"] == 1 + result.iterations
-        assert calls["combined_gradient"] == rounds + result.iterations
+        # No smoother is raised on this cloud.  Capped, round 0's fallback
+        # takes one more gradient: its start pass at s_n, from the values it
+        # kept at the start; the later rounds start at s_n.
+        assert calls["combined_gradient"] == rounds + result.iterations + uncertifiable
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_raises_reach_the_papers_smoother_and_certify(self, monkeypatch, offset):
+        # On a sphere, whose support is every point, the softmax spreads
+        # over the whole cloud.  Its values sit so close to the max that the
+        # regret stays within eps / 2 at the support's smoother, so the
+        # budget is shrunk here: every pass then raises, the smoother
+        # reaches s_n in each round, and the rounds still certify.
+        recorder = RoundRecorder(monkeypatch, uncertifiable=False, regret_budget_scale=1e-9)
+        base = random_point_cloud(7, 2000, 3, "sphere_surface")
+        exact = welzl_exact(base).radius
+        result = solve_meb(PointCloud(base.points + offset), MebConfig(0.01))
+        assert recorder.rounds[0].support_s < recorder.rounds[0].s
+        assert all(end.s == rnd.s for rnd, end in zip(recorder.rounds, recorder.ends))
+        assert all(end.stop_reason == "certified" for end in recorder.ends)
+        assert result.radius <= 1.01 * exact * (1.0 + 1e-9)
+        assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
 
     def test_relative_epsilon_one_is_one_round(self):
         cloud = random_point_cloud(3, 60, 3, "gaussian")
