@@ -189,10 +189,11 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
     refused.  ``iterations`` is the step the run stopped at.
 
     c_k is thus the mean of c_0 and the k points picked.  The loop works in
-    coordinates centred on the centroid m, p~ = p - m, taken once from a
-    row-major copy of the cloud (n d more doubles), and keeps s_k, the sum
-    of p~ over c_0 and the picks, by one in-place add a step; the centre
-    m + s_k / (k+1) is formed only where the run is checked.  The family's
+    coordinates centred on the centroid m, p~ = p - m, read exactly from the
+    family's table (``BoundingSphereFamily.centred_points``, n d more
+    doubles), and keeps s_k, the sum of p~ over c_0 and the picks, by one
+    in-place add a step; the centre m + s_k / (k+1) is formed only where
+    the run is checked.  The family's
     score ||P_i||^2 - 2 P_i . x~ is affine in the query, so (k+1) times the
     score at c_k is the sum of the score columns of c_0 and the picked
     points.  The loop keeps that sum and takes each step's farthest point as
@@ -239,7 +240,7 @@ def badoiu_clarkson(cloud: PointCloud, relative_epsilon: float) -> MebResult:
             )
     limit, bound = 1.0 + relative_epsilon, (1.0 + relative_epsilon) ** 2
     family = BoundingSphereFamily(cloud)
-    centred = cloud.points - family.centroid
+    centred = family.centred_points()
     centred_sq = family.centred_sq
     # total is s_k and picked_sq the sum of ||p~||^2 over c_0 and the picks,
     # picks[j] how often point j is among them, and centre_sq ||c_k - m||^2;

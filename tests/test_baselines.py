@@ -314,8 +314,9 @@ def direct_steps(points: np.ndarray, iterations: int) -> tuple[np.ndarray, list[
     """The core-set steps on the direct ||c_i - x||^2, and the picks.  The
     centre after step k is m + sum(p - m) / (k + 1) over c_0 = points[0]
     and the k picks, m the centroid, formed by badoiu_clarkson's float
-    operations so that its centre can be compared bit for bit."""
-    centroid = points.mean(axis=0)
+    operations so that its centre can be compared bit for bit: m sums each
+    coordinate over a contiguous row of length n, as the family does."""
+    centroid = np.add.reduce(points.T.copy(), axis=1) / len(points)
     total = points[0] - centroid
     center = points[0].copy()
     picks = []

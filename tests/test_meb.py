@@ -1,10 +1,12 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smoothmax import (
     MebConfig,
@@ -16,7 +18,7 @@ from smoothmax import (
 )
 from smoothmax import BoundingSphereFamily, SmoothingParams, agd, badoiu_clarkson, core, meb
 from smoothmax.errors import ConfigurationError, ContractViolationError
-from smoothmax.testkit import DISTRIBUTIONS, random_point_cloud
+from smoothmax.testkit import DISTRIBUTIONS, RandomQuadraticFamily, audit_ball, random_point_cloud
 
 
 def cloud_of(*rows):
@@ -91,6 +93,50 @@ class TestPointCloud:
         assert (cloud.n, cloud.dim) == (2, 2)
 
 
+def refusal(points) -> str | None:
+    try:
+        PointCloud(points)
+    except ContractViolationError as exc:
+        return str(exc)
+    return None
+
+
+def axis0_span(points):
+    return points.max(axis=0) - points.min(axis=0)
+
+
+# Coordinates that reach every refusal: nan and inf, squared diagonals that
+# overflow or underflow the headroom once scaled, subnormals and signed zeros.
+COORDINATES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-160, -1e-160, 5e-324, 1e150, -1e150, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                  elements=COORDINATES),
+       st.integers(-700, 700))
+@example(np.array([[np.nan, 1.0], [0.0, 2.0]]), 0)  # nan
+@example(np.array([[1.0], [-np.inf]]), 0)  # inf, d = 1
+@example(np.array([[1e300, 0.0], [-1e300, 0.0]]), 0)  # overflow
+@example(np.array([[1e-160, 0.0], [-1e-160, 0.0]]), 0)  # underflow
+@example(np.array([[3.0, -4.0, 5e-324]]), 0)  # n = 1
+@example(np.array([[2.0], [7.0], [-1.0]]), 0)  # d = 1
+def test_box_span_is_the_axis0_span_with_the_same_refusals(points, exponent):
+    # The span over contiguous coordinate rows is max(axis=0) - min(axis=0)
+    # bit for bit (signed zeros compare equal, and square and test alike),
+    # so PointCloud refuses the same clouds with the same message.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        points = np.ldexp(points, exponent)
+        span, expected = meb._box_span(points), axis0_span(points)
+    assert span.shape == (points.shape[1],)
+    assert np.array_equal(span, expected, equal_nan=True)
+    found = refusal(points)
+    with mock.patch.object(meb, "_box_span", axis0_span):
+        assert found == refusal(points)
+
+
 class TestCentroid:
     # solve_meb starts at the family's centroid, which lies in the hull.
     @staticmethod
@@ -141,6 +187,40 @@ class TestSquaredDistanceKernel:
     def values_by_matmul(family, x):
         x_c = x - family.centroid
         return np.concatenate([[1.0], x_c, [x_c @ x_c]]) @ family._table
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_centroid_is_the_row_wise_reduction(self, n, d, offset):
+        # Each coordinate's pairwise sum over its own contiguous column,
+        # divided by n, for the family and the bounding sphere alike.
+        fam = self.family(n, d, offset)
+        columns = [np.ascontiguousarray(fam.centers[:, j]) for j in range(d)]
+        expected = np.array([np.add.reduce(column) for column in columns]) / n
+        assert fam.centroid.tobytes() == expected.tobytes()
+        assert BoundingSphereFamily(PointCloud(fam.centers)).centroid.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_table_is_the_direct_fill_from_the_centroid(self, n, d, offset):
+        # The table is the fill straight from the row-major centres (one
+        # subtract into the transposed rows) at the family's centroid, bit for
+        # bit, for both subclasses; the core set's centred points are C - m.
+        rng = np.random.default_rng(n * 100 + d)
+        centers = rng.standard_normal((n, d)) + offset
+        curvatures = rng.uniform(0.5, 2.0, size=n)
+        sphere = BoundingSphereFamily(PointCloud(centers))
+        for fam, a in ((RandomQuadraticFamily(centers, curvatures), curvatures), (sphere, 1.0)):
+            table = np.empty((d + 2, n))
+            centred_t = table[1:-1]
+            np.subtract(centers.T, fam.centroid[:, None], out=centred_t)
+            np.einsum("ij,ij->j", centred_t, centred_t, out=table[0])
+            table[0] *= a
+            centred_t *= -2.0 * a
+            table[-1] = a
+            assert fam._table.tobytes() == table.tobytes()
+        centred = sphere.centred_points()
+        assert centred.shape == (n, d)
+        assert np.ascontiguousarray(centred).tobytes() == (centers - sphere.centroid).tobytes()
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
     @pytest.mark.parametrize("n, d", SHAPES)
@@ -342,6 +422,49 @@ class TestSolveMeb:
             gy = np.linalg.norm(smooth_gradient(family, params, y))
             assert gx <= 2.0 * bound_core + 1e-6
             assert gy <= 6.0 * bound_core + 1e-6
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of k
+    roundings (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_returned_balls_enclose_to_their_rounding_in_exact_arithmetic(distribution, offset):
+    # audit_ball takes the exact max ||p - c||^2 at the returned centre from
+    # the float bits.  radius^2 may fall short of it only by the rounding of
+    # the float pass the radius is read from, and of the square root
+    # (radius^2 >= (1 - u)^2 times that pass's max), where F is the exact max:
+    # - the core set and Welzl read a raw pass: each p_j - c_j rounds once and
+    #   the d squares sum as a dot of d non-negative terms, so the pass is
+    #   >= (1 - gamma_{d+2}) F and F - radius^2 <= gamma_{d+4} F;
+    # - solve_meb reads the family's pass [1, x~, ||x~||^2] . [||P_i||^2, -2 P_i, 1]
+    #   with P = fl(c - m), x~ = fl(x - m): the (d+2)-term dot and its two
+    #   squared norms round within gamma_{2d+3} (||P_i|| + ||x~||)^2, and the
+    #   two centrings move ||P_i - x~|| by at most u S_i, S_i =
+    #   ||c_i - m|| + ||x - m|| >= sqrt(F), so F - radius^2 <= gamma_{2d+8} S^2
+    #   with S the largest S_i.
+    # m is taken here as the cloud's mean; it differs from the family's
+    # centroid by a few ulp of the offset, far inside the bound's slack.  A
+    # centring that loses the offset's bits gives errors of order u offset^2.
+    for seed, (n, d) in enumerate(((300, 2), (300, 4), (150, 8))):
+        cloud = PointCloud(random_point_cloud(seed, n, d, distribution).points + offset)
+        mean = cloud.points.mean(axis=0)
+        spread = float(np.max(np.linalg.norm(cloud.points - mean, axis=1)))
+        for result, table_pass in ((solve_meb(cloud, MebConfig(0.01)), True),
+                                   (badoiu_clarkson(cloud, 0.01), False),
+                                   (welzl_exact(cloud, seed=seed), False)):
+            audit = audit_ball(cloud.points, result.center, result.radius)
+            bound = gamma(d + 4)
+            if table_pass:
+                to_mean = float(np.linalg.norm(result.center - mean))
+                bound = gamma(2 * d + 8) * (spread + to_mean) ** 2 / float(audit.farthest_sq)
+            assert audit.shortfall <= bound, (n, d, table_pass, audit.shortfall / bound)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smoothmax import BoundingSphereFamily, PointCloud, farthest_sq_distance, we
 from smoothmax.errors import ContractViolationError
 from smoothmax.testkit import (
     RandomQuadraticFamily,
+    audit_ball,
     cross_polytope,
     finite_diff_gradient,
     grid_oracle_minimize,
@@ -39,6 +41,49 @@ class TestFiniteDiff:
     def test_step_validation(self):
         with pytest.raises(ContractViolationError):
             finite_diff_gradient(lambda x: 0.0, np.zeros(1), h=0.0)
+
+
+class TestAuditBall:
+    def test_integer_ball(self):
+        audit = audit_ball(np.array([[0.0, 0.0], [3.0, 4.0], [-1.0, 2.0]]), np.zeros(2), 5.0)
+        assert (audit.farthest_sq, audit.radius_sq, audit.index) == (25, 25, 1)
+        assert audit.encloses and audit.shortfall == 0.0
+
+    def test_exact_where_floats_round(self):
+        # 0.1, 0.2 and 0.3 are not their decimals: 0.2 - 0.1 is exactly the
+        # double 0.1, and 0.3 - 0.2 is less.
+        points, center = np.array([[0.1], [0.3]]), np.array([0.2])
+        audit = audit_ball(points, center, 0.1)
+        assert audit.index == 0 and audit.farthest_sq == audit.radius_sq == Fraction(0.1) ** 2
+        assert audit.encloses and audit.shortfall == 0.0
+        below = float(np.nextafter(0.1, 0.0))
+        short = audit_ball(points, center, below)
+        assert not short.encloses
+        assert short.shortfall == float(1 - (Fraction(below) / Fraction(0.1)) ** 2) > 0.0
+
+    def test_far_offset_and_tiny_values_are_exact(self):
+        # Offsets of 1e8 and coordinates of 1e-300 in one cloud: the integer
+        # scaling keeps both, where the float shortfall rounds to 0.
+        points = np.array([[1e8, 1e-300], [1e8 + 2.0, 0.0]])
+        audit = audit_ball(points, np.array([1e8 + 1.0, 0.0]), 1.0)
+        assert audit.index == 0
+        assert audit.farthest_sq - audit.radius_sq == Fraction(1e-300) ** 2
+        assert not audit.encloses and audit.shortfall == 0.0
+
+    def test_coincident_points(self):
+        audit = audit_ball(np.ones((3, 2)), np.ones(2), 0.0)
+        assert audit.farthest_sq == 0 and audit.encloses and audit.shortfall == 0.0
+
+    @pytest.mark.parametrize("points, center, radius", [
+        (np.array([[np.nan, 0.0]]), np.zeros(2), 1.0),
+        (np.zeros((2, 2)), np.array([np.inf, 0.0]), 1.0),
+        (np.zeros((2, 2)), np.zeros(2), math.inf),
+        (np.zeros((2, 2)), np.zeros(3), 1.0),
+        (np.zeros((0, 2)), np.zeros(2), 1.0),
+    ])
+    def test_refuses_malformed_input(self, points, center, radius):
+        with pytest.raises(ContractViolationError):
+            audit_ball(points, center, radius)
 
 
 class TestGridOracle:
