@@ -60,7 +60,8 @@ SECANT_SAFETY = 8.0
 SECANT_SAFETY_FLOOR = 1.5
 STEP_GROWTH = math.sqrt(2.0)
 # Each round of ``run_rounds`` after the first targets the previous round's
-# gap over this ratio, down to the last gap.
+# gap over this ratio, down to the last gap; after a relative-gap round, the
+# smaller of its gap and the relative gap it proved.
 ROUND_GAP_RATIO = 2.0
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
@@ -323,10 +324,17 @@ def run_rounds(
 ) -> list[SolveReport]:
     """The accelerated step loop: a sequence of rounds from x1, each stepping
     until its gap is certified or its steps run out.  The rounds run at the
-    gaps ``first_gap``, then max(last_gap, gap / ROUND_GAP_RATIO) until
+    gaps ``first_gap``, then max(last_gap, g / ROUND_GAP_RATIO) until
     ``last_gap``; before each, ``plan(gap, reports)`` gives its ``Round``
     from the gap and the reports of the rounds so far.  What the gap means,
-    absolute or relative, is the planner's.
+    absolute or relative, is the planner's.  After a round with an absolute
+    gap, g is that gap, so round k targets first_gap / 2^k.  After a round
+    with ``relative_epsilon`` set, g is the smaller of its gap and the
+    relative gap its own passes proved, sqrt(f_best / lb_best) - 1 (at least
+    0; the gap alone when lb_best <= 0): a round that proved more than it
+    was asked for does not make the next one re-prove it.  Gaps only shrink
+    and never pass ``last_gap``, so each round's cap and the last round's
+    guarantee hold as planned, and each round certifies from its own passes.
 
     Each step makes one pass at the new y.  It gives the next gradient, the
     ``progress`` value, the true max at y, and that pass's lower model of the
@@ -519,6 +527,8 @@ def run_rounds(
         reports.append(report)
         if gap <= last_gap:
             return reports
+        if rnd.relative_epsilon is not None and lb_best > 0.0:
+            gap = min(gap, max(0.0, math.sqrt(f_best / lb_best) - 1.0))
         gap, offset = max(last_gap, gap / ROUND_GAP_RATIO), offset + report.iterations_run
         ratio = s / s_n
         rnd = plan(gap, reports)

@@ -17,7 +17,16 @@ from .errors import (
     SmoothmaxError,
     UnsupportedDimensionError,
 )
-from .meb import BoundingSphereFamily, MebConfig, MebResult, PointCloud, farthest_sq_distance
+# farthest_sq_distance stays bound here because perfbench/tracing.py wraps it
+# at this module; tests/test_bench_lookups.py checks that it is defined here.
+from .meb import (
+    BoundingSphereFamily,
+    MebConfig,
+    MebResult,
+    PointCloud,
+    _sq_distances,
+    farthest_sq_distance,
+)
 
 WELZL_MAX_DIM = 12
 
@@ -101,7 +110,8 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
 
     Pivoting (Gärtner, "Fast and robust smallest enclosing balls", 1999):
     each pass takes every squared distance to the current centre on the raw
-    coordinates and picks the farthest point; if it lies outside, the ball
+    coordinates (``meb._sq_distances``, the pass ``farthest_sq_distance``
+    reads) and picks the farthest point; if it lies outside, the ball
     is recomputed by the move-to-front recursion over the pivots found so
     far with that point on the boundary, and the point becomes the first
     pivot.  A pivot lies outside a ball holding every earlier pivot, so none
@@ -136,8 +146,7 @@ def welzl_exact(cloud: PointCloud, seed: int = 0) -> MebResult:
     diff = np.empty_like(pts)
     sq = np.empty(cloud.n)
     for _ in range(cloud.n):
-        np.subtract(pts, center, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=sq)
+        _sq_distances(pts, center, diff, sq)
         k = int(sq.argmax())
         if sq[k] <= sq[support].max() * (1.0 + _CONTAINS_SLACK):
             break

@@ -6,8 +6,9 @@ the radius bracket at the centroid gives the initial distance bound and the
 first lower bound on R^2 (which, with each round's relative gap, sets the
 smoother), and the max at a round's start point gives its gradient bound,
 which sets the smoothness.  A solve is a short sequence of warm-started
-rounds at relative gaps sqrt(eps), sqrt(eps)/2, ... down to eps; each round
-stops as soon as its lower bound on R^2 certifies its (1+e_k) radius.  The
+rounds at relative gaps from sqrt(eps) down to eps, each at most half the
+last and at most half what the last round proved; each round stops as soon
+as its lower bound on R^2 certifies its (1+e_k) radius.  The
 optimal ball rests on at most d+1 points (Caratheodory), so the rounds
 smooth for a support of d+1 and raise the smoother where the cloud needs more.
 """
@@ -259,6 +260,17 @@ class BoundingSphereFamily(SquaredDistanceFamily):
         np.dot(self._query, self._score_rows, out=out)
 
 
+def _sq_distances(points: np.ndarray, x: np.ndarray, diff: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """||p_i - x||^2 for every row p_i of ``points``, on the raw coordinates:
+    one subtraction, then a row-wise ``einsum``.  Every raw farthest pass
+    (``farthest_sq_distance``, ``baselines.welzl_exact``'s pivot pass) reads
+    this one, so their squared distances round alike.  ``diff`` (n x d) and
+    ``out`` (n,) are buffers to write into, fresh arrays when None."""
+    diff = np.subtract(points, x, out=diff)
+    return np.einsum("ij,ij->i", diff, diff, out=out)
+
+
 def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:
     """max_i ||x - c_i||^2 and the achieving index (lowest on ties)."""
     x = np.asarray(x, dtype=float)
@@ -266,8 +278,7 @@ def farthest_sq_distance(cloud: PointCloud, x: np.ndarray) -> tuple[float, int]:
         raise ContractViolationError(
             f"query point has shape {x.shape}, cloud dimension is {cloud.dim}"
         )
-    diffs = cloud.points - x
-    sq = np.einsum("ij,ij->i", diffs, diffs)
+    sq = _sq_distances(cloud.points, x)
     idx = int(np.argmax(sq))
     return float(sq[idx]), idx
 
@@ -297,11 +308,13 @@ def solve_meb(
 ) -> MebResult:
     """Approximate minimal bounding sphere with radius <= (1+eps) R.
 
-    Smoother continuation: one ``run_rounds`` loop, whose round k targets
-    the relative gap e_k = max(eps, sqrt(eps) 2^-k) (sqrt(eps),
-    sqrt(eps)/2, ... down to eps; 1 at eps = 1).  Starting at sqrt(eps), not
-    1, the first round costs about eps^(-1/4) steps, below the last round's
-    eps^(-1/2).  Round 0 starts at the centroid x1; each later round
+    Smoother continuation: one ``run_rounds`` loop, whose round 0 targets
+    the relative gap e_0 = min(1, sqrt(eps)) and round k + 1 the gap
+    max(eps, min(e_k, p_k) / 2) (``agd.ROUND_GAP_RATIO``), with
+    p_k = sqrt(f_final / lower_bound) - 1 (at least 0) the relative gap
+    round k proved from its own passes; the last round targets eps.
+    Starting at sqrt(eps), not 1, the first round costs about eps^(-1/4)
+    steps, below the last round's eps^(-1/2).  Round 0 starts at the centroid x1; each later round
     restarts the momentum at the best point so far, the previous round's
     ``x_final``, from the values kept there (no values pass).  Its absolute
     gap is eps_abs = (2 e_k + e_k^2) lb with lb = max(f(x1) / 4, the highest

@@ -171,6 +171,18 @@ class TestFarthestSqDistance:
         assert value == max(brute)
         assert idx == int(np.argmax(brute))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_buffered_pass_gives_the_bits_of_a_fresh_one(self, offset):
+        # welzl_exact's pivot pass writes into buffers it keeps, and
+        # farthest_sq_distance into fresh arrays, through one helper.
+        cloud = PointCloud(random_point_cloud(5, 96, 11, "sphere_surface").points + offset)
+        x = cloud.points.mean(axis=0)
+        out = np.empty(cloud.n)
+        sq = meb._sq_distances(cloud.points, x, np.empty_like(cloud.points), out)
+        assert sq is out
+        assert np.array_equal(sq, meb._sq_distances(cloud.points, x))
+        assert farthest_sq_distance(cloud, x) == (float(sq.max()), int(sq.argmax()))
+
 
 class TestSquaredDistanceKernel:
     # The hooks keep their query vector and row views and use ndarray.dot;
@@ -599,9 +611,9 @@ MEB_STREAM_SHAPES = (
 
 
 @pytest.mark.parametrize("eps, expected", [
-    (0.1, [3, 3, 5, 3, 3, 5, 3, 3, 6]),  # 34 in all
-    (0.03, [5, 6, 22, 6, 5, 9, 6, 4, 12]),  # 75
-    (0.01, [13, 7, 13, 25, 8, 10, 14, 6, 19]),  # 115
+    (0.1, [3, 2, 4, 2, 2, 4, 2, 2, 5]),  # 26 in all
+    (0.03, [9, 6, 24, 6, 5, 11, 6, 4, 14]),  # 85
+    (0.01, [9, 6, 12, 21, 7, 8, 12, 5, 13]),  # 93
 ])
 def test_step_counts_are_pinned(eps, expected):
     # MEB step counts do not move on last-bit changes: scaling each
@@ -704,8 +716,16 @@ class TestContinuation:
         result = solve_meb(cloud, MebConfig(0.01),
                            iterate_observer=lambda t, x, y, f: states.append(x))
         rounds, ends = recorder.rounds, recorder.ends
-        # The continuation starts at sqrt(eps).
-        assert [r.relative_epsilon for r in rounds] == [0.1, 0.05, 0.025, 0.0125, 0.01]
+        # The continuation starts at sqrt(eps).  Each later round targets
+        # half the smaller of the last round's target and the relative gap
+        # that round proved, sqrt(f_final / lower_bound) - 1, down to eps.
+        gaps = [0.1]
+        for end in ends[:-1]:
+            proved = max(0.0, math.sqrt(end.f_final / end.lower_bound) - 1.0)
+            gaps.append(max(0.01, min(gaps[-1], proved) / agd.ROUND_GAP_RATIO))
+        assert [r.relative_epsilon for r in rounds] == gaps
+        assert gaps[1] < gaps[0] / agd.ROUND_GAP_RATIO  # a proved gap set the target
+        assert len(gaps) > 2 and gaps[-1] == 0.01
         assert len(ends) == len(rounds)
         assert all(end.iterations_run == 4 and end.planned_iterations == 2 for end in ends)
         assert all(end.stop_reason == "planned" for end in ends)
@@ -733,6 +753,30 @@ class TestContinuation:
         assert result.certified_radius_lower == math.sqrt(lb)
         assert result.certified_radius_lower <= exact * (1.0 + 1e-9)
         assert result.solve_report is ends[-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(DISTRIBUTIONS),
+        seed=st.integers(min_value=0, max_value=10_000),
+        offset=st.sampled_from([0.0, 1e6, 1e8]),
+        eps=st.sampled_from([0.1, 0.01, 1e-3]),
+    )
+    def test_round_gaps_halve_down_to_eps_and_certify(self, kind, seed, offset, eps):
+        # Each round's gap is at most half the last one, or eps itself, which
+        # only the last round targets; every solve certifies its own ratio.
+        rng = np.random.default_rng(seed)
+        cloud = random_point_cloud(seed, int(rng.integers(10, 201)), int(rng.integers(2, 6)), kind)
+        with pytest.MonkeyPatch.context() as patch:
+            recorder = RoundRecorder(patch, uncertifiable=False)
+            result = solve_meb(PointCloud(cloud.points + offset), MebConfig(eps))
+        gaps = [rnd.relative_epsilon for rnd in recorder.rounds]
+        assert gaps[0] == min(1.0, math.sqrt(eps)) and gaps[-1] == eps
+        assert all(eps < gap for gap in gaps[:-1])
+        for previous, gap in zip(gaps, gaps[1:]):
+            assert gap <= previous / agd.ROUND_GAP_RATIO or gap == eps < previous
+        assert all(end.stop_reason == "certified" for end in recorder.ends)
+        assert result.stop_reason == "certified"
+        assert result.radius <= (1.0 + eps) * result.certified_radius_lower
 
     @pytest.mark.parametrize("kind,offset", [("gaussian", 0.0), ("clustered", 1e6),
                                              ("sphere_surface", 1e8)])
