@@ -12,10 +12,12 @@ The shapes and epsilons are read from ``perfbench/workloads.py``: the
 family sizes.  The instances are rebuilt with ``testkit`` for seeds 1-3:
 every cloud at offsets 0, 1e6 and 1e8, and every family (as the workload
 builds it, with no offset) through both ``run_to_gap`` and ``run_online``.
-Each line names a method, its run count, its step total and the SHA-256 of
-the bits of every field of every result it returned, in order: centre,
-radius, step counts, certified bounds, stop reason, support, and each solve
-report's fields.  Two checkouts whose lines match returned the same bits.
+Each line names a method, its run count, its step total, the runs that did
+not certify (stop reason other than ``certified``, in any round; Welzl's
+exact solves count as certified) and the SHA-256 of the bits of every field
+of every result it returned, in order: centre, radius, step counts,
+certified bounds, stop reason, support, and each solve report's fields.
+Two checkouts whose lines match returned the same bits.
 """
 
 from __future__ import annotations
@@ -52,13 +54,14 @@ def bits(value) -> str:
 
 class Digest:
     def __init__(self):
-        self.hash, self.runs, self.steps = hashlib.sha256(), 0, 0
+        self.hash, self.runs, self.steps, self.uncertified = hashlib.sha256(), 0, 0, 0
 
-    def add(self, result, steps: int) -> None:
+    def add(self, result, steps: int, certified: bool = True) -> None:
         self.hash.update(bits(result).encode())
         self.hash.update(b"\n")
         self.runs += 1
         self.steps += steps
+        self.uncertified += not certified
 
 
 def clouds(shapes):
@@ -75,12 +78,14 @@ def main() -> None:
     for cloud in clouds(workloads.MEB_STREAM_CLOUDS):
         for eps in workloads.MEB_STREAM_EPSILONS:
             result = meb.solve_meb(cloud, meb.MebConfig(eps))
-            digests["solve_meb"].add(result, result.iterations)
+            digests["solve_meb"].add(result, result.iterations,
+                                     result.stop_reason == "certified")
         digests["welzl_exact"].add(baselines.welzl_exact(cloud), 0)
     for cloud in clouds(workloads.BASELINE_CLOUDS):
         for eps in workloads.BASELINE_EPSILONS:
             result = baselines.badoiu_clarkson(cloud, eps)
-            digests["badoiu_clarkson"].add(result, result.iterations)
+            digests["badoiu_clarkson"].add(result, result.iterations,
+                                           result.stop_reason == "certified")
         digests["welzl_exact"].add(baselines.welzl_exact(cloud), 0)
     for seed in SEEDS:
         for k, n in enumerate(workloads.MINMAX_SIZES):
@@ -91,13 +96,15 @@ def main() -> None:
             config = agd.OptimizerConfig(epsilon=workloads.MINMAX_EPSILON, x1=np.zeros(d),
                                          initial_distance_bound=distance)
             report = agd.run_to_gap(family, constants, config)
-            digests["run_to_gap"].add(report, report.iterations_run)
+            digests["run_to_gap"].add(report, report.iterations_run,
+                                      report.stop_reason == "certified")
             reports = agd.run_online(family, lambda eps: constants, workloads.ONLINE_EPSILON_0,
                                      workloads.ONLINE_ROUNDS, config)
-            digests["run_online"].add(reports, sum(r.iterations_run for r in reports))
+            digests["run_online"].add(reports, sum(r.iterations_run for r in reports),
+                                      all(r.stop_reason == "certified" for r in reports))
     for name, digest in digests.items():
         print(f"{name:16s} runs {digest.runs:4d}  steps {digest.steps:6d}  "
-              f"sha256 {digest.hash.hexdigest()}")
+              f"uncertified {digest.uncertified:3d}  sha256 {digest.hash.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ multi-round solve (``run_rounds``).
 
 The paper's smoother s_n = 2 log(n) / epsilon (Nesterov's entropy
 smoothing) feeds the a-priori count and the fixed sequence that backs it.
-No certificate reads s, so the adaptive sequence may smooth less: it starts
-at 2 log(min(n, k)) / epsilon for a support of k components and doubles s,
-up to s_n, on a pass whose measured regret max - mean passes epsilon / 2.
+No certificate reads s, so the adaptive sequence may smooth less: in R^d it
+starts at 2 log(min(n, d + 1)) / epsilon, sized for the d + 1 components an
+optimum needs (Caratheodory), and doubles s, up to s_n, on a pass whose
+measured regret max - mean passes epsilon / 2.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ SECANT_SAFETY_FLOOR = 1.5
 STEP_GROWTH = math.sqrt(2.0)
 # Each round of ``run_rounds`` after the first targets the previous round's
 # gap over this ratio, down to the last gap; after a relative-gap round, the
-# smaller of its gap and the relative gap it proved.
+# smaller of its gap and the relative gap it proved, and the last gap itself
+# once that target falls below this ratio times the last gap.
 ROUND_GAP_RATIO = 2.0
 
 # Observers, called after each step t-1 -> t, progress first: the cheap trace
@@ -119,7 +121,8 @@ def smoother_for_gap(epsilon: float, n: int) -> float:
 
     Its smoothing regret, max - sum_i p_i f_i = (H(p) - log S) / s at any
     point, is at most log(n) / s = epsilon / 2.  For a softmax spread over k
-    components, n = k gives the same budget (``plan_round``'s support)."""
+    components, n = k gives the same budget (``plan_round``'s support of
+    min(n, d + 1))."""
     if not epsilon > 0 or n < 1:
         raise ContractViolationError("need epsilon > 0 and n >= 1")
     return 2.0 * math.log(n) / epsilon
@@ -234,8 +237,8 @@ class Round(NamedTuple):
     which the fixed sequence and the a-priori count use; ``s`` is s_n as
     reported (0 for n = 1, where any smoother is exact, and ``params`` only
     drives the passes).  ``support_s`` is the smoother the adaptive sequence
-    may start at, sized by the support (``plan_round``); it equals
-    ``params.s`` when the support is n.  ``L_s``, ``U_s`` and ``kappa_s`` are
+    may start at, sized by the support min(n, d + 1) (``plan_round``); it
+    equals ``params.s`` when d + 1 >= n.  ``L_s``, ``U_s`` and ``kappa_s`` are
     the bounds at s_n; at any smoother s the smoothness is s G_s^2 +
     ``max_smoothness``.  ``planned`` is the a-priori count, the round's cap.
     ``epsilon`` is the absolute gap.  With ``relative_epsilon`` set, the
@@ -262,6 +265,7 @@ class Round(NamedTuple):
 
 def plan_round(
     n: int,
+    dim: int,
     epsilon: float,
     distance: float,
     G_s: float,
@@ -269,7 +273,6 @@ def plan_round(
     max_smoothness: float,
     relative_epsilon: float | None = None,
     strong_convexity: np.ndarray | None = None,
-    support: int | None = None,
 ) -> Round:
     """Pick the smoothers for the absolute gap ``epsilon`` and derive a
     round's constants.
@@ -280,12 +283,13 @@ def plan_round(
     Hessian of f_s is s Cov_p(grad f_i) + E_p[hess f_i]
     (``core.smooth_hessian``), so L_s = min_i l_i and U_s = s G^2 + max_i
     u_i, with G^2 a bound on the top eigenvalue of Cov_p(grad f_i)
-    (``DomainConstants``).  ``support`` is k, the number of components the
-    optimum's softmax weights are expected to sit on (n when None): the
-    adaptive sequence may start at 2 log(min(n, k)) / epsilon, whose regret
-    budget covers a softmax spread over k components (``run_rounds`` raises
-    it where the regret is seen).  ``strong_convexity``, the l_i when they
-    differ, goes to the round as is.
+    (``DomainConstants``).  The support is k = min(n, ``dim`` + 1): at a
+    min-max optimum in R^dim, 0 lies in the convex hull of the active
+    gradients, and by Caratheodory dim + 1 of them suffice.  The adaptive
+    sequence may start at 2 log(k) / epsilon, whose regret budget covers a
+    softmax spread over k components (``run_rounds`` raises it where the
+    regret is seen).  ``strong_convexity``, the l_i when they differ, goes to
+    the round as is.
     """
     if n == 1:
         # Already smooth: s = 0.  A pass over one component is exact at any
@@ -294,9 +298,9 @@ def plan_round(
         support_s = params.s
         L_s, U_s = min_strong_convexity, max_smoothness
     else:
-        support = n if support is None else min(n, support)
-        if support < 2:
-            raise ContractViolationError(f"need a support of at least 2, got {support}")
+        if dim < 1:
+            raise ContractViolationError(f"need dim >= 1, got {dim}")
+        support = min(n, dim + 1)
         s = smoother_for_gap(epsilon, n)
         support_s = s if support == n else smoother_for_gap(epsilon, support)
         params = SmoothingParams(s)
@@ -332,7 +336,10 @@ def run_rounds(
     with ``relative_epsilon`` set, g is the smaller of its gap and the
     relative gap its own passes proved, sqrt(f_best / lb_best) - 1 (at least
     0; the gap alone when lb_best <= 0): a round that proved more than it
-    was asked for does not make the next one re-prove it.  Gaps only shrink
+    was asked for does not make the next one re-prove it.  A relative-gap
+    round's successor targets ``last_gap`` itself when g / ROUND_GAP_RATIO
+    falls below ROUND_GAP_RATIO ``last_gap``: a round just above the last
+    gap would leave a last round that proves little more.  Gaps only shrink
     and never pass ``last_gap``, so each round's cap and the last round's
     guarantee hold as planned, and each round certifies from its own passes.
 
@@ -347,9 +354,11 @@ def run_rounds(
     |max| among the round's passes, its start pass included.
 
     A round first runs an adaptive sequence of up to ``planned`` steps at a
-    smoother s <= s_n = ``params.s``.  Round 0 starts at ``support_s``; each
-    later round at max(``support_s``, r s_n), at most s_n, with r the ratio
-    s / s_n the previous round ended at.  Below, U_s is the smoothness at the
+    smoother s <= s_n = ``params.s``.  A round starts at ``support_s``, and
+    one after a relative-gap round at max(``support_s``, r s_n), at most s_n,
+    with r the ratio s / s_n the previous round ended at.  So an absolute-gap
+    round does not inherit the last round's raises: it starts where a solve
+    from its start point would.  Below, U_s is the smoothness at the
     current s, s G_s^2 + ``max_smoothness``.  The sequence's
     first step is at 1/U_s; after the pass at y_t, U_t = min(U_s, max(L_s,
     c_t ||grad f_s(y_t) - grad f_s(y_{t-1})|| / ||y_t - y_{t-1}||,
@@ -370,8 +379,8 @@ def run_rounds(
     evaluated), and everything after reads the redone pass.  The momentum
     then restarts at y (x_t = y_t), U_t scales by the raise, up to the new
     U_s, and the next secant is taken as a round's first one.  The model,
-    ``lb_best``, ``f_best`` and ``x_best`` carry over.  At s = s_n, as on
-    the generic path where the support is n, no raise can happen.
+    ``lb_best``, ``f_best`` and ``x_best`` carry over.  At s = s_n, as
+    where d + 1 >= n, no raise can happen.
     If the adaptive sequence has not certified after ``planned`` steps, the
     round runs the fixed sequence (s_n, the a-priori ``U_s`` and
     ``momentum_for(kappa_s)``, no restart) from its start point for
@@ -527,10 +536,13 @@ def run_rounds(
         reports.append(report)
         if gap <= last_gap:
             return reports
-        if rnd.relative_epsilon is not None and lb_best > 0.0:
+        relative = rnd.relative_epsilon is not None
+        if relative and lb_best > 0.0:
             gap = min(gap, max(0.0, math.sqrt(f_best / lb_best) - 1.0))
         gap, offset = max(last_gap, gap / ROUND_GAP_RATIO), offset + report.iterations_run
-        ratio = s / s_n
+        if relative and gap < ROUND_GAP_RATIO * last_gap:
+            gap = last_gap
+        ratio = s / s_n if relative else 0.0  # 0: start at the support's smoother
         rnd = plan(gap, reports)
         s = min(rnd.params.s, max(rnd.support_s, ratio * rnd.params.s))
         params = SmoothingParams(s)
@@ -540,17 +552,17 @@ def run_rounds(
             family, params, x_best, shifted_best, f_best, out=weights)
 
 
-def _plan(n: int, constants: DomainConstants, config: OptimizerConfig,
+def _plan(family: ComponentFamily, constants: DomainConstants, config: OptimizerConfig,
           epsilon: float) -> Round:
-    """``plan_round`` for ``constants`` and ``config`` at the absolute gap
-    ``epsilon``, with a support of n: a generic family's optimum may sit on
-    every component, so its rounds keep the paper's smoother s_n."""
+    """``plan_round`` for ``family``, ``constants`` and ``config`` at the
+    absolute gap ``epsilon``: the adaptive sequence starts at the smoother of
+    the support min(n, d + 1), the fixed fallback keeps s_n."""
     strong = None
     if not constants.uniform_strong_convexity:
         strong = constants.per_component_strong_convexity
-    return plan_round(n, epsilon, config.initial_distance_bound, constants.gradient_norm_bound,
-                      constants.min_strong_convexity, constants.max_smoothness,
-                      strong_convexity=strong, support=n)
+    return plan_round(family.n, family.dim, epsilon, config.initial_distance_bound,
+                      constants.gradient_norm_bound, constants.min_strong_convexity,
+                      constants.max_smoothness, strong_convexity=strong)
 
 
 def run_to_gap(
@@ -563,7 +575,7 @@ def run_to_gap(
     """Full smoothed solve: pick s, derive constants (``plan_round``), step
     until the gap is certified (``run_rounds``, one round)."""
     [report] = run_rounds(family, config.x1,
-                          lambda gap, reports: _plan(family.n, constants, config, gap),
+                          lambda gap, reports: _plan(family, constants, config, gap),
                           config.epsilon, config.epsilon, progress, iterate_observer)
     return report
 
@@ -587,5 +599,5 @@ def run_online(
     if not epsilon_0 > 0 or rounds < 1:
         raise ContractViolationError("need epsilon_0 > 0 and rounds >= 1")
     return run_rounds(family, config.x1,
-                      lambda gap, reports: _plan(family.n, constants_provider(gap), config, gap),
+                      lambda gap, reports: _plan(family, constants_provider(gap), config, gap),
                       epsilon_0, math.ldexp(epsilon_0, 1 - rounds), progress)

@@ -312,7 +312,8 @@ def solve_meb(
     the relative gap e_0 = min(1, sqrt(eps)) and round k + 1 the gap
     max(eps, min(e_k, p_k) / 2) (``agd.ROUND_GAP_RATIO``), with
     p_k = sqrt(f_final / lower_bound) - 1 (at least 0) the relative gap
-    round k proved from its own passes; the last round targets eps.
+    round k proved from its own passes, or eps itself once that target is
+    below 2 eps; the last round targets eps.
     Starting at sqrt(eps), not 1, the first round costs about eps^(-1/4)
     steps, below the last round's eps^(-1/2).  Round 0 starts at the centroid x1; each later round
     restarts the momentum at the best point so far, the previous round's
@@ -380,8 +381,8 @@ def solve_meb(
     def plan(gap: float, reports: list[SolveReport]):
         # f_top, the max at the round's start point, is at least R^2.
         f_top = reports[-1].f_final if reports else f1
-        return plan_round(n, (2.0 * gap + gap ** 2) * proved_lb(reports), distance,
-                          2.0 * math.sqrt(f_top), 2.0, 2.0, gap, support=cloud.dim + 1)
+        return plan_round(n, cloud.dim, (2.0 * gap + gap ** 2) * proved_lb(reports), distance,
+                          2.0 * math.sqrt(f_top), 2.0, 2.0, gap)
 
     reports = run_rounds(family, x1, plan, min(1.0, math.sqrt(eps_rel)), eps_rel, progress=progress,
                          iterate_observer=iterate_observer)

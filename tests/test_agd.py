@@ -42,7 +42,12 @@ from smoothmax.errors import (
     UnsupportedCapabilityError,
 )
 from smoothmax.families import ComponentFamily
-from smoothmax.testkit import RandomQuadraticFamily, grid_oracle_minimize, random_point_cloud
+from smoothmax.testkit import (
+    RandomQuadraticFamily,
+    cross_polytope,
+    grid_oracle_minimize,
+    random_point_cloud,
+)
 
 
 def symmetric_pair():
@@ -88,7 +93,7 @@ def capped_solve(family, constants, config, cap, relative_epsilon=None, **observ
     """run_to_gap's round for ``config``, run with its cap lowered to ``cap``
     and, when ``relative_epsilon`` is given, its stop made relative.
     Returns the round as planned and the report."""
-    rnd = _plan(family.n, constants, config, config.epsilon)
+    rnd = _plan(family, constants, config, config.epsilon)
     capped = rnd._replace(planned=min(rnd.planned, cap), relative_epsilon=relative_epsilon)
     [report] = run_rounds(family, config.x1, lambda gap, reports: capped, config.epsilon,
                           config.epsilon, **observers)
@@ -230,8 +235,9 @@ class TestRequiredIterations:
     (lambda: gap_bound(1, 1.0, 0.5, 1.0, 0.0), "out of range"),
     (lambda: required_iterations_general(0.1, 2, 1.0, 1.0, 1.0, 0.0), "must be positive"),
     (lambda: required_iterations_general(0.1, 0, 1.0, 1.0, 1.0, 1.0), "n >= 1"),
+    (lambda: plan_round(2, 0, 0.1, 1.0, 1.0, 1.0, 1.0), "dim >= 1"),
 ], ids=["config_epsilon", "config_distance", "smoother_epsilon", "smoother_n", "gap_t",
-        "gap_kappa", "iterations_distance", "iterations_n"])
+        "gap_kappa", "iterations_distance", "iterations_n", "plan_dim"])
 def test_public_input_checks_raise_contract_violations(call, match):
     with pytest.raises(ContractViolationError, match=match):
         call()
@@ -384,7 +390,8 @@ class TestLowerModel:
         # G = 2 sqrt(f(x1)), the gradient bound solve_meb gives a round from x1.
         x1 = cloud.points.mean(axis=0)
         ys = []
-        rnd = plan_round(cloud.n, gap, math.sqrt(f1), 2.0 * math.sqrt(f1), 2.0, 2.0, 0.01)
+        rnd = plan_round(cloud.n, cloud.dim, gap, math.sqrt(f1), 2.0 * math.sqrt(f1), 2.0, 2.0,
+                         0.01)
         [report] = run_rounds(family, x1, lambda gap, reports: rnd, 0.01, 0.01,
                               iterate_observer=lambda t, x, y, grad: ys.append(y))
         assert report.stop_reason == "certified"
@@ -508,8 +515,17 @@ class TestFallback:
         # The last step lands on x_T as before and makes its pass there.
         x, _ = agd_step(x, y, smooth_gradient(fam, params, y), report.U_s, momentum)
         assert np.array_equal(states[-1][1], x) and np.array_equal(states[-1][2], x)
-        # Both sequences take the same first step at 1/U_s, then part.
-        assert np.array_equal(states[0][1], states[cap][1])
+        # The adaptive sequence's first step is at 1/U of its own smoother,
+        # the support's (d + 1 = 4 of n = 6 here), below s_n; the fixed
+        # sequence's first step is at 1/U_s of s_n.  The two then part.
+        s_0 = rnd.support_s
+        U_0 = s_0 * rnd.G_s ** 2 + rnd.max_smoothness
+        first, _ = agd_step(config.x1, config.x1,
+                            smooth_gradient(fam, SmoothingParams(s_0), config.x1), U_0,
+                            momentum_for(U_0 / rnd.L_s))
+        assert s_0 == smoother_for_gap(config.epsilon, 4) < rnd.s == report.s
+        assert np.array_equal(states[0][1], first)
+        assert not np.array_equal(states[0][1], states[cap][1])
         assert not np.array_equal(states[cap - 1][1], x)
         # x_T is a candidate, and the certificate is the a-priori bound after
         # cap steps unless the proven gap is smaller.
@@ -699,25 +715,34 @@ class TestRunOnline:
         with pytest.raises(ContractViolationError):
             run_online(fam, lambda eps: constants, 0.1, 0, config)
 
-    @pytest.mark.parametrize("case", ["symmetric_pair", "seed_9", "unequal_curvatures"])
+    @pytest.mark.parametrize("case", ["symmetric_pair", "seed_9", "unequal_curvatures", "raise"])
     def test_rounds_equal_chained_run_to_gap(self, case):
         # Each round is run_to_gap at its gap from the previous x_final, bit
         # for bit: the start pass of a round re-weights the values kept at
-        # x_best, which the doubled smoother rescales exactly.  The provider's
-        # G grows with eps, so each round plans under its own constants.
+        # x_best, which the doubled smoother rescales exactly, and each round
+        # starts at its support's smoother, whatever the last one raised it
+        # to.  The provider's G grows with eps, so each round plans under its
+        # own constants.
         if case == "symmetric_pair":
             fam, x1, distance, radius = symmetric_pair(), np.array([0.6]), 1.0, 3.0
         elif case == "seed_9":
             fam, x1, distance, radius = (RandomQuadraticFamily.from_seed(9, n=8, dim=2),
                                          np.zeros(2), 4.0, 6.0)
-        else:
+        elif case == "unequal_curvatures":
             base, curvatures = ill_conditioned(np.random.default_rng(3), 2, 8)
             fam, x1, distance, radius = (RandomQuadraticFamily(base, curvatures),
                                          np.zeros(base.shape[1]), 3.0, 4.0)
+        else:
+            # 21 centres in R^1, crowded near 0 and sparse near +-1: the
+            # first round's regret passes its budget at the support's
+            # smoother (2 of 21), which it raises.
+            fam, x1, distance, radius = (
+                RandomQuadraticFamily(np.linspace(-1.0, 1.0, 21)[:, None] ** 3, np.ones(21)),
+                np.array([0.3]), 2.0, 3.0)
         base_constants = fam.true_constants(domain_radius=radius)
-        # Only the symmetric pair has equal curvatures; the others take the
-        # per-component path of each round.
-        assert base_constants.uniform_strong_convexity == (case == "symmetric_pair")
+        # Only the symmetric pair and the raising family have equal
+        # curvatures; the others take the per-component path of each round.
+        assert base_constants.uniform_strong_convexity == (case in ("symmetric_pair", "raise"))
 
         def provider(eps):
             return DomainConstants(base_constants.per_component_strong_convexity,
@@ -727,6 +752,8 @@ class TestRunOnline:
         config = OptimizerConfig(epsilon=0.8, x1=x1, initial_distance_bound=distance)
         reports = run_online(fam, provider, 0.8, 4, config)
         assert len(reports) == 4
+        if case == "raise":
+            assert reports[0].s == 2.0 * smoother_for_gap(0.8, 2) < smoother_for_gap(0.8, 21)
         x = x1
         for k, report in enumerate(reports):
             eps = 0.8 / 2 ** k
@@ -756,26 +783,27 @@ class TestRunOnline:
 
 
 # Families of perfbench's minmax-observed shapes (n and d as its sizes 0, 8
-# and 20), with each solve's steps and f_final as the fixed smoother s_n
-# gave them: the generic path passes a support of n, so its smoother never
-# leaves s_n and no raise can fire.  Per family: run_to_gap's (steps,
-# f_final), then run_online's per round.  The f_final bits also follow the
-# rounding of the family's centroid (a pairwise sum per coordinate).
+# and 20), with each solve's steps and f_final.  The adaptive sequence starts
+# at the smoother of the support min(n, d + 1): s_n for the first family
+# (d + 1 >= n, where no raise can fire), below s_n for the other two.  Per
+# family: run_to_gap's (steps, f_final), then run_online's per round.  The
+# f_final bits also follow the rounding of the family's centroid (a pairwise
+# sum per coordinate).
 GENERIC_GOLDEN = [
     ((11, 2, 2), (12, "0x1.7227927fb2c98p+0"),
      [(3, "0x1.bc4e1632929cep+0"), (1, "0x1.bbf72b8f52740p+0"),
       (5, "0x1.8dcf725e1e566p+0"), (7, "0x1.7317972d848d3p+0")]),
-    ((12, 15, 3), (15, "0x1.bd8d46701a898p+2"),
-     [(5, "0x1.cd603be61854cp+2"), (2, "0x1.ccd7cb4dcd91fp+2"),
-      (5, "0x1.bfbafa85a3d51p+2"), (6, "0x1.bc0fb43bad838p+2")]),
-    ((13, 35, 8), (69, "0x1.a56d33d9d83bbp+4"),
-     [(20, "0x1.afccea2db2b04p+4"), (17, "0x1.aaff7cd1e673ep+4"),
-      (22, "0x1.a85cb1df17806p+4"), (35, "0x1.a6cb886caee8bp+4")]),
+    ((12, 15, 3), (15, "0x1.bda260f8d9dc3p+2"),
+     [(5, "0x1.cc486237d6e84p+2"), (4, "0x1.c1493f5e9e95cp+2"),
+      (3, "0x1.c047875e8cdd2p+2"), (10, "0x1.beae8c269d26bp+2")]),
+    ((13, 35, 8), (60, "0x1.a565894897efcp+4"),
+     [(24, "0x1.aadb03df42f78p+4"), (4, "0x1.a9a392ce29b62p+4"),
+      (14, "0x1.a8511fc32d1bdp+4"), (28, "0x1.a683376cbabefp+4")]),
 ]
 
 
 @pytest.mark.parametrize("shape, single, online", GENERIC_GOLDEN)
-def test_generic_path_keeps_the_papers_smoother(shape, single, online):
+def test_generic_path_starts_at_the_supports_smoother(shape, single, online):
     seed, n, d = shape
     fam = RandomQuadraticFamily.from_seed(seed, n, d)
     constants = fam.true_constants(domain_radius=6.0)
@@ -785,8 +813,39 @@ def test_generic_path_keeps_the_papers_smoother(shape, single, online):
     reports = run_online(fam, lambda eps: constants, 0.8, 4, config)
     assert (report.iterations_run, report.f_final.hex()) == single
     assert [(r.iterations_run, r.f_final.hex()) for r in reports] == online
-    assert report.s == smoother_for_gap(0.1, n)
-    assert [r.s for r in reports] == [smoother_for_gap(0.8 / 2 ** k, n) for k in range(4)]
+    # No raise fires on these families: each round ends at the smoother it
+    # starts at, its support's.
+    support = min(n, d + 1)
+    assert report.s == smoother_for_gap(0.1, support)
+    assert [r.s for r in reports] == [smoother_for_gap(0.8 / 2 ** k, support) for k in range(4)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_generic_path_below_s_n_meets_the_exact_optimum(dim, offset):
+    # f_i(x) = a ||x - c_i||^2 over the 2 dim vertices c_i of a unit cross
+    # polytope: f* = a R^2 with R = 1 at their mean, where all 2 dim
+    # components are active, a support wider than the dim + 1 the adaptive
+    # sequence's smoother is sized for.
+    a = 1.5
+    cloud, radius = cross_polytope(dim, dim, offset)
+    fam = RandomQuadraticFamily(cloud.points, np.full(cloud.n, a))
+    f_star = a * radius ** 2
+    direction = np.random.default_rng(dim).standard_normal(dim)
+    x1 = cloud.points.mean(axis=0) + 0.5 * direction / np.linalg.norm(direction)
+    # Every ||grad f_i|| = 2 a ||x - c_i|| is at most 2 a (R + 3) within 3
+    # of the optimum.
+    constants = DomainConstants.uniform(cloud.n, 2.0 * a, 2.0 * a, 2.0 * a * (radius + 3.0))
+    config = OptimizerConfig(epsilon=0.05, x1=x1, initial_distance_bound=0.5)
+    report = run_to_gap(fam, constants, config)
+    reports = run_online(fam, lambda eps: constants, 0.4, 4, config)
+    for r, eps in [(report, 0.05)] + list(zip(reports, (0.4, 0.2, 0.1, 0.05))):
+        # Each round ran below s_n throughout: no raise reached s_n and no
+        # fallback ran.
+        assert r.s < smoother_for_gap(eps, cloud.n)
+        assert r.stop_reason == "certified"
+        assert r.lower_bound <= f_star * (1.0 + 1e-9)
+        assert r.f_final - f_star <= eps + 1e-9
 
 
 class TestOnePassPerIteration:

@@ -167,9 +167,10 @@ class TestSmoothHessian:
 
 def round_at(constants: DomainConstants, s: float):
     """The round ``plan_round`` plans for ``constants`` at the gap whose
-    smoother is s, 2 log(n) / s."""
+    smoother is s, 2 log(n) / s, in R^1: the dimension sets only the
+    support's smoother, which these checks do not read."""
     n = constants.per_component_strong_convexity.size
-    rnd = plan_round(n, 2.0 * math.log(n) / s, 1.0, constants.gradient_norm_bound,
+    rnd = plan_round(n, 1, 2.0 * math.log(n) / s, 1.0, constants.gradient_norm_bound,
                      constants.min_strong_convexity, constants.max_smoothness)
     assert rnd.s == s
     return rnd
